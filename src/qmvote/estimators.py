@@ -33,7 +33,10 @@ from .core import CountsTable, VoteTally, complement, tally, validate_bitstring
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .noise import NoiseModel
 
-# 2^n candidates are scanned in blocks of this size.
+# 2^n candidates are scanned in blocks of this size. Each block's scores
+# come from one matrix-vector product whose summation order depends on the
+# row count, so the block size is part of the output definition and must
+# not be tuned per run.
 _ENUM_BLOCK = 1 << 16
 ENUM_MAX_QUBITS = 24
 TABLE_PRIOR_MAX_QUBITS = 20
@@ -122,7 +125,7 @@ class Prior:
             arr = np.array(per_qubit, dtype=np.float64, copy=True)
             if arr.ndim != 1 or arr.size == 0:
                 raise ValidationError("per-qubit prior must be a non-empty 1-d array")
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise ValidationError("per-qubit prior entries must lie in [0, 1]")
             arr.setflags(write=False)
             self.n = arr.size
@@ -140,8 +143,11 @@ class Prior:
             total = 0.0
             for key, prob in items.items():
                 validate_bitstring(key, n)
-                if prob < 0.0:
-                    raise ValidationError(f"prior probability for {key!r} is negative")
+                # NaN fails this comparison and would also slip past the sum check
+                if not prob >= 0.0:
+                    raise ValidationError(
+                        f"prior probability for {key!r} must be non-negative, got {prob}"
+                    )
                 total += prob
             if abs(total - 1.0) > 1e-9:
                 raise ValidationError(f"table prior sums to {total!r}, expected 1 within 1e-9")
@@ -222,26 +228,25 @@ def weighted_vote(vote_tally: VoteTally, noise: NoiseModel) -> Estimate:
     return Estimate(value=out.decode("ascii"), method="weighted", margins=t.margins)
 
 
-def _candidate_bits(lo: int, hi: int, n: int) -> np.ndarray:
-    """Rows of candidate bit vectors for integer candidates lo..hi-1.
-
-    Candidate k maps to the bitstring with qubit 0 as the most significant
-    character, so ascending k is ascending lexicographic order.
-    """
-    ks = np.arange(lo, hi, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((ks[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-
-
 def _enumerate_scores(counts: CountsTable, noise: NoiseModel, prior_logs: np.ndarray | None):
     """Scan all 2^n candidate strings and return the argmax index, its
     score, and the runner-up score.
 
-    The score of a candidate is its shot log-likelihood plus, when
-    ``prior_logs`` is given, its log prior. Per-entry log-likelihoods are
-    accumulated qubit-major over a canonically ordered entry list, then
-    weighted by the entry counts, so the scan does not depend on dict or
-    platform reduction order.
+    Candidate k is the bitstring with qubit 0 as the most significant
+    character, so ascending k is ascending lexicographic order. The score
+    of a candidate is its shot log-likelihood plus, when ``prior_logs`` is
+    given, its log prior. Per-entry log-likelihoods are accumulated over a
+    canonically ordered entry list, then weighted by the entry counts, so
+    the scan does not depend on dict or platform reduction order.
+
+    Each candidate's per-entry log-likelihood is the qubit-ordered sum
+    ``((0 + t_0) + t_1) + ... + t_{n-1}``, where ``t_i`` is the entry's term
+    at qubit i under the candidate's bit there. Within a block the high
+    qubits are fixed, so their partial sum is one row; the low qubits are
+    then added in qubit order by doubling, row r becoming rows 2r (bit 0)
+    and 2r + 1 (bit 1). The last doubling lands every row at its candidate's
+    offset in the block, and every row holds exactly the qubit-ordered sum,
+    so the scores do not depend on how the rows were built.
     """
     n = counts.n
     if noise.n != n:
@@ -260,20 +265,32 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel, prior_logs: np.nda
                 np.stack([np.log(noise.p10), np.log1p(-noise.p10)]),
             ]
         )
+    # terms[i, t, e] = log Pr(entry e's bit at qubit i | true bit t)
+    terms = np.ascontiguousarray(log_table[:, ybits, np.arange(n)].transpose(2, 0, 1))
+    total = 1 << n
+    block = min(_ENUM_BLOCK, total)
+    # qubits 0..high-1 are fixed within a block
+    high = n - (block.bit_length() - 1)
+    # Ping-pong buffers: the last doubling writes all ``block`` rows into
+    # ``full``, the one before it writes half as many into ``half``.
+    entries = ybits.shape[0]
+    full = np.empty((block, entries))
+    half = np.empty((block // 2, entries))
     best_k = 0
     best_score = NEG_INF
     second_score = NEG_INF
-    total = 1 << n
-    for lo in range(0, total, _ENUM_BLOCK):
-        hi = min(lo + _ENUM_BLOCK, total)
-        xbits = _candidate_bits(lo, hi, n)
-        # per-entry log-likelihood, summed over qubits in index order
-        entry_ll = np.zeros((hi - lo, ybits.shape[0]))
-        for i in range(n):
-            entry_ll += log_table[xbits[:, i][:, None], ybits[None, :, i], i]
-        scores = entry_ll @ wts
+    for lo in range(0, total, block):
+        rows = np.zeros((1, entries))
+        for i in range(high):
+            rows += terms[i, (lo >> (n - 1 - i)) & 1]
+        for i in range(high, n):
+            out = full if (n - 1 - i) % 2 == 0 else half
+            size = 2 * rows.shape[0]
+            np.add(rows[:, None], terms[i], out=out[:size].reshape(size // 2, 2, entries))
+            rows = out[:size]
+        scores = rows @ wts
         if prior_logs is not None:
-            scores += prior_logs[lo:hi]
+            scores += prior_logs[lo : lo + block]
         top_score = float(scores.max())
         if top_score == NEG_INF:
             continue

@@ -45,7 +45,8 @@ class NoiseModel:
         if p01.size == 0 or p01.size > MAX_QUBITS:
             raise ValidationError(f"qubit count must be in 1..{MAX_QUBITS}, got {p01.size}")
         for name, arr in (("p01", p01), ("p10", p10)):
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
+            # written so that NaN, which fails every comparison, is rejected
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise ValidationError(f"{name} entries must lie in [0, 1]")
         p01.setflags(write=False)
         p10.setflags(write=False)

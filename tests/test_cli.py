@@ -89,6 +89,14 @@ class TestMitigate:
         assert code == 2
         assert "24" in err
 
+    def test_nan_noise_exit_one(self, capsys, tmp_path):
+        path = write_counts_file(tmp_path, {"01": 8, "11": 2}, 2)
+        code, out, err = run(capsys, "mitigate", path, "--method", "ml", "--p", "nan")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "p01" in err
+
     def test_window(self, capsys, tmp_path):
         path = write_counts_file(tmp_path, {"0011": 6, "1100": 5}, 4)
         code, out, _ = run(capsys, "mitigate", path, "--method", "window")
@@ -139,6 +147,13 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--truth", "01", "--shots", "10")
         assert code == 1
         assert "noise" in err
+
+    def test_nan_noise_exit_one(self, capsys):
+        code, out, err = run(capsys, "simulate", "--truth", "0101", "--p", "nan", "--shots", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "p01" in err
 
     def test_pattern_requires_n(self, capsys):
         code, _, err = run(capsys, "simulate", "--pattern", "alternating", "--p", "0.1", "--shots", "4")

@@ -24,6 +24,7 @@ from qmvote import (
     tally,
     weighted_vote,
 )
+from qmvote.estimators import _ENUM_BLOCK, _enumerate_scores
 
 
 def random_counts(rng, n, shots, skew=True):
@@ -134,6 +135,137 @@ class TestMlBruteforce:
             assert score(got) == pytest.approx(top_score, abs=1e-9)
             if len(scores) == 1 or top_score - scores[1][0] > 1e-6:
                 assert got == top
+
+
+def reference_enumerate_scores(counts, noise, prior_logs):
+    """Frozen copy of the original gather scan: for every qubit, gather each
+    candidate's per-entry term from the log table and add it to the
+    candidate-by-entry matrix, one block of candidates at a time."""
+    n = counts.n
+    _, ybits, weights = counts.as_arrays(canonical=True)
+    wts = weights.astype(np.float64)
+    with np.errstate(divide="ignore"):
+        log_table = np.stack(
+            [
+                np.stack([np.log1p(-noise.p01), np.log(noise.p01)]),
+                np.stack([np.log(noise.p10), np.log1p(-noise.p10)]),
+            ]
+        )
+    best_k = 0
+    best_score = -math.inf
+    second_score = -math.inf
+    total = 1 << n
+    for lo in range(0, total, _ENUM_BLOCK):
+        hi = min(lo + _ENUM_BLOCK, total)
+        ks = np.arange(lo, hi, dtype=np.int64)
+        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+        xbits = ((ks[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+        entry_ll = np.zeros((hi - lo, ybits.shape[0]))
+        for i in range(n):
+            entry_ll += log_table[xbits[:, i][:, None], ybits[None, :, i], i]
+        scores = entry_ll @ wts
+        if prior_logs is not None:
+            scores += prior_logs[lo:hi]
+        top_score = float(scores.max())
+        if top_score == -math.inf:
+            continue
+        first_top = int(np.flatnonzero(scores == top_score)[0])
+        runner = float(np.partition(scores, -2)[-2]) if scores.size > 1 else -math.inf
+        if top_score > best_score:
+            second_score = max(best_score, runner)
+            best_score = top_score
+            best_k = lo + first_top
+        else:
+            second_score = max(second_score, top_score)
+    if best_score == -math.inf:
+        raise ValidationError("observations contradict hard evidence")
+    return best_k, best_score, second_score
+
+
+def scan_outcome(scan, counts, noise, prior_logs=None):
+    """The scan's result tuple, or the name of the error it raised."""
+    try:
+        return scan(counts, noise, prior_logs)
+    except ValidationError:
+        return "ValidationError"
+
+
+class TestScanMatchesGatherReference:
+    """The exhaustive scan must return exactly the tuple of the original
+    gather scan: same argmax, and bit-identical best and runner-up scores."""
+
+    @staticmethod
+    def assert_identical(counts, noise, prior_logs=None):
+        got = scan_outcome(_enumerate_scores, counts, noise, prior_logs)
+        want = scan_outcome(reference_enumerate_scores, counts, noise, prior_logs)
+        assert got == want
+        if isinstance(want, tuple):
+            # == treats 0.0 and -0.0 alike; the reported gap must not
+            assert math.copysign(1.0, got[1] - got[2]) == math.copysign(1.0, want[1] - want[2])
+        return got
+
+    def test_asymmetric_noise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(84):
+            n = int(rng.integers(1, 15))
+            counts = random_counts(rng, n, int(rng.integers(1, 40)), skew=bool(rng.integers(2)))
+            nm = NoiseModel(p01=rng.uniform(0.01, 0.49, n), p10=rng.uniform(0.01, 0.49, n))
+            assert isinstance(self.assert_identical(counts, nm), tuple)
+
+    def test_hard_evidence_qubits(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(1, 13))
+            p01 = rng.uniform(0.05, 0.45, n)
+            p10 = rng.uniform(0.05, 0.45, n)
+            hard = rng.random(n) < 0.4
+            p01[hard] = 0.0
+            p10[hard & (rng.random(n) < 0.5)] = 0.0
+            nm = NoiseModel(p01=p01, p10=p10)
+            truth = "".join(rng.choice(["0", "1"], size=n))
+            counts = simulate_shots(truth, nm, int(rng.integers(1, 40)), int(rng.integers(2**32)))
+            assert isinstance(self.assert_identical(counts, nm), tuple)
+
+    def test_uninformative_channel_ties_everywhere(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            n = int(rng.integers(1, 13))
+            counts = random_counts(rng, n, int(rng.integers(1, 40)), skew=False)
+            k, best, second = self.assert_identical(counts, NoiseModel.uniform(n, 0.5))
+            assert k == 0
+            assert best - second == 0.0
+
+    def test_table_prior_with_holes(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            counts = random_counts(rng, n, int(rng.integers(1, 40)), skew=bool(rng.integers(2)))
+            nm = NoiseModel(p01=rng.uniform(0.05, 0.45, n), p10=rng.uniform(0.05, 0.45, n))
+            prior_logs = np.log(rng.uniform(0.1, 1.0, 1 << n))
+            prior_logs[rng.random(1 << n) < 0.5] = -math.inf
+            self.assert_identical(counts, nm, prior_logs)
+
+    def test_several_blocks(self):
+        """n = 17 spans two blocks, so each block's high-qubit prefix is used."""
+        n = 17
+        assert (1 << n) > _ENUM_BLOCK
+        rng = np.random.default_rng(15)
+        truth = "".join(rng.choice(["0", "1"], size=n))
+        nm = NoiseModel(p01=rng.uniform(0.01, 0.05, n), p10=rng.uniform(0.01, 0.05, n))
+        counts = simulate_shots(truth, nm, 6, 15)
+        k, _, _ = self.assert_identical(counts, nm)
+        assert k == int(truth, 2)
+
+    def test_impossible_evidence_raises_in_both(self):
+        cases = [
+            (CountsTable({"0": 1, "1": 1}), NoiseModel.uniform(1, 0.0), None),
+            (CountsTable({"01": 2, "11": 1}), NoiseModel(p01=[0.0, 0.2], p10=[0.0, 0.2]), None),
+            (CountsTable({"10": 3}), NoiseModel.uniform(2, 0.0), np.array([0.0, 0.0, -math.inf, 0.0])),
+        ]
+        for counts, nm, prior_logs in cases:
+            for scan in (_enumerate_scores, reference_enumerate_scores):
+                with pytest.raises(ValidationError):
+                    scan(counts, nm, prior_logs)
 
 
 class TestWeightedVote:
@@ -286,6 +418,12 @@ class TestPrior:
     def test_per_qubit_range_checked(self):
         with pytest.raises(ValidationError):
             Prior(per_qubit=[0.5, 1.5])
+        with pytest.raises(ValidationError):
+            Prior(per_qubit=[0.5, math.nan])
+
+    def test_nan_table_entry_rejected(self):
+        with pytest.raises(ValidationError):
+            Prior(table={"0": math.nan, "1": 1.0})
 
     def test_exactly_one_form(self):
         with pytest.raises(ValidationError):

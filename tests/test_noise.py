@@ -36,6 +36,10 @@ class TestNoiseModel:
             NoiseModel.uniform(2, 1.2)
         with pytest.raises(ValidationError):
             NoiseModel(p01=[0.1, -0.1], p10=[0.1, 0.1])
+        with pytest.raises(ValidationError):
+            NoiseModel.uniform(2, float("nan"))
+        with pytest.raises(ValidationError):
+            NoiseModel(p01=[0.1, 0.1], p10=[0.1, float("nan")])
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(DimensionError):
