@@ -20,7 +20,7 @@ import numpy as np
 from .core import VoteTally, tally, validate_bitstring
 from .errors import DimensionError, ValidationError
 from .estimators import Estimate, _qubit_loglikelihoods
-from .noise import NoiseModel, derive_seed, simulate_shots
+from .noise import NoiseModel, _prepare, _simulate_rows, derive_seed, simulate_shots
 
 # Below this many shots per subset circuit the second phase is too thin to
 # trust; the plan still executes but is flagged.
@@ -180,6 +180,20 @@ def ams_execute(
     Streams derive deterministically from the seed, the phase, and the
     qubit index, so subset circuits may run in any order or in parallel.
     """
+    return _execute(x0, noise, plan, None, subset_noise_factor, seed, merge)
+
+
+def _execute(
+    x0: str,
+    noise: NoiseModel,
+    plan: AmsPlan,
+    phase1: VoteTally | None,
+    subset_noise_factor: float,
+    seed: int,
+    merge: str,
+) -> Estimate:
+    """:func:`ams_execute`, given the phase-1 tally when the caller already
+    simulated it (it is the same stream either way)."""
     validate_bitstring(x0, plan.n)
     if noise.n != plan.n:
         raise DimensionError(f"noise model covers {noise.n} qubits, plan has {plan.n}")
@@ -190,26 +204,23 @@ def ams_execute(
     if merge not in MERGE_MODES:
         raise ValidationError(f"merge must be one of {MERGE_MODES}, got {merge!r}")
 
+    subset_noise = _scaled_noise(noise, subset_noise_factor)
     if plan.subset_count == 0:
         # Degenerate plan: one all-qubit measurement spending the full budget.
-        counts = simulate_shots(x0, noise, plan.total_shots, derive_seed(seed, "phase1"))
-        pooled = tally(counts)
-        value = merge_votes(pooled, noise, [], _scaled_noise(noise, subset_noise_factor), merge)
+        pooled = tally(simulate_shots(x0, noise, plan.total_shots, derive_seed(seed, "phase1")))
+        value = merge_votes(pooled, noise, [], subset_noise, merge)
         return Estimate(value=value, method="ams", margins=pooled.margins)
 
-    phase1_counts = simulate_shots(x0, noise, plan.phase1_shots, derive_seed(seed, "phase1"))
-    phase1 = tally(phase1_counts)
-    subset_noise = _scaled_noise(noise, subset_noise_factor)
+    if phase1 is None:
+        phase1 = tally(simulate_shots(x0, noise, plan.phase1_shots, derive_seed(seed, "phase1")))
+    x0_bits, flip_p, shots, _ = _prepare(x0, subset_noise, plan.per_subset_shots, seed)
     subsets = []
     for q in plan.close_qubits:
-        circuit_noise = NoiseModel(
-            p01=subset_noise.p01[q : q + 1], p10=subset_noise.p10[q : q + 1]
-        )
-        counts = simulate_shots(
-            x0[q], circuit_noise, plan.per_subset_shots, derive_seed(seed, "subset", q)
-        )
-        ones = sum(c for key, c in counts.items() if key == "1")
-        subsets.append(SubsetResult(qubit=q, zeros=counts.shots - ones, ones=ones))
+        # one-qubit circuit: each packed row is one byte, nonzero when it read 1
+        stream = derive_seed(seed, "subset", q)
+        rows = _simulate_rows(x0_bits[q : q + 1], flip_p[q : q + 1], shots, stream)
+        ones = int(np.count_nonzero(rows))
+        subsets.append(SubsetResult(qubit=q, zeros=shots - ones, ones=ones))
 
     value = merge_votes(phase1, noise, subsets, subset_noise, merge)
 
@@ -237,13 +248,14 @@ def adaptive_vote(
 ) -> tuple[AmsPlan, Estimate]:
     """Full adaptive run: simulate phase 1, plan the subsets, execute.
 
-    The plan is built from the same phase-1 stream the execution replays,
-    so the whole procedure consumes exactly one budget of ``total_shots``.
+    Phase 1 is simulated once: the plan and the execution use the same
+    tally, the one :func:`ams_execute` would draw from the same seed, so
+    the whole procedure consumes exactly one budget of ``total_shots``.
     """
     if total_shots < 2 or total_shots % 2:
         raise ValidationError(f"total_shots must be even and >= 2, got {total_shots}")
     k = total_shots // 2
-    phase1_counts = simulate_shots(x0, noise, k, derive_seed(seed, "phase1"))
-    plan = ams_plan(tally(phase1_counts), tau, total_shots)
-    estimate = ams_execute(x0, noise, plan, subset_noise_factor, seed, merge)
+    phase1 = tally(simulate_shots(x0, noise, k, derive_seed(seed, "phase1")))
+    plan = ams_plan(phase1, tau, total_shots)
+    estimate = _execute(x0, noise, plan, phase1, subset_noise_factor, seed, merge)
     return plan, estimate

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error, 2 infeasible request.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -193,7 +194,10 @@ def _cmd_mitigate(args) -> int:
 def _load_prior(args, n: int) -> Prior:
     if not args.prior_file:
         return Prior.uniform(n)
-    doc = json.loads(Path(args.prior_file).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(args.prior_file).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"prior file {args.prior_file} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or ("per_qubit" in doc) == ("table" in doc):
         raise ValidationError("prior file must carry exactly one of 'per_qubit' or 'table'")
     if "per_qubit" in doc:
@@ -242,7 +246,7 @@ def _cmd_ams(args) -> int:
 def _cmd_experiment(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        object.__setattr__(config, "seeds", (args.seed,))
+        config = dataclasses.replace(config, seeds=(args.seed,))
     report = run_experiment(config)
     primary = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:

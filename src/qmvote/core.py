@@ -1,8 +1,10 @@
 """Bitstrings, shot-count tables, per-qubit vote tallies, Hamming distance.
 
-Bitstrings are plain Python strings over {'0', '1'}. Character position i
-(0-based, left to right) holds qubit i; all file formats and reports use
-this convention.
+Bitstrings are Python strings over {'0', '1'} wherever they cross the API,
+files or reports. Character position i (0-based, left to right) holds
+qubit i. Inside a shot table the distinct keys are rows of bits packed
+eight to a byte in the same order, and simulated tables never build the
+string form unless it is asked for.
 """
 
 from __future__ import annotations
@@ -50,14 +52,25 @@ def hamming_distance(a: str, b: str) -> int:
     return (int(a, 2) ^ int(b, 2)).bit_count()
 
 
+# Row b of this table is the 8-character bitstring of byte b, most
+# significant bit first: the key text of one packed byte.
+_BYTE_CHARS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) + np.uint8(ord("0"))
+
+
 class CountsTable:
     """Multiset of measured bitstrings with occurrence counts.
 
     Immutable after construction. All keys share one length ``n``, all
     counts are positive integers, and ``shots`` is their sum.
+
+    A table holds its distinct keys as rows of bits packed big-endian, eight
+    qubits per byte, with an int64 count per row. Tables made from a mapping
+    are validated key by key and keep the mapping's order; tables made by
+    the simulator arrive packed, sorted and deduplicated, and build their
+    string keys only when first asked for them.
     """
 
-    __slots__ = ("n", "shots", "_counts")
+    __slots__ = ("n", "shots", "_counts", "_packed", "_weights", "_canonical_rows")
 
     def __init__(self, counts: Mapping[str, int], n: int | None = None):
         if not counts:
@@ -81,30 +94,94 @@ class CountsTable:
         self.n = n
         self.shots = total
         self._counts = MappingProxyType(items)
+        self._packed = None
+        self._weights = None
+        self._canonical_rows = None
+
+    @classmethod
+    def _from_shots(cls, rows: np.ndarray, n: int) -> "CountsTable":
+        """Trusted constructor for the simulator: one row per shot, packed
+        as by ``np.packbits(bits, axis=1)``. Rows are deduplicated and
+        sorted by key; nothing is re-validated."""
+        uniq, weights = np.unique(_row_keys(rows), return_counts=True)
+        packed = uniq.view(np.uint8).reshape(-1, rows.shape[1])
+        weights = weights.astype(np.int64, copy=False)
+        packed.setflags(write=False)
+        weights.setflags(write=False)
+        table = cls.__new__(cls)
+        table.n = n
+        table.shots = rows.shape[0]
+        table._counts = None
+        table._packed = packed
+        table._weights = weights
+        table._canonical_rows = (packed, weights)
+        return table
+
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Packed rows and counts, in key order (the mapping's order for
+        tables built from one)."""
+        if self._packed is None:
+            keys = list(self._counts)
+            joined = "".join(keys).encode("ascii")
+            bits = (np.frombuffer(joined, dtype=np.uint8) - ord("0")).reshape(len(keys), self.n)
+            weights = np.fromiter(self._counts.values(), dtype=np.int64, count=len(keys))
+            packed = np.packbits(bits, axis=1)
+            packed.setflags(write=False)
+            weights.setflags(write=False)
+            self._packed, self._weights = packed, weights
+        return self._packed, self._weights
+
+    def _canonical(self) -> tuple[np.ndarray, np.ndarray]:
+        """Packed rows and counts sorted by key, so reductions over the
+        entries see a fixed order."""
+        if self._canonical_rows is None:
+            packed, weights = self._rows()
+            order = np.argsort(_row_keys(packed))
+            self._canonical_rows = (packed[order], weights[order])
+            for arr in self._canonical_rows:
+                arr.setflags(write=False)
+        return self._canonical_rows
+
+    def _bits(self, packed: np.ndarray) -> np.ndarray:
+        """uint8 bit matrix of some packed rows, one column per qubit."""
+        return np.unpackbits(packed, axis=1, count=self.n)
+
+    def _decode(self, packed: np.ndarray) -> list[str]:
+        """String keys of packed rows, through the byte-to-text table."""
+        n = self.n
+        chars = _BYTE_CHARS[packed].reshape(packed.shape[0], -1)[:, :n]
+        blob = chars.tobytes().decode("ascii")
+        return [blob[i * n : (i + 1) * n] for i in range(packed.shape[0])]
 
     @property
     def counts(self) -> Mapping[str, int]:
+        if self._counts is None:
+            keys = self._decode(self._packed)
+            self._counts = MappingProxyType(dict(zip(keys, self._weights.tolist())))
         return self._counts
 
     def items(self) -> Iterator[tuple[str, int]]:
-        return iter(self._counts.items())
+        return iter(self.counts.items())
 
     def __getitem__(self, key: str) -> int:
-        return self._counts[key]
+        return self.counts[key]
 
     def __contains__(self, key: str) -> bool:
-        return key in self._counts
+        return key in self.counts
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._weights) if self._counts is None else len(self._counts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountsTable):
             return NotImplemented
-        return self.n == other.n and dict(self._counts) == dict(other._counts)
+        if self.n != other.n or self.shots != other.shots or len(self) != len(other):
+            return False
+        mine, theirs = self._canonical(), other._canonical()
+        return np.array_equal(mine[0], theirs[0]) and np.array_equal(mine[1], theirs[1])
 
     def __repr__(self) -> str:
-        return f"CountsTable(n={self.n}, shots={self.shots}, distinct={len(self._counts)})"
+        return f"CountsTable(n={self.n}, shots={self.shots}, distinct={len(self)})"
 
     def as_arrays(self, canonical: bool = False) -> tuple[list[str], np.ndarray, np.ndarray]:
         """Return (keys, bit matrix, count vector).
@@ -114,14 +191,19 @@ class CountsTable:
         floating-point reductions see a fixed order.
         """
         if canonical:
-            keys = sorted(self._counts)
-            counts = np.fromiter((self._counts[k] for k in keys), dtype=np.int64, count=len(keys))
+            packed, weights = self._canonical()
+            keys = sorted(self.counts)
         else:
-            keys = list(self._counts)
-            counts = np.fromiter(self._counts.values(), dtype=np.int64, count=len(keys))
-        joined = "".join(keys).encode("ascii")
-        bits = (np.frombuffer(joined, dtype=np.uint8) - ord("0")).reshape(len(keys), self.n)
-        return keys, bits, counts
+            packed, weights = self._rows()
+            keys = list(self.counts)
+        return keys, self._bits(packed), weights.copy()
+
+
+def _row_keys(packed: np.ndarray) -> np.ndarray:
+    """Each packed row as one opaque value; these compare byte by byte, so
+    they order like the bitstrings the rows encode."""
+    packed = np.ascontiguousarray(packed)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,18 +274,19 @@ _TALLY_BLOCK_ELEMS = 1 << 18
 def tally(counts: CountsTable) -> VoteTally:
     """Collapse a counts table into per-qubit zero/one vote counts.
 
-    Cost is linear in (distinct entries) x (qubits). Partial sums use
-    float64 matrix products, which are exact here because every partial
-    sum is an integer bounded by the shot total (far below 2**53), and
-    accumulate into 64-bit counters.
+    Cost is linear in (distinct entries) x (qubits). Rows are unpacked a
+    block at a time. Partial sums use float64 matrix products, which are
+    exact here because every partial sum is an integer bounded by the shot
+    total (far below 2**53), and accumulate into 64-bit counters.
     """
-    _, bits, weights = counts.as_arrays()
+    packed, weights = counts._rows()
     n = counts.n
     rows = max(256, _TALLY_BLOCK_ELEMS // n)
     ones = np.zeros(n, dtype=np.int64)
     wf = weights.astype(np.float64)
-    for lo in range(0, bits.shape[0], rows):
-        part = wf[lo : lo + rows] @ bits[lo : lo + rows].astype(np.float64)
+    for lo in range(0, packed.shape[0], rows):
+        bits = counts._bits(packed[lo : lo + rows])
+        part = wf[lo : lo + rows] @ bits.astype(np.float64)
         ones += part.astype(np.int64)
     zeros = counts.shots - ones
     return VoteTally(zeros=zeros, ones=ones, shots=counts.shots)

@@ -177,10 +177,12 @@ def _check_tally(t: VoteTally) -> VoteTally:
 def mode_estimate(counts: CountsTable) -> Estimate:
     """Most frequently measured bitstring; ties pick the lexicographically
     smallest."""
-    best_key, best_count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    second_count = max((c for k, c in counts.items() if k != best_key), default=0)
-    gap = (best_count - second_count) / counts.shots
-    return Estimate(value=best_key, method="mode", gap=gap)
+    packed, weights = counts._canonical()
+    # rows are in key order, so the first maximum is the smallest tied key
+    best = int(np.argmax(weights))
+    second_count = int(np.partition(weights, -2)[-2]) if weights.size > 1 else 0
+    gap = (int(weights[best]) - second_count) / counts.shots
+    return Estimate(value=counts._decode(packed[best : best + 1])[0], method="mode", gap=gap)
 
 
 def _log_pow(p: float, k: int) -> float:
@@ -255,7 +257,8 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel, prior_logs: np.nda
         raise InfeasibleError(
             f"exhaustive likelihood scan supports at most {ENUM_MAX_QUBITS} qubits, got {n}"
         )
-    _, ybits, weights = counts.as_arrays(canonical=True)
+    packed, weights = counts._canonical()
+    ybits = counts._bits(packed)
     wts = weights.astype(np.float64)
     with np.errstate(divide="ignore"):
         # log_table[t, y, i] = log Pr(read y | true t) at qubit i
@@ -402,7 +405,8 @@ def sliding_window_antipodal(counts: CountsTable) -> AntipodalPair:
     n = counts.n
     if n < 2:
         raise ValidationError(f"antipodal windows need at least 2 qubits, got {n}")
-    _, bits, weights = counts.as_arrays()
+    packed, weights = counts._rows()
+    bits = counts._bits(packed)
     agree = weights @ (bits[:, :-1] == bits[:, 1:])
     equal = 2 * agree >= counts.shots
     out = np.zeros(n, dtype=np.uint8)

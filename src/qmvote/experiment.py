@@ -153,8 +153,8 @@ class ExperimentConfig:
             ams = doc["ams"]
             if not isinstance(ams, dict) or "tau" not in ams or "factor" not in ams:
                 raise ValidationError("field 'ams' must be an object with 'tau' and 'factor'")
-            ams_tau = float(ams["tau"])
-            ams_factor = float(ams["factor"])
+            ams_tau = _number(ams["tau"], "ams.tau")
+            ams_factor = _number(ams["factor"], "ams.factor")
 
         return cls(
             ground_truth=truth,
@@ -177,13 +177,20 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
 
+def _number(value: Any, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"field {name!r} must be a number, got {value!r}") from None
+
+
 def _noise_from_dict(spec: Any, n: int) -> NoiseModel:
     if not isinstance(spec, dict):
         raise ValidationError("field 'noise' must be an object")
     if "p" in spec:
         if set(spec) != {"p"}:
             raise ValidationError("field 'noise' with 'p' must not carry other keys")
-        return NoiseModel.uniform(n, float(spec["p"]))
+        return NoiseModel.uniform(n, _number(spec["p"], "noise.p"))
     if set(spec) == {"p01", "p10"}:
         p01, p10 = spec["p01"], spec["p10"]
         if isinstance(p01, list) != isinstance(p10, list):
@@ -191,8 +198,11 @@ def _noise_from_dict(spec: Any, n: int) -> NoiseModel:
         if isinstance(p01, list):
             if len(p01) != n or len(p10) != n:
                 raise ValidationError(f"field 'noise' per-qubit lists must have length {n}")
-            return NoiseModel(p01=p01, p10=p10)
-        return NoiseModel.uniform(n, float(p01), float(p10))
+            return NoiseModel(
+                p01=[_number(v, "noise.p01") for v in p01],
+                p10=[_number(v, "noise.p10") for v in p10],
+            )
+        return NoiseModel.uniform(n, _number(p01, "noise.p01"), _number(p10, "noise.p10"))
     raise ValidationError("field 'noise' must carry 'p' or both 'p01' and 'p10'")
 
 

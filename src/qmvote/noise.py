@@ -118,24 +118,35 @@ def _block_bounds(shots: int):
 
 
 def _shot_block(x0_bits: np.ndarray, flip_p: np.ndarray, seed: int, block: int, take: int) -> np.ndarray:
-    """Measured rows for one shot block; depends only on its arguments."""
+    """Measured rows for one shot block, packed big-endian eight qubits per
+    byte; depends only on its arguments."""
     rng = _block_rng(seed, block)
     flips = rng.random((take, x0_bits.size)) < flip_p[None, :]
-    return (x0_bits[None, :] ^ flips).astype(np.uint8)
+    return np.packbits(x0_bits[None, :] ^ flips, axis=1)
 
 
-def _simulate_rows(x0_bits: np.ndarray, flip_p: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    pieces = [_shot_block(x0_bits, flip_p, seed, b, take) for b, take in _block_bounds(shots)]
+def _antipodal_block(
+    x0_bits: np.ndarray, noise: NoiseModel, seed: int, block: int, take: int
+) -> np.ndarray:
+    """Like :func:`_shot_block`, but each shot's truth is x0 or its
+    complement with equal chance."""
+    rng = _block_rng(seed, block)
+    truth_flip = (rng.random(take) < 0.5).astype(np.uint8)
+    truths = x0_bits[None, :] ^ truth_flip[:, None]
+    flip_p = np.where(truths == 0, noise.p01[None, :], noise.p10[None, :])
+    flips = rng.random((take, x0_bits.size)) < flip_p
+    return np.packbits(truths ^ flips, axis=1)
+
+
+def _assemble(pieces) -> np.ndarray:
+    pieces = list(pieces)
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-def _rows_to_counts(rows: np.ndarray) -> CountsTable:
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    chars = (uniq + ord("0")).astype(np.uint8)
-    n = rows.shape[1]
-    blob = chars.tobytes().decode("ascii")
-    table = {blob[i * n : (i + 1) * n]: int(c) for i, c in enumerate(counts)}
-    return CountsTable(table, n=n)
+def _simulate_rows(x0_bits: np.ndarray, flip_p: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """The packed shot record, block by block."""
+    blocks = _block_bounds(shots)
+    return _assemble(_shot_block(x0_bits, flip_p, seed, b, take) for b, take in blocks)
 
 
 def _prepare(x0: str, noise: NoiseModel, shots: int, seed: int):
@@ -158,8 +169,7 @@ def simulate_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsT
     Deterministic: identical arguments always yield a bit-identical table.
     """
     x0_bits, flip_p, shots, seed = _prepare(x0, noise, shots, seed)
-    rows = _simulate_rows(x0_bits, flip_p, shots, seed)
-    return _rows_to_counts(rows)
+    return CountsTable._from_shots(_simulate_rows(x0_bits, flip_p, shots, seed), x0_bits.size)
 
 
 def simulate_antipodal_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsTable:
@@ -170,24 +180,9 @@ def simulate_antipodal_shots(x0: str, noise: NoiseModel, shots: int, seed: int) 
     (GHZ-style), with equal weight on the two branches.
     """
     x0_bits, _, shots, seed = _prepare(x0, noise, shots, seed)
-    p01 = noise.p01
-    p10 = noise.p10
-    n = x0_bits.size
-    pieces = []
-    done = 0
-    block = 0
-    while done < shots:
-        take = min(_BLOCK_SHOTS, shots - done)
-        rng = _block_rng(seed, block)
-        truth_flip = (rng.random(take) < 0.5).astype(np.uint8)
-        truths = x0_bits[None, :] ^ truth_flip[:, None]
-        flip_p = np.where(truths == 0, p01[None, :], p10[None, :])
-        flips = rng.random((take, n)) < flip_p
-        pieces.append((truths ^ flips).astype(np.uint8))
-        done += take
-        block += 1
-    rows = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    return _rows_to_counts(rows)
+    blocks = _block_bounds(shots)
+    rows = _assemble(_antipodal_block(x0_bits, noise, seed, b, take) for b, take in blocks)
+    return CountsTable._from_shots(rows, x0_bits.size)
 
 
 def shot_error_probability_exact(shots: int, p: float, ties: str = "error") -> float:

@@ -181,7 +181,63 @@ class TestMergeVotes:
             assert got == weighted_vote(pooled, noise).value
 
 
+def reference_execute(x0, noise, plan, factor, seed, merge):
+    """The two-phase execution with every stream drawn through the public
+    simulator: phase 1 as a full table, each subset circuit as a one-qubit
+    table."""
+    scaled = NoiseModel(p01=noise.p01 * factor, p10=noise.p10 * factor)
+    if plan.subset_count == 0:
+        pooled = tally(simulate_shots(x0, noise, plan.total_shots, derive_seed(seed, "phase1")))
+        return merge_votes(pooled, noise, [], scaled, merge), pooled.margins
+    phase1 = tally(simulate_shots(x0, noise, plan.phase1_shots, derive_seed(seed, "phase1")))
+    subsets = []
+    zeros, ones = phase1.zeros.copy(), phase1.ones.copy()
+    shots = np.full(plan.n, phase1.shots)
+    for q in plan.close_qubits:
+        circuit = NoiseModel(p01=scaled.p01[q : q + 1], p10=scaled.p10[q : q + 1])
+        stream = derive_seed(seed, "subset", q)
+        counts = simulate_shots(x0[q], circuit, plan.per_subset_shots, stream)
+        one = counts.counts.get("1", 0)
+        subsets.append(SubsetResult(qubit=q, zeros=counts.shots - one, ones=one))
+        zeros[q] += counts.shots - one
+        ones[q] += one
+        shots[q] += counts.shots
+    return merge_votes(phase1, noise, subsets, scaled, merge), np.abs(zeros - ones) / shots
+
+
 class TestAmsExecute:
+    @pytest.mark.parametrize(
+        "truth,p01,p10,tau,total,factor,merge",
+        [
+            ("1010101", 0.4, 0.4, 0.2, 400, 0.5, "pool"),
+            ("1010101", 0.4, 0.4, 0.2, 400, 0.5, "replace"),
+            ("110010111010", 0.3, 0.15, 0.25, 1000, 0.3, "pool"),
+            ("0" * 40, 0.45, 0.45, 0.1, 2000, 1.0, "pool"),
+            ("10110", 0.05, 0.05, 0.01, 200, 0.5, "pool"),  # no close qubit
+        ],
+    )
+    def test_adaptive_vote_matches_plan_then_execute(
+        self, truth, p01, p10, tau, total, factor, merge
+    ):
+        noise = NoiseModel.uniform(len(truth), p01, p10)
+        for seed in range(4):
+            plan, est = adaptive_vote(truth, noise, tau, total, factor, seed=seed, merge=merge)
+            phase1 = simulate_shots(truth, noise, total // 2, derive_seed(seed, "phase1"))
+            ref_plan = ams_plan(tally(phase1), tau, total)
+            ref = ams_execute(truth, noise, ref_plan, factor, seed, merge)
+            assert plan == ref_plan
+            assert est.value == ref.value
+            assert np.array_equal(est.margins, ref.margins)
+            value, margins = reference_execute(truth, noise, plan, factor, seed, merge)
+            assert est.value == value
+            assert np.array_equal(est.margins, margins)
+
+    def test_budget_too_small_for_subset_circuits(self):
+        plan = ams_plan(tally_with_margins([0.0] * 5, 2), 0.5, 4)
+        assert plan.subset_count == 5 and plan.per_subset_shots == 0
+        with pytest.raises(ValidationError):
+            ams_execute("10101", NoiseModel.uniform(5, 0.2), plan)
+
     def test_degenerate_plan_equals_vote_on_single_full_run(self):
         truth = "10110"
         noise = NoiseModel.uniform(5, 0.2)

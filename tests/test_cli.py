@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qmvote.cli import main
 
 
@@ -82,6 +84,23 @@ class TestMitigate:
         )
         assert code == 0
         assert json.loads(out)["estimate"] == "11"
+
+    @pytest.mark.parametrize("text", ['{"per_qubit": [0.5,', b"\xff\xfe{}"])
+    def test_malformed_prior_file_exit_one(self, capsys, tmp_path, text):
+        path = write_counts_file(tmp_path, {"01": 8, "11": 2}, 2)
+        prior = tmp_path / "prior.json"
+        if isinstance(text, bytes):
+            prior.write_bytes(text)
+        else:
+            prior.write_text(text)
+        code, out, err = run(
+            capsys, "mitigate", path, "--method", "map", "--p", "0.2",
+            "--prior-file", str(prior),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "prior" in err
 
     def test_ml_too_wide_exit_two(self, capsys, tmp_path):
         path = write_counts_file(tmp_path, {"0" * 25: 4}, 25)
@@ -217,6 +236,49 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", str(cfg_path))
         assert code == 1
         assert "missing" in err
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"noise": {"p": "abc"}}, "noise.p"),
+            ({"noise": {"p01": "x", "p10": 0.1}}, "noise.p01"),
+            ({"noise": {"p01": 0.1, "p10": "y"}}, "noise.p10"),
+            ({"estimators": ["ams"], "ams": {"tau": "x", "factor": 0.5}}, "ams.tau"),
+            ({"estimators": ["ams"], "ams": {"tau": 0.05, "factor": "x"}}, "ams.factor"),
+        ],
+    )
+    def test_non_numeric_config_field_exit_one(self, capsys, tmp_path, overrides, field):
+        config = {
+            "ground_truth": "1010",
+            "noise": {"p": 0.1},
+            "shots": [32],
+            "estimators": ["qmv"],
+            "seeds": [0],
+        }
+        config.update(overrides)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "experiment", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert field in err
+
+    def test_seed_flag_overrides_config_seeds(self, capsys, tmp_path):
+        config = {
+            "ground_truth": "1010",
+            "noise": {"p": 0.1},
+            "shots": [32],
+            "estimators": ["qmv"],
+            "seeds": [0, 1, 2],
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, _ = run(capsys, "--seed", "5", "experiment", str(cfg_path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["seeds"] == [5]
+        assert [row["seed"] for row in payload["rows"]] == [5]
 
     def test_infeasible_config_exit_two(self, capsys, tmp_path):
         cfg_path = tmp_path / "config.json"

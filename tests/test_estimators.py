@@ -49,6 +49,13 @@ class TestModeEstimate:
         assert mode_estimate(CountsTable({"00": 3, "11": 3})).value == "00"
         assert mode_estimate(CountsTable({"11": 3, "00": 3})).value == "00"
 
+    def test_tied_top_keys_inserted_out_of_order(self):
+        table = CountsTable({"110": 4, "011": 1, "101": 4, "100": 4, "111": 2})
+        est = mode_estimate(table)
+        assert est.value == "100"
+        assert est.gap == 0.0
+        assert list(table.counts) == ["110", "011", "101", "100", "111"]
+
     def test_gap(self):
         est = mode_estimate(CountsTable({"01": 5, "11": 2}))
         assert est.gap == pytest.approx(3 / 7)

@@ -70,6 +70,23 @@ class TestConfig:
         with pytest.raises(ValidationError):
             make_config(noise={"p": 0.1, "p01": 0.1, "p10": 0.1})
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"noise": {"p": "abc"}}, "noise.p"),
+            ({"noise": {"p": None}}, "noise.p"),
+            ({"noise": {"p01": "x", "p10": 0.1}}, "noise.p01"),
+            ({"noise": {"p01": 0.1, "p10": "y"}}, "noise.p10"),
+            ({"noise": {"p01": [0.1] * 5 + ["x"], "p10": [0.1] * 6}}, "noise.p01"),
+            ({"estimators": ["ams"], "ams": {"tau": "x", "factor": 0.5}}, "ams.tau"),
+            ({"estimators": ["ams"], "ams": {"tau": 0.05, "factor": "x"}}, "ams.factor"),
+            ({"estimators": ["ams"], "ams": {"tau": [0.05], "factor": 0.5}}, "ams.tau"),
+        ],
+    )
+    def test_non_numeric_fields_rejected(self, overrides, field):
+        with pytest.raises(ValidationError, match=field):
+            make_config(**overrides)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict(

@@ -7,13 +7,17 @@ import pytest
 
 import qmvote.noise as noise_mod
 from qmvote import (
+    CountsTable,
     DimensionError,
     NoiseModel,
     ValidationError,
     derive_seed,
+    mode_estimate,
+    serialize_counts,
     shot_error_probability_exact,
     simulate_antipodal_shots,
     simulate_shots,
+    sliding_window_antipodal,
     tally,
 )
 
@@ -126,6 +130,127 @@ class TestSimulateShots:
             simulate_shots("01", NoiseModel.uniform(2, 0.1), 10, -1)
         with pytest.raises(ValidationError):
             simulate_shots("01", NoiseModel.uniform(2, 0.1), 10, 2**64)
+
+
+# Frozen reference: the string-keyed table build that simulated tables used
+# before they were packed (unique rows, string dict, validating constructor),
+# and the unpacked shot blocks it was fed. The packed path must reproduce
+# every table, key order and estimate it gave.
+
+
+def reference_rows_to_counts(rows):
+    uniq, counts = np.unique(rows, axis=0, return_counts=True)
+    chars = (uniq + ord("0")).astype(np.uint8)
+    n = rows.shape[1]
+    blob = chars.tobytes().decode("ascii")
+    table = {blob[i * n : (i + 1) * n]: int(c) for i, c in enumerate(counts)}
+    return CountsTable(table, n=n)
+
+
+def reference_rows(x0, noise, shots, seed, block_shots):
+    x0_bits = np.frombuffer(x0.encode("ascii"), dtype=np.uint8) - ord("0")
+    flip_p = np.where(x0_bits == 0, noise.p01, noise.p10)
+    pieces = []
+    for block, lo in enumerate(range(0, shots, block_shots)):
+        take = min(block_shots, shots - lo)
+        rng = noise_mod._block_rng(seed, block)
+        flips = rng.random((take, x0_bits.size)) < flip_p[None, :]
+        pieces.append((x0_bits[None, :] ^ flips).astype(np.uint8))
+    return np.concatenate(pieces)
+
+
+def reference_antipodal_rows(x0, noise, shots, seed, block_shots):
+    x0_bits = np.frombuffer(x0.encode("ascii"), dtype=np.uint8) - ord("0")
+    pieces = []
+    for block, lo in enumerate(range(0, shots, block_shots)):
+        take = min(block_shots, shots - lo)
+        rng = noise_mod._block_rng(seed, block)
+        truth_flip = (rng.random(take) < 0.5).astype(np.uint8)
+        truths = x0_bits[None, :] ^ truth_flip[:, None]
+        flip_p = np.where(truths == 0, noise.p01[None, :], noise.p10[None, :])
+        flips = rng.random((take, x0_bits.size)) < flip_p
+        pieces.append((truths ^ flips).astype(np.uint8))
+    return np.concatenate(pieces)
+
+
+def reference_mode(table):
+    best_key, best_count = min(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    second = max((c for k, c in table.counts.items() if k != best_key), default=0)
+    return best_key, (best_count - second) / table.shots
+
+
+def assert_tables_identical(new, ref, rows):
+    """Everything observable about ``new`` matches the reference table
+    ``ref`` built from the unpacked ``rows``."""
+    n = rows.shape[1]
+    assert (new.n, new.shots, len(new)) == (ref.n, ref.shots, len(ref))
+    assert list(new.counts.items()) == list(ref.counts.items())
+    assert list(new.items()) == list(ref.items())
+    keys = list(ref.counts)
+    ref_bits = (np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8) - ord("0")).reshape(
+        len(keys), n
+    )
+    ref_weights = np.array(list(ref.counts.values()), dtype=np.int64)
+    for canonical in (False, True):
+        new_keys, new_bits, new_weights = new.as_arrays(canonical=canonical)
+        assert new_keys == keys
+        assert new_bits.dtype == np.uint8 and np.array_equal(new_bits, ref_bits)
+        assert new_weights.dtype == np.int64 and np.array_equal(new_weights, ref_weights)
+    t = tally(new)
+    assert np.array_equal(t.ones, rows.sum(axis=0)) and t == tally(ref)
+    estimate = mode_estimate(new)
+    assert (estimate.value, estimate.gap) == reference_mode(ref)
+    if n >= 2:
+        assert sliding_window_antipodal(new) == sliding_window_antipodal(ref)
+    assert new == ref and ref == new
+    assert new == CountsTable(dict(ref.counts))
+    assert serialize_counts(new).encode() == serialize_counts(ref).encode()
+
+
+def random_rows(rng, shots, n):
+    """Rows drawn from a small pool, so keys repeat and counts tie."""
+    pool = (rng.random((max(1, shots // 3), n)) < 0.5).astype(np.uint8)
+    return pool[rng.integers(0, pool.shape[0], size=shots)]
+
+
+class TestPackedTablesMatchReference:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 200, 4096])
+    def test_random_rows(self, n):
+        rng = np.random.default_rng(n)
+        shots = 40 if n == 4096 else 300
+        for rows in (
+            random_rows(rng, shots, n),
+            (rng.random((shots, n)) < 0.5).astype(np.uint8),
+            np.repeat(random_rows(rng, 1, n), shots, axis=0),
+            random_rows(rng, 1, n),
+        ):
+            new = CountsTable._from_shots(np.packbits(rows, axis=1), n)
+            assert_tables_identical(new, reference_rows_to_counts(rows), rows)
+
+    def test_tied_top_keys(self):
+        rows = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 1], [0, 1, 1], [0, 0, 0]], dtype=np.uint8)
+        new = CountsTable._from_shots(np.packbits(rows, axis=1), 3)
+        assert mode_estimate(new).value == "011" and mode_estimate(new).gap == 0.0
+        assert_tables_identical(new, reference_rows_to_counts(rows), rows)
+
+    @pytest.mark.parametrize("n", [5, 9, 70])
+    def test_multi_block_records(self, monkeypatch, n):
+        monkeypatch.setattr(noise_mod, "_BLOCK_SHOTS", 64)
+        x0 = ("110" * n)[:n]
+        noise = NoiseModel(p01=np.linspace(0.05, 0.45, n), p10=np.linspace(0.4, 0.1, n))
+        for seed in (0, 3):
+            rows = reference_rows(x0, noise, 1000, seed, 64)
+            new = simulate_shots(x0, noise, 1000, seed)
+            assert_tables_identical(new, reference_rows_to_counts(rows), rows)
+            rows = reference_antipodal_rows(x0, noise, 1000, seed, 64)
+            new = simulate_antipodal_shots(x0, noise, 1000, seed)
+            assert_tables_identical(new, reference_rows_to_counts(rows), rows)
+
+    def test_default_block_size(self):
+        noise = NoiseModel.uniform(13, 0.3)
+        rows = reference_rows("1" * 13, noise, 70_000, 5, noise_mod._BLOCK_SHOTS)
+        new = simulate_shots("1" * 13, noise, 70_000, 5)
+        assert_tables_identical(new, reference_rows_to_counts(rows), rows)
 
 
 class TestSimulateAntipodalShots:
