@@ -20,7 +20,7 @@ import numpy as np
 from .core import VoteTally, tally, validate_bitstring
 from .errors import DimensionError, ValidationError
 from .estimators import Estimate, _qubit_loglikelihoods
-from .noise import NoiseModel, _prepare, _simulate_rows, derive_seed, simulate_shots
+from .noise import NoiseModel, _subset_ones, derive_seed, simulate_shots
 
 # Below this many shots per subset circuit the second phase is too thin to
 # trust; the plan still executes but is flagged.
@@ -213,13 +213,10 @@ def _execute(
 
     if phase1 is None:
         phase1 = tally(simulate_shots(x0, noise, plan.phase1_shots, derive_seed(seed, "phase1")))
-    x0_bits, flip_p, shots, _ = _prepare(x0, subset_noise, plan.per_subset_shots, seed)
+    shots = plan.per_subset_shots
     subsets = []
     for q in plan.close_qubits:
-        # one-qubit circuit: each packed row is one byte, nonzero when it read 1
-        stream = derive_seed(seed, "subset", q)
-        rows = _simulate_rows(x0_bits[q : q + 1], flip_p[q : q + 1], shots, stream)
-        ones = int(np.count_nonzero(rows))
+        ones = _subset_ones(x0, subset_noise, q, shots, derive_seed(seed, "subset", q))
         subsets.append(SubsetResult(qubit=q, zeros=shots - ones, ones=ones))
 
     value = merge_votes(phase1, noise, subsets, subset_noise, merge)

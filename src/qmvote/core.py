@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -73,6 +73,9 @@ class CountsTable:
     __slots__ = ("n", "shots", "_counts", "_packed", "_weights", "_canonical_rows")
 
     def __init__(self, counts: Mapping[str, int], n: int | None = None):
+        if isinstance(counts, _ShotRows):
+            self._init_from_shots(counts.rows, n)
+            return
         if not counts:
             raise ValidationError("counts table must contain at least one entry")
         items = dict(counts)
@@ -103,19 +106,20 @@ class CountsTable:
         """Trusted constructor for the simulator: one row per shot, packed
         as by ``np.packbits(bits, axis=1)``. Rows are deduplicated and
         sorted by key; nothing is re-validated."""
+        return cls(_ShotRows(rows), n)
+
+    def _init_from_shots(self, rows: np.ndarray, n: int) -> None:
         uniq, weights = np.unique(_row_keys(rows), return_counts=True)
         packed = uniq.view(np.uint8).reshape(-1, rows.shape[1])
         weights = weights.astype(np.int64, copy=False)
         packed.setflags(write=False)
         weights.setflags(write=False)
-        table = cls.__new__(cls)
-        table.n = n
-        table.shots = rows.shape[0]
-        table._counts = None
-        table._packed = packed
-        table._weights = weights
-        table._canonical_rows = (packed, weights)
-        return table
+        self.n = n
+        self.shots = rows.shape[0]
+        self._counts = None
+        self._packed = packed
+        self._weights = weights
+        self._canonical_rows = (packed, weights)
 
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Packed rows and counts, in key order (the mapping's order for
@@ -183,20 +187,30 @@ class CountsTable:
     def __repr__(self) -> str:
         return f"CountsTable(n={self.n}, shots={self.shots}, distinct={len(self)})"
 
-    def as_arrays(self, canonical: bool = False) -> tuple[list[str], np.ndarray, np.ndarray]:
+    def as_arrays(
+        self, canonical: bool = False, *, keys: bool = True
+    ) -> tuple[list[str] | None, np.ndarray, np.ndarray]:
         """Return (keys, bit matrix, count vector).
 
         The bit matrix has one uint8 row per distinct key; the count vector
         is int64. With ``canonical=True`` keys are sorted so downstream
-        floating-point reductions see a fixed order.
+        floating-point reductions see a fixed order. With ``keys=False``
+        the first element is None and no string keys are built.
         """
         if canonical:
             packed, weights = self._canonical()
-            keys = sorted(self.counts)
+            names = self._decode(packed) if keys else None
         else:
             packed, weights = self._rows()
-            keys = list(self.counts)
-        return keys, self._bits(packed), weights.copy()
+            names = list(self.counts) if keys else None
+        return names, self._bits(packed), weights.copy()
+
+
+class _ShotRows(NamedTuple):
+    """The simulator's packed shot record, handed to ``CountsTable``
+    through :meth:`CountsTable._from_shots`."""
+
+    rows: np.ndarray
 
 
 def _row_keys(packed: np.ndarray) -> np.ndarray:
@@ -274,19 +288,18 @@ _TALLY_BLOCK_ELEMS = 1 << 18
 def tally(counts: CountsTable) -> VoteTally:
     """Collapse a counts table into per-qubit zero/one vote counts.
 
-    Cost is linear in (distinct entries) x (qubits). Rows are unpacked a
-    block at a time. Partial sums use float64 matrix products, which are
-    exact here because every partial sum is an integer bounded by the shot
-    total (far below 2**53), and accumulate into 64-bit counters.
+    Cost is linear in (distinct entries) x (qubits). Partial sums use
+    float64 matrix products, which are exact here because every partial
+    sum is an integer bounded by the shot total (far below 2**53), and
+    accumulate into 64-bit counters.
     """
-    packed, weights = counts._rows()
+    _, bits, weights = counts.as_arrays(keys=False)
     n = counts.n
     rows = max(256, _TALLY_BLOCK_ELEMS // n)
     ones = np.zeros(n, dtype=np.int64)
     wf = weights.astype(np.float64)
-    for lo in range(0, packed.shape[0], rows):
-        bits = counts._bits(packed[lo : lo + rows])
-        part = wf[lo : lo + rows] @ bits.astype(np.float64)
+    for lo in range(0, bits.shape[0], rows):
+        part = wf[lo : lo + rows] @ bits[lo : lo + rows].astype(np.float64)
         ones += part.astype(np.int64)
     zeros = counts.shots - ones
     return VoteTally(zeros=zeros, ones=ones, shots=counts.shots)

@@ -257,8 +257,7 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel, prior_logs: np.nda
         raise InfeasibleError(
             f"exhaustive likelihood scan supports at most {ENUM_MAX_QUBITS} qubits, got {n}"
         )
-    packed, weights = counts._canonical()
-    ybits = counts._bits(packed)
+    _, ybits, weights = counts.as_arrays(canonical=True, keys=False)
     wts = weights.astype(np.float64)
     with np.errstate(divide="ignore"):
         # log_table[t, y, i] = log Pr(read y | true t) at qubit i
@@ -405,8 +404,7 @@ def sliding_window_antipodal(counts: CountsTable) -> AntipodalPair:
     n = counts.n
     if n < 2:
         raise ValidationError(f"antipodal windows need at least 2 qubits, got {n}")
-    packed, weights = counts._rows()
-    bits = counts._bits(packed)
+    _, bits, weights = counts.as_arrays(keys=False)
     agree = weights @ (bits[:, :-1] == bits[:, 1:])
     equal = 2 * agree >= counts.shots
     out = np.zeros(n, dtype=np.uint8)

@@ -172,6 +172,17 @@ def simulate_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsT
     return CountsTable._from_shots(_simulate_rows(x0_bits, flip_p, shots, seed), x0_bits.size)
 
 
+def _subset_ones(x0: str, noise: NoiseModel, q: int, shots: int, seed: int) -> int:
+    """How many of ``shots`` read 1 when qubit ``q`` of ``x0`` is measured
+    on its own under its flip probabilities in ``noise``: the ones count of
+    the one-qubit table :func:`simulate_shots` would draw from ``seed``,
+    without building that table."""
+    x0_bits, flip_p, shots, seed = _prepare(x0, noise, shots, seed)
+    rows = _simulate_rows(x0_bits[q : q + 1], flip_p[q : q + 1], shots, seed)
+    # one qubit per row: each packed row is one byte, nonzero when it read 1
+    return int(np.count_nonzero(rows))
+
+
 def simulate_antipodal_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsTable:
     """Like :func:`simulate_shots`, but each shot's pre-noise truth is drawn
     uniformly from the antipodal pair {x0, complement(x0)}.

@@ -102,6 +102,22 @@ class TestCountsTable:
         with pytest.raises(TypeError):
             ct.counts["0"] = 5
 
+    def test_as_arrays_orders(self):
+        ct = CountsTable({"110": 1, "001": 4, "100": 2})
+        keys, bits, weights = ct.as_arrays()
+        assert keys == ["110", "001", "100"]
+        assert bits.tolist() == [[1, 1, 0], [0, 0, 1], [1, 0, 0]]
+        assert weights.tolist() == [1, 4, 2]
+        keys, bits, weights = ct.as_arrays(canonical=True)
+        assert keys == ["001", "100", "110"]
+        assert bits.tolist() == [[0, 0, 1], [1, 0, 0], [1, 1, 0]]
+        assert weights.tolist() == [4, 2, 1]
+        for canonical in (False, True):
+            bare = ct.as_arrays(canonical=canonical, keys=False)
+            full = ct.as_arrays(canonical=canonical)
+            assert bare[0] is None
+            assert np.array_equal(bare[1], full[1]) and np.array_equal(bare[2], full[2])
+
 
 class TestTally:
     def test_all_zero_shots(self):

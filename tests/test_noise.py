@@ -192,6 +192,9 @@ def assert_tables_identical(new, ref, rows):
     )
     ref_weights = np.array(list(ref.counts.values()), dtype=np.int64)
     for canonical in (False, True):
+        bare_keys, bare_bits, bare_weights = new.as_arrays(canonical=canonical, keys=False)
+        assert bare_keys is None
+        assert np.array_equal(bare_bits, ref_bits) and np.array_equal(bare_weights, ref_weights)
         new_keys, new_bits, new_weights = new.as_arrays(canonical=canonical)
         assert new_keys == keys
         assert new_bits.dtype == np.uint8 and np.array_equal(new_bits, ref_bits)
