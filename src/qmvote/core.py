@@ -61,87 +61,62 @@ class CountsTable:
     """Multiset of measured bitstrings with occurrence counts.
 
     Immutable after construction. All keys share one length ``n``, all
-    counts are positive integers, and ``shots`` is their sum.
+    counts are positive integers, and ``shots`` is their sum, at most 2**53.
 
     A table holds its distinct keys as rows of bits packed big-endian, eight
     qubits per byte, with an int64 count per row. Tables made from a mapping
-    are validated key by key and keep the mapping's order; tables made by
-    the simulator arrive packed, sorted and deduplicated, and build their
-    string keys only when first asked for them.
+    are validated and packed in one pass and keep the mapping's order;
+    tables made by the simulator arrive packed, sorted and deduplicated, and
+    build their string keys only when first asked for them.
     """
 
     __slots__ = ("n", "shots", "_counts", "_packed", "_weights", "_canonical_rows")
 
     def __init__(self, counts: Mapping[str, int], n: int | None = None):
-        if isinstance(counts, _ShotRows):
-            self._init_from_shots(counts.rows, n)
-            return
-        if not counts:
-            raise ValidationError("counts table must contain at least one entry")
-        items = dict(counts)
-        first = next(iter(items))
-        if n is None:
-            if not isinstance(first, str):
-                raise ValidationError("counts keys must be bitstrings")
-            n = len(first)
-        total = 0
-        for key, count in items.items():
-            validate_bitstring(key)
-            if len(key) != n:
-                raise ValidationError(
-                    f"inconsistent key length: {key!r} has {len(key)} bits, expected {n}"
-                )
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                raise ValidationError(f"count for {key!r} must be a positive integer, got {count!r}")
-            total += count
-        self.n = n
-        self.shots = total
-        self._counts = MappingProxyType(items)
-        self._packed = None
-        self._weights = None
+        if isinstance(counts, _Rows):
+            packed, weights, mapping = counts
+        else:
+            if not counts:
+                raise ValidationError("counts table must contain at least one entry")
+            mapping = dict(counts)
+            first = next(iter(mapping))
+            if n is None:
+                if not isinstance(first, str):
+                    raise ValidationError("counts keys must be bitstrings")
+                n = len(first)
+            if not 1 <= n <= MAX_QUBITS:
+                _check_entry(first, mapping[first], n)  # raises: no key can have this length
+            keys, values = list(mapping), list(mapping.values())
+            packed, weights, total = _pack_entries(keys, values, n, _check_entry)
+            if total > MAX_SHOTS:
+                raise ValidationError(f"counts sum to {total}, more than 2**53")
         self._canonical_rows = None
+        if weights is None:  # one row per shot: deduplicate, which sorts by key
+            uniq, weights = np.unique(_row_keys(packed), return_counts=True)
+            packed = uniq.view(np.uint8).reshape(-1, packed.shape[1])
+            weights = weights.astype(np.int64, copy=False)
+            self._canonical_rows = (packed, weights)
+        packed.setflags(write=False)
+        weights.setflags(write=False)
+        self.n = n
+        self.shots = int(weights.sum())
+        self._counts = None if mapping is None else MappingProxyType(mapping)
+        self._packed = packed
+        self._weights = weights
 
     @classmethod
     def _from_shots(cls, rows: np.ndarray, n: int) -> "CountsTable":
         """Trusted constructor for the simulator: one row per shot, packed
         as by ``np.packbits(bits, axis=1)``. Rows are deduplicated and
         sorted by key; nothing is re-validated."""
-        return cls(_ShotRows(rows), n)
-
-    def _init_from_shots(self, rows: np.ndarray, n: int) -> None:
-        uniq, weights = np.unique(_row_keys(rows), return_counts=True)
-        packed = uniq.view(np.uint8).reshape(-1, rows.shape[1])
-        weights = weights.astype(np.int64, copy=False)
-        packed.setflags(write=False)
-        weights.setflags(write=False)
-        self.n = n
-        self.shots = rows.shape[0]
-        self._counts = None
-        self._packed = packed
-        self._weights = weights
-        self._canonical_rows = (packed, weights)
-
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Packed rows and counts, in key order (the mapping's order for
-        tables built from one)."""
-        if self._packed is None:
-            keys = list(self._counts)
-            joined = "".join(keys).encode("ascii")
-            bits = (np.frombuffer(joined, dtype=np.uint8) - ord("0")).reshape(len(keys), self.n)
-            weights = np.fromiter(self._counts.values(), dtype=np.int64, count=len(keys))
-            packed = np.packbits(bits, axis=1)
-            packed.setflags(write=False)
-            weights.setflags(write=False)
-            self._packed, self._weights = packed, weights
-        return self._packed, self._weights
+        return cls(_Rows(rows, None, None), n)
 
     def _canonical(self) -> tuple[np.ndarray, np.ndarray]:
         """Packed rows and counts sorted by key, so reductions over the
         entries see a fixed order."""
         if self._canonical_rows is None:
-            packed, weights = self._rows()
-            order = np.argsort(_row_keys(packed))
-            self._canonical_rows = (packed[order], weights[order])
+            order = np.argsort(_row_keys(self._packed))
+            self._canonical_rows = (self._packed[order], self._weights[order])
             for arr in self._canonical_rows:
                 arr.setflags(write=False)
         return self._canonical_rows
@@ -174,7 +149,7 @@ class CountsTable:
         return key in self.counts
 
     def __len__(self) -> int:
-        return len(self._weights) if self._counts is None else len(self._counts)
+        return len(self._weights)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountsTable):
@@ -201,16 +176,68 @@ class CountsTable:
             packed, weights = self._canonical()
             names = self._decode(packed) if keys else None
         else:
-            packed, weights = self._rows()
+            packed, weights = self._packed, self._weights
             names = list(self.counts) if keys else None
         return names, self._bits(packed), weights.copy()
 
 
-class _ShotRows(NamedTuple):
-    """The simulator's packed shot record, handed to ``CountsTable``
-    through :meth:`CountsTable._from_shots`."""
+class _Rows(NamedTuple):
+    """Packed rows handed to ``CountsTable`` unchecked: the simulator's shot
+    record (no weights) or checked rows with their counts and, if the
+    caller holds one, the string mapping they were packed from."""
 
     rows: np.ndarray
+    weights: np.ndarray | None
+    mapping: Mapping[str, int] | None
+
+
+# Largest shot total a table may hold: float64 is exact for integers up to
+# 2**53, which the column sums below rely on.
+MAX_SHOTS = 2**53
+# Entries are checked and packed in blocks of about this many key characters.
+_PACK_BLOCK_CHARS = 1 << 18
+
+
+def _check_entry(key, count, n: int) -> None:
+    validate_bitstring(key)
+    if len(key) != n:
+        raise ValidationError(f"inconsistent key length: {key!r} has {len(key)} bits, expected {n}")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValidationError(f"count for {key!r} must be a positive integer, got {count!r}")
+    if count > MAX_SHOTS:
+        raise ValidationError(f"count for {key!r} is {count}, more than 2**53")
+
+
+def _pack_entries(keys: list, counts: list, n: int, check, reverse: bool = False):
+    """Check a table's entries a block at a time and pack their keys as the
+    simulator packs shots, each reversed first when ``reverse``. A block
+    with a key that is not ``n`` characters over '0'/'1' or a count that is
+    not an int in 1..2**53 is walked with ``check(key, count, n)``, which
+    raises the caller's error for the first bad entry.
+
+    Returns the packed rows, the counts as int64 and their sum.
+    """
+    packed = np.empty((len(keys), (n + 7) // 8), dtype=np.uint8)
+    step = max(1, _PACK_BLOCK_CHARS // n)
+    for lo in range(0, len(keys), step):
+        block, block_counts = keys[lo : lo + step], counts[lo : lo + step]
+        try:
+            text = np.frombuffer("".join(block).encode("ascii"), dtype=np.uint8)
+            ok = (
+                set(map(len, block)) == {n}
+                and ord("0") <= text.min() <= text.max() <= ord("1")
+                and all(issubclass(t, int) and t is not bool for t in set(map(type, block_counts)))
+                and 1 <= min(block_counts) <= max(block_counts) <= MAX_SHOTS
+            )
+        except (TypeError, UnicodeEncodeError):
+            ok = False
+        if not ok:
+            for key, count in zip(block, block_counts):
+                check(key, count, n)
+            raise AssertionError("a block of entries failed its test, but none of its entries")
+        bits = (text & 1).reshape(len(block), n)
+        packed[lo : lo + step] = np.packbits(bits[:, ::-1] if reverse else bits, axis=1)
+    return packed, np.array(counts, dtype=np.int64), sum(counts)
 
 
 def _row_keys(packed: np.ndarray) -> np.ndarray:
@@ -280,29 +307,34 @@ class VoteTally:
         return np.abs(self.zeros - self.ones) / self.shots
 
 
-# Entries are tallied in blocks of roughly this many matrix elements so the
-# weighted column sums run in cache-resident chunks.
-_TALLY_BLOCK_ELEMS = 1 << 18
+# Column sums run over blocks of roughly this many matrix elements so the
+# float64 products stay cache-resident.
+_SUM_BLOCK_ELEMS = 1 << 18
+
+
+def _column_sums(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``weights @ matrix`` for int64 weights and a 0/1 matrix, as int64.
+
+    Partial sums use float64 matrix products, which are exact here because
+    every partial sum is an integer bounded by the shot total (at most
+    2**53), and accumulate into 64-bit counters.
+    """
+    rows = max(256, _SUM_BLOCK_ELEMS // matrix.shape[1])
+    sums = np.zeros(matrix.shape[1], dtype=np.int64)
+    wf = weights.astype(np.float64)
+    for lo in range(0, matrix.shape[0], rows):
+        sums += (wf[lo : lo + rows] @ matrix[lo : lo + rows].astype(np.float64)).astype(np.int64)
+    return sums
 
 
 def tally(counts: CountsTable) -> VoteTally:
     """Collapse a counts table into per-qubit zero/one vote counts.
 
-    Cost is linear in (distinct entries) x (qubits). Partial sums use
-    float64 matrix products, which are exact here because every partial
-    sum is an integer bounded by the shot total (far below 2**53), and
-    accumulate into 64-bit counters.
+    Cost is linear in (distinct entries) x (qubits).
     """
     _, bits, weights = counts.as_arrays(keys=False)
-    n = counts.n
-    rows = max(256, _TALLY_BLOCK_ELEMS // n)
-    ones = np.zeros(n, dtype=np.int64)
-    wf = weights.astype(np.float64)
-    for lo in range(0, bits.shape[0], rows):
-        part = wf[lo : lo + rows] @ bits[lo : lo + rows].astype(np.float64)
-        ones += part.astype(np.int64)
-    zeros = counts.shots - ones
-    return VoteTally(zeros=zeros, ones=ones, shots=counts.shots)
+    ones = _column_sums(weights, bits)
+    return VoteTally(zeros=counts.shots - ones, ones=ones, shots=counts.shots)
 
 
 def merge_tallies(a: VoteTally, b: VoteTally) -> VoteTally:

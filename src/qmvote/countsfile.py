@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import CountsTable
-from .errors import CountsFormatError
+from .core import MAX_QUBITS, MAX_SHOTS, CountsTable, _pack_entries, _Rows
+from .errors import CountsFormatError, ValidationError
 
 SCHEMA_VERSION = "1"
 
@@ -32,6 +32,20 @@ BIT_ORDERS = ("left", "right")
 
 def _schema_error(message: str) -> CountsFormatError:
     return CountsFormatError(message, code="SCHEMA")
+
+
+def _check_entry(key, count, n: int) -> None:
+    if not isinstance(key, str) or set(key) - {"0", "1"}:
+        raise _schema_error(f"counts key {key!r} is not a bitstring")
+    if len(key) != n:
+        raise CountsFormatError(
+            f"counts key {key!r} has {len(key)} bits, field 'n' declares {n}",
+            code="LENGTH_MISMATCH",
+        )
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise _schema_error(f"count for {key!r} must be a positive integer, got {count!r}")
+    if count > MAX_SHOTS:
+        raise _schema_error(f"count for {key!r} is {count}, more than 2**53")
 
 
 def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
@@ -69,29 +83,27 @@ def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
     shots = doc["shots"]
     if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
         raise _schema_error(f"field 'shots' must be a positive integer, got {shots!r}")
+    if shots > MAX_SHOTS:
+        raise _schema_error(f"field 'shots' is {shots}, more than 2**53")
     raw = doc["counts"]
     if not isinstance(raw, dict) or not raw:
         raise _schema_error("field 'counts' must be a non-empty object")
-    entries: dict[str, int] = {}
-    total = 0
-    for key, count in raw.items():
-        if not isinstance(key, str) or set(key) - {"0", "1"}:
-            raise _schema_error(f"counts key {key!r} is not a bitstring")
-        if len(key) != n:
-            raise CountsFormatError(
-                f"counts key {key!r} has {len(key)} bits, field 'n' declares {n}",
-                code="LENGTH_MISMATCH",
-            )
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise _schema_error(f"count for {key!r} must be a positive integer, got {count!r}")
-        entries[key if bit_order == "left" else key[::-1]] = count
-        total += count
+    keys, values = list(raw), list(raw.values())
+    if n > MAX_QUBITS:
+        # Too wide for a table: reported after any fault in the entries or their
+        # sum. Checking the keys first keeps the packing below smaller than them.
+        for key, count in zip(keys, values):
+            _check_entry(key, count, n)
+        if sum(values) == shots:
+            raise ValidationError(f"bitstring has {n} qubits, maximum is {MAX_QUBITS}")
+    right = bit_order == "right"
+    packed, weights, total = _pack_entries(keys, values, n, _check_entry, reverse=right)
     if total != shots:
         raise CountsFormatError(
             f"field 'shots' declares {shots} but counts sum to {total}",
             code="SUM_MISMATCH",
         )
-    return CountsTable(entries, n=n)
+    return CountsTable(_Rows(packed, weights, None if right else raw), n=n)
 
 
 def serialize_counts(table: CountsTable) -> str:

@@ -24,12 +24,13 @@ explicit -inf log-likelihood, never clamped.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .core import CountsTable, VoteTally, complement, tally, validate_bitstring
+from .core import CountsTable, VoteTally, _column_sums, complement, tally, validate_bitstring
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .noise import NoiseModel
 
@@ -122,7 +123,10 @@ class Prior:
         if (per_qubit is None) == (table is None):
             raise ValidationError("exactly one of per_qubit or table must be given")
         if per_qubit is not None:
-            arr = np.array(per_qubit, dtype=np.float64, copy=True)
+            try:
+                arr = np.array(per_qubit, dtype=np.float64, copy=True)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"per-qubit prior entries must be numbers: {exc}") from None
             if arr.ndim != 1 or arr.size == 0:
                 raise ValidationError("per-qubit prior must be a non-empty 1-d array")
             if not np.all((arr >= 0.0) & (arr <= 1.0)):
@@ -144,9 +148,9 @@ class Prior:
             for key, prob in items.items():
                 validate_bitstring(key, n)
                 # NaN fails this comparison and would also slip past the sum check
-                if not prob >= 0.0:
+                if not isinstance(prob, numbers.Real) or not prob >= 0.0:
                     raise ValidationError(
-                        f"prior probability for {key!r} must be non-negative, got {prob}"
+                        f"prior probability for {key!r} must be a non-negative number, got {prob!r}"
                     )
                 total += prob
             if abs(total - 1.0) > 1e-9:
@@ -405,8 +409,8 @@ def sliding_window_antipodal(counts: CountsTable) -> AntipodalPair:
     if n < 2:
         raise ValidationError(f"antipodal windows need at least 2 qubits, got {n}")
     _, bits, weights = counts.as_arrays(keys=False)
-    agree = weights @ (bits[:, :-1] == bits[:, 1:])
-    equal = 2 * agree >= counts.shots
+    differ = _column_sums(weights, bits[:, :-1] ^ bits[:, 1:])
+    equal = 2 * differ <= counts.shots
     out = np.zeros(n, dtype=np.uint8)
     out[1:] = np.where(equal, 0, 1)
     out = np.bitwise_xor.accumulate(out)

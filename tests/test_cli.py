@@ -85,7 +85,15 @@ class TestMitigate:
         assert code == 0
         assert json.loads(out)["estimate"] == "11"
 
-    @pytest.mark.parametrize("text", ['{"per_qubit": [0.5,', b"\xff\xfe{}"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"per_qubit": [0.5,',
+            b"\xff\xfe{}",
+            '{"per_qubit": ["a", 0.5]}',
+            '{"table": {"01": "x", "11": 0.5}}',
+        ],
+    )
     def test_malformed_prior_file_exit_one(self, capsys, tmp_path, text):
         path = write_counts_file(tmp_path, {"01": 8, "11": 2}, 2)
         prior = tmp_path / "prior.json"
@@ -121,6 +129,21 @@ class TestMitigate:
         code, out, _ = run(capsys, "mitigate", path, "--method", "window")
         assert code == 0
         assert json.loads(out)["estimate"] == ["0011", "1100"]
+
+    @pytest.mark.parametrize("method", ["qmv", "mode"])
+    @pytest.mark.parametrize(
+        "counts,shots", [({"01": 2**63}, 2**63), ({"01": 2**62, "11": 2**62}, 2**53)]
+    )
+    def test_counts_beyond_shot_limit_exit_one(self, capsys, tmp_path, method, counts, shots):
+        path = tmp_path / "big.json"
+        path.write_text(
+            json.dumps({"schema_version": "1", "n": 2, "shots": shots, "counts": counts})
+        )
+        code, out, err = run(capsys, "mitigate", str(path), "--method", method)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "2**53" in err
 
     def test_bad_counts_file_exit_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from qmvote import CountsFormatError, CountsTable, parse_counts, serialize_counts
+from qmvote import (
+    CountsFormatError,
+    CountsTable,
+    ValidationError,
+    parse_counts,
+    serialize_counts,
+    tally,
+)
+from qmvote import core
 from qmvote.countsfile import load_counts, write_counts
 
 
@@ -103,3 +111,339 @@ class TestSerializeCounts:
         path = tmp_path / "counts.json"
         write_counts(path, table)
         assert load_counts(path) == table
+
+
+# --- Reference: entry-by-entry validation -----------------------------------
+# Frozen copies of the entry loop of parse_counts and of the validating
+# CountsTable constructor as they were before both shared one block-vectorised
+# pass: every entry is checked in Python, in document order, and the parsed
+# entries are checked a second time by the constructor. The tests below
+# require the same tables and the same errors (class, code and message) from
+# the vectorised pass.
+
+REF_MAX_QUBITS = 4096
+
+
+def reference_validate_bitstring(bits):
+    if not isinstance(bits, str):
+        raise ValidationError(f"bitstring must be a str, got {type(bits).__name__}")
+    if not bits or set(bits) - {"0", "1"}:
+        raise ValidationError(f"bitstring must be a non-empty string over 0/1, got {bits!r}")
+    if len(bits) > REF_MAX_QUBITS:
+        raise ValidationError(f"bitstring has {len(bits)} qubits, maximum is {REF_MAX_QUBITS}")
+
+
+def reference_table(counts, n=None):
+    """The constructor's checks; returns (entries, n, shots)."""
+    if not counts:
+        raise ValidationError("counts table must contain at least one entry")
+    items = dict(counts)
+    first = next(iter(items))
+    if n is None:
+        if not isinstance(first, str):
+            raise ValidationError("counts keys must be bitstrings")
+        n = len(first)
+    total = 0
+    for key, count in items.items():
+        reference_validate_bitstring(key)
+        if len(key) != n:
+            raise ValidationError(
+                f"inconsistent key length: {key!r} has {len(key)} bits, expected {n}"
+            )
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValidationError(f"count for {key!r} must be a positive integer, got {count!r}")
+        total += count
+    return items, n, total
+
+
+def reference_parse(data, bit_order="left"):
+    def schema(message):
+        return CountsFormatError(message, code="SCHEMA")
+
+    if bit_order not in ("left", "right"):
+        raise schema(f"bit_order must be one of ('left', 'right'), got {bit_order!r}")
+    doc = json.loads(data)
+    n, shots, raw = doc["n"], doc["shots"], doc["counts"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise schema(f"field 'n' must be a positive integer, got {n!r}")
+    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
+        raise schema(f"field 'shots' must be a positive integer, got {shots!r}")
+    if not isinstance(raw, dict) or not raw:
+        raise schema("field 'counts' must be a non-empty object")
+    entries = {}
+    total = 0
+    for key, count in raw.items():
+        if not isinstance(key, str) or set(key) - {"0", "1"}:
+            raise schema(f"counts key {key!r} is not a bitstring")
+        if len(key) != n:
+            raise CountsFormatError(
+                f"counts key {key!r} has {len(key)} bits, field 'n' declares {n}",
+                code="LENGTH_MISMATCH",
+            )
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise schema(f"count for {key!r} must be a positive integer, got {count!r}")
+        entries[key if bit_order == "left" else key[::-1]] = count
+        total += count
+    if total != shots:
+        raise CountsFormatError(
+            f"field 'shots' declares {shots} but counts sum to {total}", code="SUM_MISMATCH"
+        )
+    return reference_table(entries, n=n)
+
+
+def reference_serialize(entries, n, shots):
+    doc = {
+        "schema_version": "1",
+        "n": n,
+        "shots": shots,
+        "counts": {k: entries[k] for k in sorted(entries)},
+    }
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def outcome(fn, *args, **kwargs):
+    """The value returned, or (class, code, message) of the error raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValidationError as exc:
+        return type(exc), exc.code, str(exc)
+
+
+def key_bits(keys, n):
+    return np.array([[int(c) for c in k] for k in keys], dtype=np.uint8).reshape(len(keys), n)
+
+
+def assert_table_matches(table, entries, n, shots):
+    keys, counts = list(entries), list(entries.values())
+    assert (table.n, table.shots, len(table)) == (n, shots, len(entries))
+    assert list(table.counts) == keys
+    assert dict(table.counts) == entries
+    names, bits, weights = table.as_arrays()
+    assert names == keys
+    assert np.array_equal(bits, key_bits(keys, n))
+    assert weights.dtype == np.int64 and weights.tolist() == counts
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    names, bits, weights = table.as_arrays(canonical=True)
+    assert names == sorted(keys)
+    assert np.array_equal(bits, key_bits(sorted(keys), n))
+    assert weights.tolist() == [counts[i] for i in order]
+    if shots <= 100_000:  # the simulator's path builds it from one row per shot
+        shots_rows = np.packbits(np.repeat(key_bits(keys, n), counts, axis=0), axis=1)
+        assert table == CountsTable._from_shots(shots_rows, n)
+        assert CountsTable._from_shots(shots_rows, n) == table
+    assert table == CountsTable(entries, n=n)
+    bumped = dict(entries, **{keys[-1]: counts[-1] + 1})
+    assert table != CountsTable(bumped, n=n)
+    assert serialize_counts(table).encode() == reference_serialize(entries, n, shots)
+
+
+def random_entries(rng, n, distinct):
+    keys = {"".join(rng.choice(["0", "1"], size=n)) for _ in range(distinct)}
+    return {k: int(rng.integers(1, 6)) for k in sorted(keys, key=lambda _: rng.random())}
+
+
+def counts_doc(entries, n, shots=None):
+    shots = sum(entries.values()) if shots is None else shots
+    return json.dumps({"schema_version": "1", "n": n, "shots": shots, "counts": entries})
+
+
+def place(entries, position, key, count):
+    """entries with (key, count) inserted first, in the middle or last."""
+    items = list(entries.items())
+    at = {"first": 0, "middle": len(items) // 2, "last": len(items)}[position]
+    items.insert(at, (key, count))
+    return items
+
+
+def items_doc(items, n, shots):
+    body = ", ".join(f"{json.dumps(k)}: {json.dumps(c)}" for k, c in items)
+    return (
+        f'{{"schema_version": "1", "n": {n}, "shots": {shots}, "counts": {{{body}}}}}'
+    )
+
+
+# Entries are checked in blocks of about this many key characters; the small
+# value puts every few entries in a block of their own.
+BLOCK_CHARS = [core._PACK_BLOCK_CHARS, 20]
+
+
+@pytest.fixture(params=BLOCK_CHARS, ids=["default-blocks", "small-blocks"])
+def block_chars(request, monkeypatch):
+    monkeypatch.setattr(core, "_PACK_BLOCK_CHARS", request.param)
+    return request.param
+
+
+class TestDifferentialAgainstEntryLoop:
+    @pytest.mark.parametrize("bit_order", ["left", "right"])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127])
+    def test_valid_documents(self, block_chars, n, bit_order):
+        rng = np.random.default_rng(n)
+        for distinct in (1, 5, 40, 2500 if n == 127 else 60):
+            entries = random_entries(rng, n, distinct)
+            for big in (False, True):
+                if big:  # a count beyond 32 bits
+                    entries[next(iter(entries))] = 2**40 + 3
+                data = counts_doc(entries, n)
+                ref_entries, ref_n, ref_shots = reference_parse(data, bit_order)
+                table = parse_counts(data, bit_order=bit_order)
+                assert_table_matches(table, ref_entries, ref_n, ref_shots)
+
+    BAD_COUNTS = [0, -3, 1.5, True, False, "4", None, [1]]
+
+    @staticmethod
+    def bad_keys(n):
+        return [
+            "x" + "0" * (n - 1),
+            "0" * (n + 1),
+            "0" * (n - 1),
+            "é" + "1" * (n - 1),
+            "0é",
+            " " + "1" * (n - 1),
+            "\u0000" + "1" * (n - 1),
+        ]
+
+    @pytest.mark.parametrize("bit_order", ["left", "right"])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127])
+    def test_one_bad_entry(self, block_chars, n, position, bit_order):
+        entries = random_entries(np.random.default_rng(n), n, 12)
+        good_key = "1" * n
+        cases = [(key, 2) for key in self.bad_keys(n)] + [(good_key, c) for c in self.BAD_COUNTS]
+        for key, count in cases:
+            items = place({k: c for k, c in entries.items() if k != key}, position, key, count)
+            data = items_doc(items, n, sum(entries.values()) + 2)
+            expected = outcome(reference_parse, data, bit_order)
+            assert isinstance(expected, tuple), (key, count)
+            assert outcome(parse_counts, data, bit_order=bit_order) == expected
+
+    @pytest.mark.parametrize("key_fault_first", [True, False])
+    def test_first_of_two_faults_is_reported(self, block_chars, key_fault_first):
+        n = 9
+        entries = list(random_entries(np.random.default_rng(2), n, 30).items())
+        for key_fault in ["0" * 8, "01a" + "0" * 6, "1" * 10]:
+            for count in (0, 1.5, "3", True):
+                bad_key, bad_count = (key_fault, 1), ("1" * 9, count)
+                lo, hi = (bad_key, bad_count) if key_fault_first else (bad_count, bad_key)
+                items = [e for e in entries if e[0] not in (key_fault, "1" * 9)]
+                items.insert(len(items) // 3, lo)
+                items.insert(2 * len(items) // 3, hi)
+                data = items_doc(items, n, 10**6)
+                expected = outcome(reference_parse, data)
+                assert outcome(parse_counts, data) == expected
+                message = expected[2]
+                assert (key_fault in message) == key_fault_first
+
+    def test_faults_in_every_position_of_a_long_document(self, block_chars):
+        n = 127
+        entries = list(random_entries(np.random.default_rng(3), n, 3000).items())
+        for at in (0, 1, 1500, 2063, 2064, 2999):
+            for fault in [("2" + "0" * 126, 1), ("0" * 126, 1), (entries[at][0], 0)]:
+                items = list(entries)
+                items[at] = fault
+                data = items_doc(items, n, 10**6)
+                assert outcome(parse_counts, data) == outcome(reference_parse, data)
+
+    def test_mixed_lengths(self, block_chars):
+        for keys in (["01", "011", "0"], ["011", "01"], ["10", "1", "11"]):
+            items = [(k, 1) for k in keys]
+            data = items_doc(items, 2, len(keys))
+            expected = outcome(reference_parse, data)
+            assert expected[1] == "LENGTH_MISMATCH"
+            assert outcome(parse_counts, data) == expected
+
+    def test_sum_mismatch(self, block_chars):
+        data = counts_doc({"01": 2, "11": 1}, 2, shots=4)
+        expected = outcome(reference_parse, data)
+        assert expected[1] == "SUM_MISMATCH"
+        assert outcome(parse_counts, data) == expected
+
+    def test_more_qubits_than_supported(self, block_chars):
+        n = REF_MAX_QUBITS + 1
+        key = "01" * (n // 2) + "1"
+        docs = [
+            counts_doc({key: 3}, n),  # well formed: only too wide
+            counts_doc({key: 3}, n, shots=4),  # and a wrong sum
+            items_doc([(key, 3), (key[:-1] + "x", 1)], n, 4),  # and a bad key
+            items_doc([(key, 0)], n, 1),  # and a bad count
+            counts_doc({"01": 3}, n),  # keys shorter than n
+            counts_doc({"01": 3}, 10**15),  # far too wide for any key
+        ]
+        for data in docs:
+            expected = outcome(reference_parse, data)
+            assert isinstance(expected, tuple)
+            assert outcome(parse_counts, data) == expected
+            assert outcome(parse_counts, data, bit_order="right") == expected
+        assert outcome(parse_counts, docs[0])[0] is ValidationError
+
+    def test_mapping_constructor(self, block_chars):
+        class Count(int):
+            pass
+
+        good = {"0110": 3, "1011": Count(2), "0000": 2**53 - 10}
+        valid = [(good, None), (good, 4), ({"1": 1}, None)]
+        bad = [
+            ({"01": 1, "011": 1}, None),
+            ({"01": 1, "0x": 1}, None),
+            ({"01": 1, 5: 1}, None),
+            ({"01": 1, b"01": 1}, None),
+            ({"01": 1, "": 1}, None),
+            ({"01": 1, "0é": 1}, None),
+            ({"01": 1, "10": 0}, None),
+            ({"01": 1, "10": 1.5}, None),
+            ({"01": True}, None),
+            ({"01": "3"}, None),
+            ({"01": 1}, 3),
+            ({"01": 1}, 0),
+            ({"01": 1}, -2),
+            ({"01": 1}, REF_MAX_QUBITS + 1),
+            ({"0" * (REF_MAX_QUBITS + 1): 1}, None),
+            ({"": 1}, None),
+            ({5: 1}, None),
+            ({}, None),
+            ({"01": 1, "10x": 0, "11": "x"}, None),
+            ({"01": 1, "11": "x", "10x": 0}, None),
+        ]
+        for mapping, n in valid:
+            entries, ref_n, shots = reference_table(mapping, n)
+            assert_table_matches(CountsTable(mapping, n=n), entries, ref_n, shots)
+        for mapping, n in bad:
+            expected = outcome(reference_table, mapping, n)
+            assert isinstance(expected, tuple), mapping
+            assert outcome(CountsTable, mapping, n) == expected
+
+
+class TestShotLimit:
+    """Tallies sum counts exactly in float64, so a table holds at most 2**53 shots."""
+
+    def test_file_counts_beyond_limit_rejected(self):
+        for counts, shots in [
+            ({"01": 2**63}, 2**63),
+            ({"01": 2**53 + 1}, 2**53 + 1),
+            ({"01": 2**62, "11": 2**62}, 2**53),
+            ({"01": 2**53 + 1, "11": 1}, 2**53),
+        ]:
+            with pytest.raises(CountsFormatError) as err:
+                parse_counts(counts_doc(counts, 2, shots))
+            assert err.value.code == "SCHEMA"
+            assert "2**53" in str(err.value)
+
+    def test_mapping_counts_beyond_limit_rejected(self):
+        for counts in [
+            {"01": 2**53 + 1},
+            {"01": 2**63},
+            {"01": 2**53, "11": 1},
+            {"0": 2**52, "1": 2**52 + 1},
+            {"0": 2**53, "1": 2**53},
+        ]:
+            with pytest.raises(ValidationError, match=r"2\*\*53"):
+                CountsTable(counts)
+
+    def test_limit_itself_is_tallied_exactly(self):
+        for table in [
+            parse_counts(counts_doc({"01": 2**53 - 1, "11": 1}, 2)),
+            CountsTable({"01": 2**53 - 1, "11": 1}),
+        ]:
+            assert table.shots == 2**53
+            votes = tally(table)
+            assert votes.ones.tolist() == [1, 2**53]
+            assert votes.zeros.tolist() == [2**53 - 1, 0]

@@ -19,6 +19,7 @@ from qmvote import (
     ml_bruteforce,
     mode_estimate,
     qmv,
+    simulate_antipodal_shots,
     simulate_shots,
     sliding_window_antipodal,
     tally,
@@ -430,6 +431,14 @@ class TestPrior:
         with pytest.raises(ValidationError):
             Prior(table={"0": math.nan, "1": 1.0})
 
+    def test_non_numeric_entries_rejected(self):
+        with pytest.raises(ValidationError, match="'a'"):
+            Prior(per_qubit=["a", 0.5])
+        with pytest.raises(ValidationError, match="'01'.*'x'"):
+            Prior(table={"01": "x", "11": 0.5})
+        with pytest.raises(ValidationError, match="'00'"):
+            Prior(table={"01": 0.5, "00": None, "11": 0.5})
+
     def test_exactly_one_form(self):
         with pytest.raises(ValidationError):
             Prior(per_qubit=[0.5], table={"0": 1.0})
@@ -462,6 +471,27 @@ class TestSlidingWindowAntipodal:
     def test_needs_two_qubits(self):
         with pytest.raises(ValidationError):
             sliding_window_antipodal(CountsTable({"0": 1}))
+
+    def test_matches_integer_agreement_reference(self):
+        # the window votes as an int64 product with the agreement matrix,
+        # here also on tables that span several row blocks
+        rng = np.random.default_rng(12)
+        tables = [
+            random_counts(rng, int(rng.integers(2, 12)), int(rng.integers(1, 60)))
+            for _ in range(20)
+        ]
+        for shots in (2000, 9000):
+            truth = "".join(rng.choice(["0", "1"], size=127))
+            noise = NoiseModel.uniform(127, 0.45)
+            tables.append(simulate_antipodal_shots(truth, noise, shots, shots))
+        tables.append(CountsTable({"0110": 2**52, "1001": 2**52 - 1, "0101": 1}))
+        for counts in tables:
+            _, bits, weights = counts.as_arrays()
+            agree = weights @ (bits[:, :-1] == bits[:, 1:])
+            value = "".join("0" if 2 * a >= counts.shots else "1" for a in agree)
+            x = np.bitwise_xor.accumulate(np.array([0] + [int(c) for c in value]))
+            expected = "".join(str(b) for b in x)
+            assert sliding_window_antipodal(counts).x == expected
 
     def test_complementing_every_shot_leaves_pair_unchanged(self):
         rng = np.random.default_rng(8)
