@@ -45,7 +45,6 @@ class AmsPlan:
     phase1_shots: int
     close_qubits: tuple[int, ...]
     per_subset_shots: int
-    subset_layout: tuple[tuple[int, ...], ...]
     insufficient: bool
 
     @property
@@ -97,7 +96,6 @@ def ams_plan(vote_tally: VoteTally, tau: float, total_shots: int) -> AmsPlan:
         phase1_shots=k,
         close_qubits=close,
         per_subset_shots=per_subset,
-        subset_layout=tuple((q,) for q in close),
         insufficient=m > 0 and per_subset < MIN_SUBSET_SHOTS,
     )
 

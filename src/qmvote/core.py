@@ -84,6 +84,9 @@ class CountsTable:
                 if not isinstance(first, str):
                     raise ValidationError("counts keys must be bitstrings")
                 n = len(first)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValidationError(f"n must be an integer, got {n!r}")
+            n = int(n)
             if not 1 <= n <= MAX_QUBITS:
                 _check_entry(first, mapping[first], n)  # raises: no key can have this length
             keys, values = list(mapping), list(mapping.values())

@@ -107,14 +107,17 @@ def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
 
 
 def serialize_counts(table: CountsTable) -> str:
-    """Render a counts table as the canonical document (sorted keys)."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "n": table.n,
-        "shots": table.shots,
-        "counts": {k: table[k] for k in sorted(table.counts)},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Render a counts table as the canonical document: what
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` gives, written
+    straight from the key-sorted rows (bitstring keys need no escaping)."""
+    packed, weights = table._canonical()
+    counts = ",\n".join(
+        f'    "{key}": {count}' for key, count in zip(table._decode(packed), weights.tolist())
+    )
+    return (
+        f'{{\n  "counts": {{\n{counts}\n  }},\n  "n": {table.n},\n'
+        f'  "schema_version": "{SCHEMA_VERSION}",\n  "shots": {table.shots}\n}}\n'
+    )
 
 
 def load_counts(path: str | Path, bit_order: str = "left") -> CountsTable:

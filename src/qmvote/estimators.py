@@ -108,6 +108,11 @@ class AntipodalPair:
         return frozenset((self.x, self.x_complement))
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a boolean, which would pass as 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
 class Prior:
     """Prior belief over the correct output.
 
@@ -129,6 +134,9 @@ class Prior:
                 raise ValidationError(f"per-qubit prior entries must be numbers: {exc}") from None
             if arr.ndim != 1 or arr.size == 0:
                 raise ValidationError("per-qubit prior must be a non-empty 1-d array")
+            for value in per_qubit:
+                if not _is_real(value):
+                    raise ValidationError(f"per-qubit prior entries must be numbers, got {value!r}")
             if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise ValidationError("per-qubit prior entries must lie in [0, 1]")
             arr.setflags(write=False)
@@ -148,7 +156,7 @@ class Prior:
             for key, prob in items.items():
                 validate_bitstring(key, n)
                 # NaN fails this comparison and would also slip past the sum check
-                if not isinstance(prob, numbers.Real) or not prob >= 0.0:
+                if not _is_real(prob) or not prob >= 0.0:
                     raise ValidationError(
                         f"prior probability for {key!r} must be a non-negative number, got {prob!r}"
                     )

@@ -14,7 +14,9 @@ identical.
 from __future__ import annotations
 
 import json
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -92,6 +94,11 @@ class ExperimentConfig:
             )
         if "window" in self.estimators and n < 2:
             raise InfeasibleError("estimator 'window' needs at least 2 qubits")
+        # NaN fails both range tests
+        if self.ams_tau is not None and not 0.0 < self.ams_tau < 1.0:
+            raise ValidationError(f"field 'ams.tau' must lie in (0, 1), got {self.ams_tau}")
+        if self.ams_factor is not None and not 0.0 < self.ams_factor <= 1.0:
+            raise ValidationError(f"field 'ams.factor' must lie in (0, 1], got {self.ams_factor}")
         if "ams" in self.estimators:
             if self.ams_tau is None or self.ams_factor is None:
                 raise ValidationError(
@@ -301,6 +308,41 @@ def _budget_section(config: ExperimentConfig) -> dict | None:
     }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def _run_cell(config: ExperimentConfig, shots: int, seed: int) -> list[dict]:
+    """Rows of one (shots, seed) cell: one simulated table, every estimator."""
+    truth = config.ground_truth
+    cell_seed = derive_seed(seed, "cell", shots)
+    if config.antipodal:
+        counts = simulate_antipodal_shots(truth, config.noise, shots, cell_seed)
+    else:
+        counts = simulate_shots(truth, config.noise, shots, cell_seed)
+    rows = []
+    for name in config.estimators:
+        start = time.perf_counter()
+        result = _run_estimator(name, config, counts, cell_seed)
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        estimate, distance = _estimate_distance(result, truth, config.antipodal)
+        rows.append(
+            {
+                "estimator": name,
+                "shots": shots,
+                "seed": seed,
+                "estimate": estimate,
+                "distance": distance,
+                "runtime_ms": elapsed_ms,
+            }
+        )
+    return rows
+
+
 def run_experiment(config: ExperimentConfig) -> Report:
     """Execute every (shots, seed, estimator) cell of a configuration.
 
@@ -308,31 +350,24 @@ def run_experiment(config: ExperimentConfig) -> Report:
     (seed, shots), every estimator in the cell sees the same simulated
     counts, and the ams estimator spends the same total budget on its own
     two-phase schedule.
+
+    Cells are independent, so they run on a thread pool with one worker per
+    usable CPU; their rows are joined in cell order, so the report does not
+    depend on the schedule. Configs with an exhaustive scan (ml, map) run
+    their cells one at a time, because each scan's working block can take
+    gigabytes. If cells fail, the first failing cell's exception is raised.
     """
     truth = config.ground_truth
-    rows = []
-    for shots in config.shots:
-        for seed in config.seeds:
-            cell_seed = derive_seed(seed, "cell", shots)
-            if config.antipodal:
-                counts = simulate_antipodal_shots(truth, config.noise, shots, cell_seed)
-            else:
-                counts = simulate_shots(truth, config.noise, shots, cell_seed)
-            for name in config.estimators:
-                start = time.perf_counter()
-                result = _run_estimator(name, config, counts, cell_seed)
-                elapsed_ms = (time.perf_counter() - start) * 1e3
-                estimate, distance = _estimate_distance(result, truth, config.antipodal)
-                rows.append(
-                    {
-                        "estimator": name,
-                        "shots": shots,
-                        "seed": seed,
-                        "estimate": estimate,
-                        "distance": distance,
-                        "runtime_ms": elapsed_ms,
-                    }
-                )
+    cells = [(shots, seed) for shots in config.shots for seed in config.seeds]
+    workers = min(len(cells), _usable_cpus())
+    if workers == 1 or "ml" in config.estimators or "map" in config.estimators:
+        per_cell = [_run_cell(config, shots, seed) for shots, seed in cells]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # map yields in cell order; the first failure re-raises there and
+            # cancels the cells still queued
+            per_cell = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
+    rows = [row for cell_rows in per_cell for row in cell_rows]
     rows.sort(key=lambda r: (r["estimator"], r["shots"], r["seed"]))
 
     aggregates = []

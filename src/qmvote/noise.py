@@ -27,6 +27,10 @@ MAX_SEED = 2**64
 # workers and still assemble into the sequential result. The block size is
 # part of the output definition and must not be tuned per run.
 _BLOCK_SHOTS = 1 << 15
+# A block is drawn in row chunks of about this many uniforms, so its float64
+# draws never exist at once. Consecutive draws from one generator continue
+# its stream, so unlike the block size this is not part of the output.
+_CHUNK_DRAWS = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,15 +68,9 @@ class NoiseModel:
     def n(self) -> int:
         return self.p01.size
 
-    def symmetric(self, i: int) -> bool:
-        return self.p01[i] == self.p10[i]
-
     @property
     def is_symmetric(self) -> bool:
         return bool(np.all(self.p01 == self.p10))
-
-    def for_qubit(self, i: int) -> tuple[float, float]:
-        return float(self.p01[i]), float(self.p10[i])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NoiseModel):
@@ -107,46 +105,46 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | block))
 
 
-def _block_bounds(shots: int):
-    done = 0
-    block = 0
-    while done < shots:
-        take = min(_BLOCK_SHOTS, shots - done)
-        yield block, take
-        done += take
-        block += 1
-
-
-def _shot_block(x0_bits: np.ndarray, flip_p: np.ndarray, seed: int, block: int, take: int) -> np.ndarray:
-    """Measured rows for one shot block, packed big-endian eight qubits per
-    byte; depends only on its arguments."""
-    rng = _block_rng(seed, block)
-    flips = rng.random((take, x0_bits.size)) < flip_p[None, :]
-    return np.packbits(x0_bits[None, :] ^ flips, axis=1)
-
-
-def _antipodal_block(
-    x0_bits: np.ndarray, noise: NoiseModel, seed: int, block: int, take: int
+def _shot_block(
+    x0_bits: np.ndarray,
+    flip_p: np.ndarray,
+    seed: int,
+    block: int,
+    take: int,
+    comp_p: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Like :func:`_shot_block`, but each shot's truth is x0 or its
-    complement with equal chance."""
+    """Measured rows for one shot block, packed big-endian eight qubits per
+    byte; depends only on its arguments.
+
+    With ``comp_p``, the flip probabilities of the complement of x0, each
+    shot's truth is x0 or its complement with equal chance; those choices
+    are drawn first, then the flips, row after row as without them.
+    """
     rng = _block_rng(seed, block)
-    truth_flip = (rng.random(take) < 0.5).astype(np.uint8)
-    truths = x0_bits[None, :] ^ truth_flip[:, None]
-    flip_p = np.where(truths == 0, noise.p01[None, :], noise.p10[None, :])
-    flips = rng.random((take, x0_bits.size)) < flip_p
-    return np.packbits(truths ^ flips, axis=1)
+    n = x0_bits.size
+    other = None if comp_p is None else rng.random(take) < 0.5
+    out = np.empty((take, (n + 7) // 8), dtype=np.uint8)
+    step = max(1, _CHUNK_DRAWS // n)
+    for lo in range(0, take, step):
+        u = rng.random((min(step, take - lo), n))
+        if other is None:
+            bits = x0_bits ^ (u < flip_p)
+        else:
+            chunk = other[lo : lo + step, None]
+            bits = x0_bits ^ chunk ^ np.where(chunk, u < comp_p, u < flip_p)
+        out[lo : lo + step] = np.packbits(bits, axis=1)
+    return out
 
 
-def _assemble(pieces) -> np.ndarray:
-    pieces = list(pieces)
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-
-
-def _simulate_rows(x0_bits: np.ndarray, flip_p: np.ndarray, shots: int, seed: int) -> np.ndarray:
+def _simulate_rows(
+    x0_bits: np.ndarray, flip_p: np.ndarray, shots: int, seed: int, comp_p: np.ndarray | None = None
+) -> np.ndarray:
     """The packed shot record, block by block."""
-    blocks = _block_bounds(shots)
-    return _assemble(_shot_block(x0_bits, flip_p, seed, b, take) for b, take in blocks)
+    pieces = [
+        _shot_block(x0_bits, flip_p, seed, block, min(_BLOCK_SHOTS, shots - lo), comp_p)
+        for block, lo in enumerate(range(0, shots, _BLOCK_SHOTS))
+    ]
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _prepare(x0: str, noise: NoiseModel, shots: int, seed: int):
@@ -190,9 +188,9 @@ def simulate_antipodal_shots(x0: str, noise: NoiseModel, shots: int, seed: int) 
     Models algorithms whose two correct outputs are bitwise complements
     (GHZ-style), with equal weight on the two branches.
     """
-    x0_bits, _, shots, seed = _prepare(x0, noise, shots, seed)
-    blocks = _block_bounds(shots)
-    rows = _assemble(_antipodal_block(x0_bits, noise, seed, b, take) for b, take in blocks)
+    x0_bits, flip_p, shots, seed = _prepare(x0, noise, shots, seed)
+    comp_p = np.where(x0_bits == 0, noise.p10, noise.p01)
+    rows = _simulate_rows(x0_bits, flip_p, shots, seed, comp_p)
     return CountsTable._from_shots(rows, x0_bits.size)
 
 

@@ -41,7 +41,7 @@ class TestAmsPlan:
         assert plan.phase1_shots == 1024
         assert plan.close_qubits == (1,)
         assert plan.per_subset_shots == 1024
-        assert plan.subset_layout == ((1,),)
+        assert plan.subset_count == 1
         assert not plan.insufficient
 
     def test_no_close_votes_degenerates(self):

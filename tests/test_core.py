@@ -93,6 +93,12 @@ class TestCountsTable:
         with pytest.raises(ValidationError):
             CountsTable({"0": 1.5})
 
+    def test_rejects_non_integer_n(self):
+        for n in (3.0, 2.0, 2.5, "2", True):
+            with pytest.raises(ValidationError, match="n must be an integer"):
+                CountsTable({"01": 1}, n=n)
+        assert CountsTable({"01": 1}, n=np.int64(2)).n == 2
+
     def test_rejects_non_binary_keys(self):
         with pytest.raises(ValidationError):
             CountsTable({"0x": 1})

@@ -8,9 +8,12 @@ import pytest
 from qmvote import (
     CountsFormatError,
     CountsTable,
+    NoiseModel,
     ValidationError,
+    complement,
     parse_counts,
     serialize_counts,
+    simulate_shots,
     tally,
 )
 from qmvote import core
@@ -105,6 +108,25 @@ class TestSerializeCounts:
                 entries[key] = int(rng.integers(1, 1000))
             table = CountsTable(entries, n=n)
             assert parse_counts(serialize_counts(table)) == table
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127])
+    def test_matches_json_dumps(self, n):
+        """The document is written by hand; it must be the bytes json.dumps
+        gives for the same table."""
+        rng = np.random.default_rng(n)
+        truth = ("10" * n)[:n]
+        simulated = simulate_shots(truth, NoiseModel.uniform(n, 0.3), 600, n)
+        shuffled = list(simulated.items())
+        rng.shuffle(shuffled)
+        tables = [
+            simulated,
+            CountsTable(dict(shuffled)),
+            CountsTable({truth: 5}),
+            CountsTable({complement(truth): 1, truth: 2**53 - 1}),
+        ]
+        for table in tables:
+            expected = reference_serialize(dict(table.counts), table.n, table.shots)
+            assert serialize_counts(table).encode() == expected
 
     def test_file_roundtrip(self, tmp_path):
         table = CountsTable({"010": 4, "111": 1})

@@ -439,6 +439,23 @@ class TestPrior:
         with pytest.raises(ValidationError, match="'00'"):
             Prior(table={"01": 0.5, "00": None, "11": 0.5})
 
+    def test_strings_and_booleans_rejected(self):
+        # both would convert to floats; a prior file must say what it means
+        for entries, shown in (
+            (["0.5", 0.5], "'0.5'"),
+            ([0.5, True], "True"),
+            (np.array([True, False]), "True"),
+        ):
+            with pytest.raises(ValidationError, match=shown):
+                Prior(per_qubit=entries)
+        with pytest.raises(ValidationError, match="'0'.*'0.5'"):
+            Prior(table={"0": "0.5", "1": 0.5})
+        with pytest.raises(ValidationError, match="'1'.*True"):
+            Prior(table={"0": 0, "1": True})
+        # other real numbers stay accepted, ints and numpy scalars included
+        assert Prior(per_qubit=[0, 1, np.float32(0.25), np.int64(1)]).per_qubit.tolist() == [0, 1, 0.25, 1]
+        assert Prior(table={"0": 0, "1": np.float64(1.0)}).table["1"] == 1.0
+
     def test_exactly_one_form(self):
         with pytest.raises(ValidationError):
             Prior(per_qubit=[0.5], table={"0": 1.0})

@@ -2,13 +2,17 @@
 
 import csv
 import io
+import sys
+import time
 
 import pytest
 
+import qmvote.experiment as experiment_mod
 from qmvote import (
     ExperimentConfig,
     InfeasibleError,
     ValidationError,
+    derive_seed,
     ground_truth_pattern,
     run_experiment,
 )
@@ -59,6 +63,7 @@ class TestConfig:
             make_config(estimators=["ams"], ams={"tau": 0.05, "factor": 0.5}, shots=[65])
         cfg = make_config(estimators=["ams"], ams={"tau": 0.05, "factor": 0.5})
         assert cfg.ams_tau == 0.05
+        assert make_config(ams={"tau": 0.99, "factor": 1.0}).ams_factor == 1.0
 
     def test_noise_forms(self):
         asym = make_config(noise={"p01": 0.1, "p10": 0.3})
@@ -81,6 +86,15 @@ class TestConfig:
             ({"estimators": ["ams"], "ams": {"tau": "x", "factor": 0.5}}, "ams.tau"),
             ({"estimators": ["ams"], "ams": {"tau": 0.05, "factor": "x"}}, "ams.factor"),
             ({"estimators": ["ams"], "ams": {"tau": [0.05], "factor": 0.5}}, "ams.tau"),
+            # ranges are checked whenever the field is given
+            ({"ams": {"tau": 5, "factor": 0.5}}, "ams.tau"),
+            ({"ams": {"tau": 0.0, "factor": 0.5}}, "ams.tau"),
+            ({"ams": {"tau": 1.0, "factor": 0.5}}, "ams.tau"),
+            ({"ams": {"tau": "nan", "factor": 0.5}}, "ams.tau"),
+            ({"ams": {"tau": 0.05, "factor": -1}}, "ams.factor"),
+            ({"ams": {"tau": 0.05, "factor": 0.0}}, "ams.factor"),
+            ({"ams": {"tau": 0.05, "factor": 1.5}}, "ams.factor"),
+            ({"estimators": ["ams"], "ams": {"tau": 0.05, "factor": "nan"}}, "ams.factor"),
         ],
     )
     def test_non_numeric_fields_rejected(self, overrides, field):
@@ -219,3 +233,118 @@ class TestRunExperiment:
         )
         report = run_experiment(cfg)
         assert report.rows[0]["distance"] == 0
+
+
+# Configs whose reports must not depend on how their cells are scheduled.
+SCHEDULE_CONFIGS = {
+    "ams": {
+        "ground_truth": {"pattern": "alternating", "n": 24},
+        "noise": {"p": 0.3},
+        "shots": [200, 400],
+        "estimators": ["mode", "qmv", "weighted", "ams"],
+        "seeds": [0, 1, 2, 3, 4],
+        "ams": {"tau": 0.2, "factor": 0.5},
+    },
+    "antipodal": {
+        "ground_truth": {"pattern": "ghz-antipodal", "n": 24},
+        "noise": {"p": 0.2},
+        "shots": [300, 501],
+        "estimators": ["mode", "qmv", "window"],
+        "seeds": [0, 1, 2],
+    },
+    "ml": {
+        "ground_truth": "101101",
+        "noise": {"p01": 0.2, "p10": 0.1},
+        "shots": [40, 80],
+        "estimators": ["ml", "map", "qmv"],
+        "seeds": [0, 1, 2],
+    },
+}
+
+
+def run_on_cpus(monkeypatch, cfg, cpus):
+    monkeypatch.setattr(experiment_mod, "_usable_cpus", lambda: cpus)
+    return run_experiment(cfg)
+
+
+def timeless(rows):
+    return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in rows]
+
+
+class TestCellSchedule:
+    def assert_same_reports(self, monkeypatch):
+        for name, doc in SCHEDULE_CONFIGS.items():
+            cfg = make_config(**doc)
+            inline = run_on_cpus(monkeypatch, cfg, 1)
+            pooled = run_on_cpus(monkeypatch, cfg, 8)
+            assert pooled.to_json() == inline.to_json(), name
+            assert timeless(pooled.rows) == timeless(inline.rows), name
+            assert all(row["runtime_ms"] >= 0 for row in pooled.rows)
+
+    def test_pool_matches_inline(self, monkeypatch):
+        self.assert_same_reports(monkeypatch)
+
+    def test_pool_matches_inline_with_frequent_thread_switches(self, monkeypatch):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_same_reports(monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus,doc", [(1, SCHEDULE_CONFIGS["ams"]), (8, SCHEDULE_CONFIGS["ml"])])
+    def test_runs_inline_with_one_cpu_or_an_exhaustive_scan(self, monkeypatch, cpus, doc):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("cells ran on a thread pool")
+
+        monkeypatch.setattr(experiment_mod, "ThreadPoolExecutor", no_pool)
+        run_on_cpus(monkeypatch, make_config(**doc), cpus)
+
+    def test_cpu_count_fallback(self, monkeypatch):
+        monkeypatch.delattr(experiment_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(experiment_mod.os, "cpu_count", lambda: None)
+        assert experiment_mod._usable_cpus() == 1
+        monkeypatch.setattr(experiment_mod.os, "cpu_count", lambda: 3)
+        assert experiment_mod._usable_cpus() == 3
+
+    def patch_cells(self, monkeypatch, cfg, behaviour):
+        """Make every cell call ``behaviour((shots, seed))`` before it
+        simulates; return the list of cells started."""
+        cells = {derive_seed(seed, "cell", shots): (shots, seed) for shots in cfg.shots for seed in cfg.seeds}
+        started = []
+        real = experiment_mod.simulate_shots
+
+        def simulate(x0, noise, shots, seed):
+            started.append(cells[seed])
+            behaviour(cells[seed])
+            return real(x0, noise, shots, seed)
+
+        monkeypatch.setattr(experiment_mod, "simulate_shots", simulate)
+        return started
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_first_failing_cell_raises(self, monkeypatch, cpus):
+        cfg = make_config(shots=[64, 128], seeds=[0, 1, 2])
+
+        def behaviour(cell):
+            if cell == (64, 1):
+                time.sleep(0.1)  # later failing cells finish first
+            if cell in {(64, 1), (64, 2), (128, 0)}:
+                raise RuntimeError(f"cell {cell}")
+
+        self.patch_cells(monkeypatch, cfg, behaviour)
+        with pytest.raises(RuntimeError, match=r"^cell \(64, 1\)$"):
+            run_on_cpus(monkeypatch, cfg, cpus)
+
+    def test_queued_cells_are_cancelled(self, monkeypatch):
+        cfg = make_config(shots=[64, 128], seeds=[0, 1, 2])
+
+        def behaviour(cell):
+            if cell == (64, 0):
+                raise RuntimeError("first cell")
+            time.sleep(0.3)
+
+        started = self.patch_cells(monkeypatch, cfg, behaviour)
+        with pytest.raises(RuntimeError, match="first cell"):
+            run_on_cpus(monkeypatch, cfg, 2)
+        assert len(started) < len(cfg.shots) * len(cfg.seeds)

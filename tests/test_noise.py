@@ -27,13 +27,12 @@ class TestNoiseModel:
         nm = NoiseModel.uniform(3, 0.2)
         assert nm.n == 3
         assert nm.is_symmetric
-        assert nm.symmetric(1)
-        assert nm.for_qubit(0) == (0.2, 0.2)
+        assert nm.p01.tolist() == nm.p10.tolist() == [0.2, 0.2, 0.2]
 
     def test_uniform_asymmetric(self):
         nm = NoiseModel.uniform(2, 0.1, 0.3)
         assert not nm.is_symmetric
-        assert nm.for_qubit(1) == (0.1, 0.3)
+        assert (nm.p01[1], nm.p10[1]) == (0.1, 0.3)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -84,7 +83,7 @@ class TestSimulateShots:
         flip_p = np.where(x0_bits == 0, nm.p01, nm.p10)
         shots = 1000
         sequential = noise_mod._simulate_rows(x0_bits, flip_p, shots, 11)
-        plan = list(noise_mod._block_bounds(shots))
+        plan = [(b, min(128, shots - lo)) for b, lo in enumerate(range(0, shots, 128))]
         scrambled = {
             b: noise_mod._shot_block(x0_bits, flip_p, 11, b, take) for b, take in reversed(plan)
         }
@@ -247,6 +246,29 @@ class TestPackedTablesMatchReference:
             assert_tables_identical(new, reference_rows_to_counts(rows), rows)
             rows = reference_antipodal_rows(x0, noise, 1000, seed, 64)
             new = simulate_antipodal_shots(x0, noise, 1000, seed)
+            assert_tables_identical(new, reference_rows_to_counts(rows), rows)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("n", [1, 5, 9, 13])
+    def test_chunked_draws(self, monkeypatch, chunk, n):
+        """A block drawn in row chunks continues its one stream, also when a
+        chunk ends inside a Philox counter step of four outputs (odd n, odd
+        block lengths)."""
+        monkeypatch.setattr(noise_mod, "_CHUNK_DRAWS", chunk)
+        monkeypatch.setattr(noise_mod, "_BLOCK_SHOTS", 65)
+        x0 = ("1101" * n)[:n]
+        noise = NoiseModel(p01=np.linspace(0.05, 0.45, n), p10=np.linspace(0.4, 0.1, n))
+        x0_bits, flip_p, _, _ = noise_mod._prepare(x0, noise, 1, 0)
+        comp_p = np.where(x0_bits == 0, noise.p10, noise.p01)
+        for shots in (1, 97, 301):
+            rows = reference_rows(x0, noise, shots, 3, 65)
+            record = noise_mod._simulate_rows(x0_bits, flip_p, shots, 3)
+            assert np.array_equal(record, np.packbits(rows, axis=1))
+            assert_tables_identical(simulate_shots(x0, noise, shots, 3), reference_rows_to_counts(rows), rows)
+            rows = reference_antipodal_rows(x0, noise, shots, 3, 65)
+            record = noise_mod._simulate_rows(x0_bits, flip_p, shots, 3, comp_p)
+            assert np.array_equal(record, np.packbits(rows, axis=1))
+            new = simulate_antipodal_shots(x0, noise, shots, 3)
             assert_tables_identical(new, reference_rows_to_counts(rows), rows)
 
     def test_default_block_size(self):
