@@ -353,14 +353,15 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     Cells are independent, so they run on a thread pool with one worker per
     usable CPU; their rows are joined in cell order, so the report does not
-    depend on the schedule. Configs with an exhaustive scan (ml, map) run
-    their cells one at a time, because each scan's working block can take
-    gigabytes. If cells fail, the first failing cell's exception is raised.
+    depend on the schedule. Configs that name ml run their cells one at a
+    time, because each exhaustive scan's working block can take gigabytes
+    (map runs with a per-qubit uniform prior here, which needs no scan). If
+    cells fail, the first failing cell's exception is raised.
     """
     truth = config.ground_truth
     cells = [(shots, seed) for shots in config.shots for seed in config.seeds]
     workers = min(len(cells), _usable_cpus())
-    if workers == 1 or "ml" in config.estimators or "map" in config.estimators:
+    if workers == 1 or "ml" in config.estimators:
         per_cell = [_run_cell(config, shots, seed) for shots, seed in cells]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -252,14 +252,17 @@ SCHEDULE_CONFIGS = {
         "estimators": ["mode", "qmv", "window"],
         "seeds": [0, 1, 2],
     },
-    "ml": {
+    "map": {
         "ground_truth": "101101",
         "noise": {"p01": 0.2, "p10": 0.1},
         "shots": [40, 80],
-        "estimators": ["ml", "map", "qmv"],
+        "estimators": ["map", "qmv"],
         "seeds": [0, 1, 2],
     },
 }
+
+# An exhaustive-scan config, which runs its cells inline at any CPU count.
+ML_CONFIG = {**SCHEDULE_CONFIGS["map"], "estimators": ["ml", "map", "qmv"]}
 
 
 def run_on_cpus(monkeypatch, cfg, cpus):
@@ -292,13 +295,26 @@ class TestCellSchedule:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("cpus,doc", [(1, SCHEDULE_CONFIGS["ams"]), (8, SCHEDULE_CONFIGS["ml"])])
-    def test_runs_inline_with_one_cpu_or_an_exhaustive_scan(self, monkeypatch, cpus, doc):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("cells ran on a thread pool")
+    @pytest.mark.parametrize(
+        "cpus,doc,pooled",
+        [
+            (1, SCHEDULE_CONFIGS["ams"], False),
+            (8, ML_CONFIG, False),
+            (8, SCHEDULE_CONFIGS["ams"], True),
+            (8, SCHEDULE_CONFIGS["map"], True),
+        ],
+    )
+    def test_pool_only_for_several_cpus_without_a_scan(self, monkeypatch, cpus, doc, pooled):
+        pools = []
+        real = experiment_mod.ThreadPoolExecutor
 
-        monkeypatch.setattr(experiment_mod, "ThreadPoolExecutor", no_pool)
+        def spy(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "ThreadPoolExecutor", spy)
         run_on_cpus(monkeypatch, make_config(**doc), cpus)
+        assert bool(pools) == pooled
 
     def test_cpu_count_fallback(self, monkeypatch):
         monkeypatch.delattr(experiment_mod.os, "sched_getaffinity", raising=False)
