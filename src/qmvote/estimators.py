@@ -16,7 +16,10 @@ Provided decision rules:
   from two-qubit window agreement votes.
 
 Tie conventions: majority and weighted votes resolve a tied qubit to 1;
-mode, ML, and MAP resolve ties to the lexicographically smallest string.
+mode, ML, and MAP resolve ties to the lexicographically smallest string,
+among scores as computed in float: ML, and MAP under a uniform full table,
+compare the exhaustive scan's scores; other table priors compare per-qubit
+sums taken in qubit order (see ``Prior``).
 Zero or one flip probabilities are treated as hard evidence through an
 explicit -inf log-likelihood, never clamped.
 """
@@ -40,7 +43,9 @@ from .noise import NoiseModel
 # not be tuned per run.
 _ENUM_BLOCK = 1 << 16
 ENUM_MAX_QUBITS = 24
-TABLE_PRIOR_MAX_QUBITS = 20
+# The scan's two working buffers hold 1.5 x block x distinct-keys float64
+# values; a scan that needs more than this is refused before it allocates.
+ENUM_MAX_BYTES = 4 << 30
 
 NEG_INF = float("-inf")
 
@@ -118,11 +123,17 @@ class Prior:
 
     Two forms: independent per-qubit probabilities pi_i = Pr(bit i is 1),
     which may be hard 0/1 constraints, or an explicit probability table
-    over full bitstrings (normalized to 1 within 1e-9, at most
-    ``TABLE_PRIOR_MAX_QUBITS`` qubits).
+    over full bitstrings (normalized to 1 within 1e-9, any width).
+
+    A table prior keeps its support, the keys of positive probability in
+    key order, as a bit matrix and a log-probability vector. MAP scores
+    each support entry x as ``((log pi(x) + l_0(x_0)) + l_1(x_1)) + ... +
+    l_{n-1}(x_{n-1})``, summed in qubit order, where ``l_i`` is qubit i's
+    tally log-likelihood, and takes the first maximum in key order, so
+    ties go to the lexicographically smallest string.
     """
 
-    __slots__ = ("n", "per_qubit", "table")
+    __slots__ = ("n", "per_qubit", "table", "_support_bits", "_support_logs")
 
     def __init__(self, *, per_qubit: np.ndarray | None = None, table: Mapping[str, float] | None = None):
         if (per_qubit is None) == (table is None):
@@ -143,16 +154,18 @@ class Prior:
             self.n = arr.size
             self.per_qubit = arr
             self.table = None
+            self._support_bits = self._support_logs = None
         else:
+            if not isinstance(table, Mapping):
+                raise ValidationError(
+                    f"table prior must map bitstrings to probabilities, got {type(table).__name__}"
+                )
             items = dict(table)
             if not items:
                 raise ValidationError("table prior must contain at least one entry")
-            n = len(next(iter(items)))
-            if n > TABLE_PRIOR_MAX_QUBITS:
-                raise InfeasibleError(
-                    f"table priors support at most {TABLE_PRIOR_MAX_QUBITS} qubits, got {n}"
-                )
+            n = len(validate_bitstring(next(iter(items))))
             total = 0.0
+            support = []
             for key, prob in items.items():
                 validate_bitstring(key, n)
                 # NaN fails this comparison and would also slip past the sum check
@@ -161,11 +174,17 @@ class Prior:
                         f"prior probability for {key!r} must be a non-negative number, got {prob!r}"
                     )
                 total += prob
+                if prob > 0.0:
+                    support.append(key)
             if abs(total - 1.0) > 1e-9:
                 raise ValidationError(f"table prior sums to {total!r}, expected 1 within 1e-9")
+            support.sort()
+            chars = np.frombuffer("".join(support).encode("ascii"), dtype=np.uint8)
             self.n = n
             self.per_qubit = None
             self.table = items
+            self._support_bits = (chars - ord("0")).reshape(len(support), n)
+            self._support_logs = np.array([math.log(items[key]) for key in support])
 
     @classmethod
     def uniform(cls, n: int) -> "Prior":
@@ -176,8 +195,7 @@ class Prior:
     def is_uniform(self) -> bool:
         if self.per_qubit is not None:
             return bool(np.all(self.per_qubit == 0.5))
-        values = list(self.table.values())
-        return len(self.table) == 2**self.n and all(v == values[0] for v in values)
+        return len(self.table) == 1 << self.n and len(set(self.table.values())) == 1
 
 
 def _check_tally(t: VoteTally) -> VoteTally:
@@ -213,6 +231,14 @@ def _qubit_loglikelihoods(zeros: int, ones: int, p01: float, p10: float) -> tupl
     return ll0, ll1
 
 
+def _tally_loglikelihoods(t: VoteTally, noise: NoiseModel) -> list[tuple[float, float]]:
+    """``_qubit_loglikelihoods`` of every qubit of a tally, in qubit order."""
+    if noise.n != t.n:
+        raise DimensionError(f"noise model covers {noise.n} qubits, tally has {t.n}")
+    columns = (t.zeros.tolist(), t.ones.tolist(), noise.p01.tolist(), noise.p10.tolist())
+    return [_qubit_loglikelihoods(*qubit) for qubit in zip(*columns)]
+
+
 def qmv(vote_tally: VoteTally) -> Estimate:
     """Qubit-wise majority vote: bit i is 0 iff strictly more shots read 0
     than 1 there; ties resolve to 1."""
@@ -231,27 +257,23 @@ def weighted_vote(vote_tally: VoteTally, noise: NoiseModel) -> Estimate:
     With p01 = p10 = p < 0.5 this reduces bit-for-bit to the majority vote.
     """
     t = _check_tally(vote_tally)
-    if noise.n != t.n:
-        raise DimensionError(f"noise model covers {noise.n} qubits, tally has {t.n}")
-    out = bytearray(t.n)
-    for i in range(t.n):
-        zeros = int(t.zeros[i])
-        ones = int(t.ones[i])
-        ll0, ll1 = _qubit_loglikelihoods(zeros, ones, float(noise.p01[i]), float(noise.p10[i]))
-        out[i] = ord("0") if ll0 > ll1 else ord("1")
-    return Estimate(value=out.decode("ascii"), method="weighted", margins=t.margins)
+    value = "".join("0" if ll0 > ll1 else "1" for ll0, ll1 in _tally_loglikelihoods(t, noise))
+    return Estimate(value=value, method="weighted", margins=t.margins)
 
 
-def _enumerate_scores(counts: CountsTable, noise: NoiseModel, prior_logs: np.ndarray | None):
+_CONTRADICTION = "every candidate has zero posterior weight; observations contradict hard evidence"
+
+
+def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     """Scan all 2^n candidate strings and return the argmax index, its
     score, and the runner-up score.
 
     Candidate k is the bitstring with qubit 0 as the most significant
     character, so ascending k is ascending lexicographic order. The score
-    of a candidate is its shot log-likelihood plus, when ``prior_logs`` is
-    given, its log prior. Per-entry log-likelihoods are accumulated over a
-    canonically ordered entry list, then weighted by the entry counts, so
-    the scan does not depend on dict or platform reduction order.
+    of a candidate is its shot log-likelihood. Per-entry log-likelihoods
+    are accumulated over a canonically ordered entry list, then weighted by
+    the entry counts, so the scan does not depend on dict or platform
+    reduction order.
 
     Each candidate's per-entry log-likelihood is the qubit-ordered sum
     ``((0 + t_0) + t_1) + ... + t_{n-1}``, where ``t_i`` is the entry's term
@@ -269,6 +291,13 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel, prior_logs: np.nda
         raise InfeasibleError(
             f"exhaustive likelihood scan supports at most {ENUM_MAX_QUBITS} qubits, got {n}"
         )
+    block = min(_ENUM_BLOCK, 1 << n)
+    need = (block + block // 2) * len(counts) * 8
+    if need > ENUM_MAX_BYTES:
+        raise InfeasibleError(
+            f"exhaustive likelihood scan over {len(counts)} distinct keys needs {need / 2**30:.1f} "
+            f"GiB of working memory, more than the {ENUM_MAX_BYTES / 2**30:.0f} GiB allowed"
+        )
     _, ybits, weights = counts.as_arrays(canonical=True, keys=False)
     wts = weights.astype(np.float64)
     with np.errstate(divide="ignore"):
@@ -282,7 +311,6 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel, prior_logs: np.nda
     # terms[i, t, e] = log Pr(entry e's bit at qubit i | true bit t)
     terms = np.ascontiguousarray(log_table[:, ybits, np.arange(n)].transpose(2, 0, 1))
     total = 1 << n
-    block = min(_ENUM_BLOCK, total)
     # qubits 0..high-1 are fixed within a block
     high = n - (block.bit_length() - 1)
     # Ping-pong buffers: the last doubling writes all ``block`` rows into
@@ -303,8 +331,6 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel, prior_logs: np.nda
             np.add(rows[:, None], terms[i], out=out[:size].reshape(size // 2, 2, entries))
             rows = out[:size]
         scores = rows @ wts
-        if prior_logs is not None:
-            scores += prior_logs[lo : lo + block]
         top_score = float(scores.max())
         if top_score == NEG_INF:
             continue
@@ -318,9 +344,7 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel, prior_logs: np.nda
         else:
             second_score = max(second_score, top_score)
     if best_score == NEG_INF:
-        raise ValidationError(
-            "every candidate has zero posterior weight; observations contradict hard evidence"
-        )
+        raise ValidationError(_CONTRADICTION)
     return best_k, best_score, second_score
 
 
@@ -337,15 +361,17 @@ def ml_bruteforce(counts: CountsTable, noise: NoiseModel) -> Estimate:
     for anything large. Kept enumerative on purpose: this is the oracle the
     vote rules are checked against, so it must not share their shortcut.
     """
-    best_k, best, second = _enumerate_scores(counts, noise, None)
+    best_k, best, second = _enumerate_scores(counts, noise)
     return Estimate(value=_bitstring_of(best_k, counts.n), method="ml", gap=best - second)
 
 
 def map_estimate(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estimate:
     """Maximum a posteriori estimate under a prior.
 
-    Table priors are folded into the exhaustive scan (strings absent from
-    the table have prior zero). Independent per-qubit priors decide each
+    A table prior is scored over its support from one tally, in
+    |support| x n work (strings absent from the table have prior zero);
+    a uniform full table runs the exhaustive scan instead, as
+    ``ml_bruteforce`` does. Independent per-qubit priors decide each
     qubit by adding the prior log-odds to that qubit's likelihood ratio;
     hard priors pi in {0, 1} force the bit regardless of observations.
     A uniform prior of either form reproduces the plain maximum-likelihood
@@ -361,27 +387,29 @@ def map_estimate(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estima
 
 
 def _map_table(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estimate:
-    values = set(prior.table.values())
-    if len(values) == 1 and len(prior.table) == 2**counts.n:
-        # Constant prior cannot move the argmax; reuse the plain scan so the
-        # result is bit-identical to ml_bruteforce.
-        best_k, best, second = _enumerate_scores(counts, noise, None)
+    if prior.is_uniform:
+        # A constant prior cannot move the argmax; reuse the plain scan so
+        # the result, ties included, is bit-identical to ml_bruteforce.
+        best_k, best, second = _enumerate_scores(counts, noise)
         return Estimate(value=_bitstring_of(best_k, counts.n), method="map", gap=best - second)
-    prior_logs = np.full(1 << counts.n, NEG_INF)
-    for key, prob in prior.table.items():
-        if prob > 0.0:
-            prior_logs[int(key, 2)] = math.log(prob)
-    best_k, best, second = _enumerate_scores(counts, noise, prior_logs)
-    return Estimate(value=_bitstring_of(best_k, counts.n), method="map", gap=best - second)
+    bits = prior._support_bits
+    scores = prior._support_logs.copy()
+    for i, lls in enumerate(_tally_loglikelihoods(tally(counts), noise)):
+        scores += np.array(lls)[bits[:, i]]
+    # the support is in key order, so the first maximum is the smallest tied key
+    best_k = int(np.argmax(scores))
+    best = float(scores[best_k])
+    if best == NEG_INF:
+        raise ValidationError(_CONTRADICTION)
+    second = float(np.partition(scores, -2)[-2]) if scores.size > 1 else NEG_INF
+    value = (bits[best_k] + ord("0")).tobytes().decode("ascii")
+    return Estimate(value=value, method="map", gap=best - second)
 
 
 def _map_per_qubit(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estimate:
-    n = counts.n
-    if noise.n != n:
-        raise DimensionError(f"noise model covers {noise.n} qubits, counts have {n}")
     t = tally(counts)
-    out = bytearray(n)
-    for i in range(n):
+    out = bytearray(counts.n)
+    for i, (ll0, ll1) in enumerate(_tally_loglikelihoods(t, noise)):
         pi = float(prior.per_qubit[i])
         if pi == 0.0:
             out[i] = ord("0")
@@ -389,9 +417,6 @@ def _map_per_qubit(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Esti
         if pi == 1.0:
             out[i] = ord("1")
             continue
-        ll0, ll1 = _qubit_loglikelihoods(
-            int(t.zeros[i]), int(t.ones[i]), float(noise.p01[i]), float(noise.p10[i])
-        )
         post1 = ll1 + math.log(pi)
         post0 = ll0 + math.log1p(-pi)
         if post1 == NEG_INF and post0 == NEG_INF:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qmvote import NoiseModel, complement, simulate_shots
 from qmvote.cli import main
 
 
@@ -92,6 +93,8 @@ class TestMitigate:
             b"\xff\xfe{}",
             '{"per_qubit": ["a", 0.5]}',
             '{"table": {"01": "x", "11": 0.5}}',
+            '{"table": [1]}',
+            '{"table": 5}',
         ],
     )
     def test_malformed_prior_file_exit_one(self, capsys, tmp_path, text):
@@ -109,6 +112,32 @@ class TestMitigate:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "prior" in err
+
+    def test_wide_table_prior_map(self, capsys, tmp_path):
+        # table priors have no qubit cap: 127 qubits, three entries
+        n = 127
+        truth = ("110" * 43)[:n]
+        rival = ("01" * 64)[:n]
+        noise = NoiseModel.uniform(n, 0.3)
+        counts = simulate_shots(truth, noise, 60, 127)
+        path = write_counts_file(tmp_path, dict(counts.items()), n)
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"table": {truth: 0.1, rival: 0.6, complement(truth): 0.3}}))
+        code, out, err = run(
+            capsys, "mitigate", path, "--method", "map", "--p", "0.3",
+            "--prior-file", str(prior),
+        )
+        assert code == 0, err
+        assert json.loads(out)["estimate"] == truth
+
+    def test_ml_scan_over_memory_budget_exit_two(self, capsys, tmp_path):
+        counts = simulate_shots("01" * 8, NoiseModel.uniform(16, 0.3), 60_000, 16)
+        path = write_counts_file(tmp_path, dict(counts.items()), 16)
+        code, out, err = run(capsys, "mitigate", path, "--method", "ml", "--p", "0.3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "GiB" in err and "4 GiB allowed" in err
 
     def test_ml_too_wide_exit_two(self, capsys, tmp_path):
         path = write_counts_file(tmp_path, {"0" * 25: 4}, 25)

@@ -2,9 +2,12 @@
 weighted vote, and the antipodal sliding window."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmvote import (
     AntipodalPair,
@@ -25,7 +28,7 @@ from qmvote import (
     tally,
     weighted_vote,
 )
-from qmvote.estimators import _ENUM_BLOCK, _enumerate_scores
+from qmvote.estimators import ENUM_MAX_BYTES, _ENUM_BLOCK, _enumerate_scores
 
 
 def random_counts(rng, n, shots, skew=True):
@@ -113,6 +116,22 @@ class TestMlBruteforce:
         with pytest.raises(ValidationError):
             ml_bruteforce(counts, NoiseModel.uniform(1, 0.0, 0.0))
 
+    def test_oversized_scan_refused_before_allocating(self):
+        nm = NoiseModel.uniform(16, 0.3)
+        counts = simulate_shots("01" * 8, nm, 60_000, 16)
+        need = (_ENUM_BLOCK + _ENUM_BLOCK // 2) * len(counts) * 8
+        assert need > ENUM_MAX_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleError) as info:
+                ml_bruteforce(counts, nm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f"{need / 2**30:.1f} GiB" in str(info.value)
+        assert "4 GiB allowed" in str(info.value)
+        assert peak < need / 1000
+
     def test_matches_direct_scoring_oracle(self):
         """Exhaustive check against a from-scratch per-candidate scorer."""
         rng = np.random.default_rng(6)
@@ -188,22 +207,70 @@ def reference_enumerate_scores(counts, noise, prior_logs):
     return best_k, best_score, second_score
 
 
-def scan_outcome(scan, counts, noise, prior_logs=None):
-    """The scan's result tuple, or the name of the error it raised."""
+def outcome(call, *args):
+    """The call's result, or the name of the error it raised."""
     try:
-        return scan(counts, noise, prior_logs)
+        return call(*args)
     except ValidationError:
         return "ValidationError"
 
 
+def hard_evidence_instances():
+    """Asymmetric noise where about 40% of the qubits never flip one way."""
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n = int(rng.integers(1, 13))
+        p01 = rng.uniform(0.05, 0.45, n)
+        p10 = rng.uniform(0.05, 0.45, n)
+        hard = rng.random(n) < 0.4
+        p01[hard] = 0.0
+        p10[hard & (rng.random(n) < 0.5)] = 0.0
+        nm = NoiseModel(p01=p01, p10=p10)
+        truth = "".join(rng.choice(["0", "1"], size=n))
+        counts = simulate_shots(truth, nm, int(rng.integers(1, 40)), int(rng.integers(2**32)))
+        yield counts, nm
+
+
+def uninformative_instances():
+    """Uniform random strings read through a p = 0.5 channel, under which
+    every candidate has the same likelihood."""
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        n = int(rng.integers(1, 13))
+        counts = random_counts(rng, n, int(rng.integers(1, 40)), skew=False)
+        yield counts, NoiseModel.uniform(n, 0.5)
+
+
+def random_table_prior(rng, n):
+    """A table prior on about half of the 2^n strings, some others listed
+    with probability zero, and the reference scan's log prior for it."""
+    size = 1 << n
+    keep = rng.random(size) < 0.5
+    keep[rng.integers(size)] = True
+    probs = np.where(keep, rng.uniform(0.1, 1.0, size), 0.0)
+    probs /= probs.sum()
+    listed = keep | (rng.random(size) < 0.2)
+    prior = Prior(table={format(k, f"0{n}b"): float(probs[k]) for k in np.flatnonzero(listed)})
+    prior_logs = np.full(size, -math.inf)
+    for k in np.flatnonzero(keep):
+        prior_logs[k] = math.log(probs[k])
+    return prior, prior_logs
+
+
 class TestScanMatchesGatherReference:
     """The exhaustive scan must return exactly the tuple of the original
-    gather scan: same argmax, and bit-identical best and runner-up scores."""
+    gather scan: same argmax, and bit-identical best and runner-up scores.
+
+    Table-prior MAP, scored over the prior's support from the tally, must
+    pick the gather scan's argmax and report its gap to within a relative
+    1e-9. The two sum the same terms in different orders, so each score
+    carries rounding of the order of its own magnitude's last bits; the
+    tolerance is relative to the larger of the gap and the best score."""
 
     @staticmethod
-    def assert_identical(counts, noise, prior_logs=None):
-        got = scan_outcome(_enumerate_scores, counts, noise, prior_logs)
-        want = scan_outcome(reference_enumerate_scores, counts, noise, prior_logs)
+    def assert_identical(counts, noise):
+        got = outcome(_enumerate_scores, counts, noise)
+        want = outcome(reference_enumerate_scores, counts, noise, None)
         assert got == want
         if isinstance(want, tuple):
             # == treats 0.0 and -0.0 alike; the reported gap must not
@@ -219,37 +286,14 @@ class TestScanMatchesGatherReference:
             assert isinstance(self.assert_identical(counts, nm), tuple)
 
     def test_hard_evidence_qubits(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            n = int(rng.integers(1, 13))
-            p01 = rng.uniform(0.05, 0.45, n)
-            p10 = rng.uniform(0.05, 0.45, n)
-            hard = rng.random(n) < 0.4
-            p01[hard] = 0.0
-            p10[hard & (rng.random(n) < 0.5)] = 0.0
-            nm = NoiseModel(p01=p01, p10=p10)
-            truth = "".join(rng.choice(["0", "1"], size=n))
-            counts = simulate_shots(truth, nm, int(rng.integers(1, 40)), int(rng.integers(2**32)))
+        for counts, nm in hard_evidence_instances():
             assert isinstance(self.assert_identical(counts, nm), tuple)
 
     def test_uninformative_channel_ties_everywhere(self):
-        rng = np.random.default_rng(13)
-        for _ in range(30):
-            n = int(rng.integers(1, 13))
-            counts = random_counts(rng, n, int(rng.integers(1, 40)), skew=False)
-            k, best, second = self.assert_identical(counts, NoiseModel.uniform(n, 0.5))
+        for counts, nm in uninformative_instances():
+            k, best, second = self.assert_identical(counts, nm)
             assert k == 0
             assert best - second == 0.0
-
-    def test_table_prior_with_holes(self):
-        rng = np.random.default_rng(14)
-        for _ in range(40):
-            n = int(rng.integers(1, 13))
-            counts = random_counts(rng, n, int(rng.integers(1, 40)), skew=bool(rng.integers(2)))
-            nm = NoiseModel(p01=rng.uniform(0.05, 0.45, n), p10=rng.uniform(0.05, 0.45, n))
-            prior_logs = np.log(rng.uniform(0.1, 1.0, 1 << n))
-            prior_logs[rng.random(1 << n) < 0.5] = -math.inf
-            self.assert_identical(counts, nm, prior_logs)
 
     def test_several_blocks(self):
         """n = 17 spans two blocks, so each block's high-qubit prefix is used."""
@@ -264,14 +308,81 @@ class TestScanMatchesGatherReference:
 
     def test_impossible_evidence_raises_in_both(self):
         cases = [
-            (CountsTable({"0": 1, "1": 1}), NoiseModel.uniform(1, 0.0), None),
-            (CountsTable({"01": 2, "11": 1}), NoiseModel(p01=[0.0, 0.2], p10=[0.0, 0.2]), None),
-            (CountsTable({"10": 3}), NoiseModel.uniform(2, 0.0), np.array([0.0, 0.0, -math.inf, 0.0])),
+            (CountsTable({"0": 1, "1": 1}), NoiseModel.uniform(1, 0.0)),
+            (CountsTable({"01": 2, "11": 1}), NoiseModel(p01=[0.0, 0.2], p10=[0.0, 0.2])),
         ]
-        for counts, nm, prior_logs in cases:
-            for scan in (_enumerate_scores, reference_enumerate_scores):
-                with pytest.raises(ValidationError):
-                    scan(counts, nm, prior_logs)
+        for counts, nm in cases:
+            with pytest.raises(ValidationError):
+                _enumerate_scores(counts, nm)
+            with pytest.raises(ValidationError):
+                reference_enumerate_scores(counts, nm, None)
+        # the only string the channel allows has prior zero
+        counts, nm = CountsTable({"10": 3}), NoiseModel.uniform(2, 0.0)
+        third = 1 / 3
+        prior = Prior(table={"00": third, "01": third, "10": 0.0, "11": third})
+        prior_logs = np.array([math.log(third)] * 4)
+        prior_logs[0b10] = -math.inf
+        with pytest.raises(ValidationError, match="zero posterior weight"):
+            map_estimate(counts, nm, prior)
+        with pytest.raises(ValidationError):
+            reference_enumerate_scores(counts, nm, prior_logs)
+
+    @staticmethod
+    def assert_map_matches(counts, noise, prior, prior_logs):
+        got = outcome(map_estimate, counts, noise, prior)
+        want = outcome(reference_enumerate_scores, counts, noise, prior_logs)
+        if want == "ValidationError":
+            assert got == want
+            return
+        k, best, second = want
+        assert got.value == format(k, f"0{counts.n}b")
+        gap = best - second
+        assert got.gap == gap or abs(got.gap - gap) <= 1e-9 * max(abs(gap), abs(best))
+
+    def test_table_prior_with_holes(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            counts = random_counts(rng, n, int(rng.integers(1, 40)), skew=bool(rng.integers(2)))
+            nm = NoiseModel(p01=rng.uniform(0.05, 0.45, n), p10=rng.uniform(0.05, 0.45, n))
+            self.assert_map_matches(counts, nm, *random_table_prior(rng, n))
+
+    def test_table_map_hard_evidence_qubits(self):
+        rng = np.random.default_rng(112)
+        for counts, nm in hard_evidence_instances():
+            self.assert_map_matches(counts, nm, *random_table_prior(rng, counts.n))
+
+    def test_table_map_uninformative_channel_partial_tables(self):
+        rng = np.random.default_rng(113)
+        for counts, nm in uninformative_instances():
+            self.assert_map_matches(counts, nm, *random_table_prior(rng, counts.n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_table_map_same_argmax_wherever_the_reference_is_decided(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        key = st.integers(0, (1 << n) - 1).map(lambda k: format(k, f"0{n}b"))
+        shots = data.draw(st.dictionaries(key, st.integers(1, 30), min_size=1, max_size=16))
+        weights = data.draw(
+            st.dictionaries(key, st.floats(0.0, 1.0), min_size=1, max_size=1 << n)
+            .filter(lambda w: sum(w.values()) > 0.0)
+        )
+        rate = st.sampled_from([0.0, 0.5]) | st.floats(0.01, 0.49)
+        p01 = data.draw(st.lists(rate, min_size=n, max_size=n))
+        p10 = data.draw(st.lists(rate, min_size=n, max_size=n))
+        counts, nm = CountsTable(shots, n=n), NoiseModel(p01=p01, p10=p10)
+        total = sum(weights.values())
+        table = {k: w / total for k, w in weights.items()}
+        prior_logs = np.full(1 << n, -math.inf)
+        for k, prob in table.items():
+            if prob > 0.0:
+                prior_logs[int(k, 2)] = math.log(prob)
+        got = outcome(map_estimate, counts, nm, Prior(table=table))
+        want = outcome(reference_enumerate_scores, counts, nm, prior_logs)
+        if want == "ValidationError":
+            assert got == want
+        elif want[1] - want[2] > 1e-9 * abs(want[1]):
+            assert got.value == format(want[0], f"0{n}b")
 
 
 class TestWeightedVote:
@@ -405,6 +516,14 @@ class TestMapEstimate:
         assert direct_winner(0.999) == "11"
         assert direct_winner(threshold - 0.01) == "00"
 
+    def test_table_prior_tie_goes_to_smallest_key(self):
+        # every qubit read 0 once and 1 once, so both strings have the same
+        # likelihood, term for term, and the same prior
+        counts = CountsTable({"10": 1, "01": 1})
+        prior = Prior(table={"10": 0.4, "01": 0.4, "11": 0.2})
+        est = map_estimate(counts, NoiseModel.uniform(2, 0.2), prior)
+        assert est.value == "01" and est.gap == 0.0
+
     def test_prior_dimension_mismatch(self):
         counts = CountsTable({"00": 1})
         nm = NoiseModel.uniform(2, 0.1)
@@ -417,9 +536,27 @@ class TestPrior:
         with pytest.raises(ValidationError):
             Prior(table={"0": 0.7, "1": 0.4})
 
-    def test_table_too_wide_rejected(self):
-        with pytest.raises(InfeasibleError):
-            Prior(table={"0" * 21: 1.0})
+    def test_wide_table_prior(self):
+        # no qubit cap: MAP scores the three table entries from the tally
+        n = 127
+        truth = ("110" * 43)[:n]
+        rival = ("01" * 64)[:n]
+        counts = simulate_shots(truth, NoiseModel.uniform(n, 0.3), 60, 127)
+        prior = Prior(table={truth: 0.1, rival: 0.6, complement(truth): 0.3})
+        est = map_estimate(counts, NoiseModel.uniform(n, 0.3), prior)
+        assert est.value == truth
+        # the tally decides every qubit; without noise, only the prior's
+        # choice among strings the shots allow is left
+        clean = CountsTable({truth: 5})
+        est = map_estimate(clean, NoiseModel.uniform(n, 0.0), prior)
+        assert est.value == truth and est.gap == math.inf
+
+    def test_non_mapping_table_rejected(self):
+        for table in ([1], 5, [("0", 1.0)], "01"):
+            with pytest.raises(ValidationError, match="table prior must map"):
+                Prior(table=table)
+        with pytest.raises(ValidationError, match="bitstring must be a str"):
+            Prior(table={1: 1.0})
 
     def test_per_qubit_range_checked(self):
         with pytest.raises(ValidationError):
