@@ -13,21 +13,19 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .ams import ams_execute, ams_plan
+from .ams import MERGE_MODES, ams_execute, ams_plan
 from .budget import BudgetQuery, evaluate
 from .core import hamming_distance, tally
-from .countsfile import load_counts, serialize_counts
+from .countsfile import BIT_ORDERS, load_counts, serialize_counts
 from .errors import InfeasibleError, MitigationError, ValidationError
-from .estimators import (
-    Prior,
-    map_estimate,
-    ml_bruteforce,
-    mode_estimate,
-    qmv,
-    sliding_window_antipodal,
-    weighted_vote,
+from .estimators import AntipodalPair, Prior, qmv, weighted_vote
+from .experiment import (
+    ESTIMATORS,
+    GROUND_TRUTH_PATTERNS,
+    ground_truth_pattern,
+    load_config,
+    run_experiment,
 )
-from .experiment import ground_truth_pattern, load_config, run_experiment
 from .noise import NoiseModel, simulate_antipodal_shots, simulate_shots
 
 
@@ -47,7 +45,7 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument(
         "--bit-order",
-        choices=("left", "right"),
+        choices=BIT_ORDERS,
         default="left",
         help="bit order of ingested counts files (right reverses keys)",
     )
@@ -56,9 +54,7 @@ def _build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="simulate noisy shots of a known bitstring")
     truth = sim.add_mutually_exclusive_group(required=True)
     truth.add_argument("--truth", help="ground-truth bitstring")
-    truth.add_argument(
-        "--pattern", choices=("alternating", "all-zeros", "ghz-antipodal"), help="generated truth"
-    )
+    truth.add_argument("--pattern", choices=GROUND_TRUTH_PATTERNS, help="generated truth")
     sim.add_argument("--n", type=int, help="qubit count (with --pattern)")
     _noise_flags(sim)
     sim.add_argument("--shots", type=int, required=True)
@@ -66,11 +62,7 @@ def _build_parser() -> _Parser:
 
     mit = sub.add_parser("mitigate", help="estimate the correct output from a counts file")
     mit.add_argument("counts", help="counts file (JSON)")
-    mit.add_argument(
-        "--method",
-        required=True,
-        choices=("mode", "ml", "map", "qmv", "weighted", "window"),
-    )
+    mit.add_argument("--method", required=True, choices=tuple(ESTIMATORS))
     _noise_flags(mit)
     mit.add_argument("--prior-file", help="JSON prior for map: {\"per_qubit\": [...]} or {\"table\": {...}}")
 
@@ -87,7 +79,7 @@ def _build_parser() -> _Parser:
     ams.add_argument("--factor", type=float, default=0.5, help="subset noise scale in (0, 1]")
     ams.add_argument("--total-shots", type=int, help="full budget (default: twice the counts)")
     ams.add_argument("--truth", help="ground truth; enables simulated execution")
-    ams.add_argument("--merge", choices=("pool", "replace"), default="pool")
+    ams.add_argument("--merge", choices=MERGE_MODES, default="pool")
     _noise_flags(ams)
 
     exp = sub.add_parser("experiment", help="run a configured estimator comparison")
@@ -165,22 +157,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_mitigate(args) -> int:
+    needs_noise, takes_prior, rule = ESTIMATORS[args.method]
+    if args.prior_file and not takes_prior:
+        raise ValidationError(f"--prior-file is not used by --method {args.method}")
     counts = load_counts(args.counts, bit_order=args.bit_order)
-    needs_noise = args.method in ("ml", "map", "weighted")
     noise = _noise_from_args(args, counts.n, required=needs_noise)
-    if args.method == "mode":
-        est = mode_estimate(counts)
-    elif args.method == "qmv":
-        est = qmv(tally(counts))
-    elif args.method == "weighted":
-        est = weighted_vote(tally(counts), noise)
-    elif args.method == "ml":
-        est = ml_bruteforce(counts, noise)
-    elif args.method == "map":
-        est = map_estimate(counts, noise, _load_prior(args, counts.n))
-    else:
-        pair = sliding_window_antipodal(counts)
-        _emit(args, {"method": "window", "estimate": [pair.x, pair.x_complement]})
+    est = rule(counts, noise, _load_prior(args, counts.n) if takes_prior else None)
+    if isinstance(est, AntipodalPair):
+        _emit(args, {"method": args.method, "estimate": [est.x, est.x_complement]})
         return 0
     payload = {"method": est.method, "estimate": est.value}
     if est.margins is not None:

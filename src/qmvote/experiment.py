@@ -28,6 +28,7 @@ from .errors import InfeasibleError, ValidationError
 from .estimators import (
     AntipodalPair,
     Prior,
+    _is_real,
     map_estimate,
     ml_bruteforce,
     mode_estimate,
@@ -37,7 +38,20 @@ from .estimators import (
 )
 from .noise import NoiseModel, derive_seed, simulate_antipodal_shots, simulate_shots
 
-ESTIMATOR_NAMES = ("mode", "ml", "map", "qmv", "weighted", "window", "ams")
+# name -> (needs noise, takes a prior, rule(counts, noise, prior)). Each rule
+# looks its estimator up by module-level name at call time, so a wrapper bound
+# over that name (a tracer, a test spy) sees every call.
+ESTIMATORS = {
+    "mode": (False, False, lambda counts, noise, prior: mode_estimate(counts)),
+    "ml": (True, False, lambda counts, noise, prior: ml_bruteforce(counts, noise)),
+    "map": (True, True, lambda counts, noise, prior: map_estimate(counts, noise, prior)),
+    "qmv": (False, False, lambda counts, noise, prior: qmv(tally(counts))),
+    "weighted": (True, False, lambda counts, noise, prior: weighted_vote(tally(counts), noise)),
+    "window": (False, False, lambda counts, noise, prior: sliding_window_antipodal(counts)),
+}
+
+# ams is harness-only: it simulates its own subset shots from the truth.
+ESTIMATOR_NAMES = (*ESTIMATORS, "ams")
 
 # Exhaustive-scan estimators stay desk-sized inside the harness.
 HARNESS_ENUM_MAX_QUBITS = 20
@@ -87,6 +101,10 @@ class ExperimentConfig:
             raise ValidationError("field 'shots' must list positive shot counts")
         if not self.seeds:
             raise ValidationError("field 'seeds' must list at least one seed")
+        for name in ("shots", "seeds", "estimators"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValidationError(f"field {name!r} must not repeat entries, got {list(values)}")
         if "ml" in self.estimators and n > HARNESS_ENUM_MAX_QUBITS:
             raise InfeasibleError(
                 f"estimator 'ml' scans 2^n strings and is limited to "
@@ -186,9 +204,11 @@ class ExperimentConfig:
 
 def _number(value: Any, name: str) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"field {name!r} must be a number, got {value!r}") from None
+        if _is_real(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValidationError(f"field {name!r} must be a number, got {value!r}")
 
 
 def _noise_from_dict(spec: Any, n: int) -> NoiseModel:
@@ -262,18 +282,6 @@ def _estimate_distance(result, truth: str, antipodal: bool) -> tuple[Any, int]:
 
 
 def _run_estimator(name: str, config: ExperimentConfig, counts: CountsTable, cell_seed: int):
-    if name == "mode":
-        return mode_estimate(counts)
-    if name == "ml":
-        return ml_bruteforce(counts, config.noise)
-    if name == "map":
-        return map_estimate(counts, config.noise, Prior.uniform(config.n))
-    if name == "qmv":
-        return qmv(tally(counts))
-    if name == "weighted":
-        return weighted_vote(tally(counts), config.noise)
-    if name == "window":
-        return sliding_window_antipodal(counts)
     if name == "ams":
         _, estimate = adaptive_vote(
             config.ground_truth,
@@ -284,7 +292,8 @@ def _run_estimator(name: str, config: ExperimentConfig, counts: CountsTable, cel
             seed=cell_seed,
         )
         return estimate
-    raise ValidationError(f"unknown estimator {name!r}")
+    _, takes_prior, rule = ESTIMATORS[name]
+    return rule(counts, config.noise, Prior.uniform(config.n) if takes_prior else None)
 
 
 def _budget_section(config: ExperimentConfig) -> dict | None:
@@ -353,21 +362,18 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     Cells are independent, so they run on a thread pool with one worker per
     usable CPU; their rows are joined in cell order, so the report does not
-    depend on the schedule. Configs that name ml run their cells one at a
-    time, because each exhaustive scan's working block can take gigabytes
-    (map runs with a per-qubit uniform prior here, which needs no scan). If
-    cells fail, the first failing cell's exception is raised.
+    depend on the schedule. Configs that name ml get one worker, because
+    each exhaustive scan's working block can take gigabytes (map runs with a
+    per-qubit uniform prior here, which needs no scan). If cells fail, the
+    first failing cell's exception is raised.
     """
     truth = config.ground_truth
     cells = [(shots, seed) for shots in config.shots for seed in config.seeds]
-    workers = min(len(cells), _usable_cpus())
-    if workers == 1 or "ml" in config.estimators:
-        per_cell = [_run_cell(config, shots, seed) for shots, seed in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map yields in cell order; the first failure re-raises there and
-            # cancels the cells still queued
-            per_cell = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
+    workers = 1 if "ml" in config.estimators else min(len(cells), _usable_cpus())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # map yields in cell order; the first failure re-raises there and
+        # cancels the cells still queued
+        per_cell = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
     rows = [row for cell_rows in per_cell for row in cell_rows]
     rows.sort(key=lambda r: (r["estimator"], r["shots"], r["seed"]))
 

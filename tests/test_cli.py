@@ -113,6 +113,18 @@ class TestMitigate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "prior" in err
 
+    @pytest.mark.parametrize("method", ["mode", "ml", "qmv", "weighted", "window"])
+    def test_prior_file_only_for_map_exit_one(self, capsys, tmp_path, method):
+        path = write_counts_file(tmp_path, {"01": 8, "11": 2}, 2)
+        code, out, err = run(
+            capsys, "mitigate", path, "--method", method, "--p", "0.2",
+            "--prior-file", str(tmp_path / "nonexist.json"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--prior-file" in err
+
     def test_wide_table_prior_map(self, capsys, tmp_path):
         # table priors have no qubit cap: 127 qubits, three entries
         n = 127
@@ -188,6 +200,46 @@ class TestMitigate:
         )
         assert code == 0
         assert json.loads(out)["estimate"] == "01"
+
+
+# stdout of `mitigate` on FROZEN_COUNTS with --p01 0.2 --p10 0.1, frozen from
+# the release before the estimators moved into one table.
+FROZEN_COUNTS = {"0011": 5, "1100": 3, "0111": 2, "0001": 1}
+FROZEN_TABLE_PRIOR = {"table": {"0011": 0.25, "0111": 0.5, "1100": 0.25}}
+_MARGINS_JSON = (
+    '  "margins": [\n    0.454545454545,\n    0.090909090909,\n'
+    '    0.272727272727,\n    0.454545454545\n  ],\n'
+)
+_MARGINS_CSV = "0.454545454545|0.090909090909|0.272727272727|0.454545454545"
+FROZEN_MITIGATE = {
+    ("mode", "json"): '{\n  "estimate": "0011",\n  "gap": 0.18181818181818182,\n  "method": "mode"\n}\n',
+    ("ml", "json"): '{\n  "estimate": "0011",\n  "gap": 2.2107756107145846,\n  "method": "ml"\n}\n',
+    ("map", "json"): '{\n  "estimate": "0011",\n' + _MARGINS_JSON + '  "method": "map"\n}\n',
+    ("qmv", "json"): '{\n  "estimate": "0011",\n' + _MARGINS_JSON + '  "method": "qmv"\n}\n',
+    ("weighted", "json"): '{\n  "estimate": "0011",\n' + _MARGINS_JSON + '  "method": "weighted"\n}\n',
+    ("window", "json"): '{\n  "estimate": [\n    "0011",\n    "1100"\n  ],\n  "method": "window"\n}\n',
+    ("mode", "csv"): "method,estimate,gap\nmode,0011,0.18181818181818182\n",
+    ("ml", "csv"): "method,estimate,gap\nml,0011,2.2107756107145846\n",
+    ("map", "csv"): f"method,estimate,margins\nmap,0011,{_MARGINS_CSV}\n",
+    ("qmv", "csv"): f"method,estimate,margins\nqmv,0011,{_MARGINS_CSV}\n",
+    ("weighted", "csv"): f"method,estimate,margins\nweighted,0011,{_MARGINS_CSV}\n",
+    ("window", "csv"): "method,estimate\nwindow,0011|1100\n",
+    ("map-table", "json"): '{\n  "estimate": "0011",\n  "gap": 4.263115085637693,\n  "method": "map"\n}\n',
+    ("map-table", "csv"): "method,estimate,gap\nmap,0011,4.263115085637693\n",
+}
+
+
+@pytest.mark.parametrize("method,fmt", list(FROZEN_MITIGATE))
+def test_mitigate_output_is_frozen(capsys, tmp_path, method, fmt):
+    path = write_counts_file(tmp_path, FROZEN_COUNTS, 4)
+    argv = ["--format", fmt, "mitigate", path, "--p01", "0.2", "--p10", "0.1", "--method", method]
+    if method == "map-table":
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps(FROZEN_TABLE_PRIOR))
+        argv[-1:] = ["map", "--prior-file", str(prior)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == FROZEN_MITIGATE[method, fmt]
 
 
 class TestSimulate:
@@ -297,6 +349,8 @@ class TestExperiment:
             ({"noise": {"p01": 0.1, "p10": "y"}}, "noise.p10"),
             ({"estimators": ["ams"], "ams": {"tau": "x", "factor": 0.5}}, "ams.tau"),
             ({"estimators": ["ams"], "ams": {"tau": 0.05, "factor": "x"}}, "ams.factor"),
+            ({"noise": {"p": True}}, "noise.p"),
+            ({"noise": {"p": 10**400}}, "noise.p"),
         ],
     )
     def test_non_numeric_config_field_exit_one(self, capsys, tmp_path, overrides, field):

@@ -95,10 +95,33 @@ class TestConfig:
             ({"ams": {"tau": 0.05, "factor": 0.0}}, "ams.factor"),
             ({"ams": {"tau": 0.05, "factor": 1.5}}, "ams.factor"),
             ({"estimators": ["ams"], "ams": {"tau": 0.05, "factor": "nan"}}, "ams.factor"),
+            # booleans and numeric strings are not numbers
+            ({"noise": {"p": True}}, "noise.p"),
+            ({"noise": {"p": "0.1"}}, "noise.p"),
+            ({"noise": {"p01": False, "p10": 0.1}}, "noise.p01"),
+            ({"noise": {"p01": 0.1, "p10": "0.2"}}, "noise.p10"),
+            ({"noise": {"p01": [True] + [0.1] * 5, "p10": [0.1] * 6}}, "noise.p01"),
+            ({"noise": {"p01": [0.1] * 6, "p10": [0.1] * 5 + ["0.1"]}}, "noise.p10"),
+            ({"estimators": ["ams"], "ams": {"tau": "0.5", "factor": 0.5}}, "ams.tau"),
+            ({"estimators": ["ams"], "ams": {"tau": 0.05, "factor": True}}, "ams.factor"),
+            ({"noise": {"p": 10**400}}, "noise.p"),
+            ({"ams": {"tau": 0.05, "factor": -(10**400)}}, "ams.factor"),
         ],
     )
     def test_non_numeric_fields_rejected(self, overrides, field):
         with pytest.raises(ValidationError, match=field):
+            make_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"shots": [16, 16]}, "shots"),
+            ({"seeds": [0, 0, 1]}, "seeds"),
+            ({"estimators": ["qmv", "mode", "qmv"]}, "estimators"),
+        ],
+    )
+    def test_repeated_entries_rejected(self, overrides, field):
+        with pytest.raises(ValidationError, match=f"'{field}' must not repeat"):
             make_config(**overrides)
 
     def test_unknown_field_rejected(self):
@@ -261,7 +284,7 @@ SCHEDULE_CONFIGS = {
     },
 }
 
-# An exhaustive-scan config, which runs its cells inline at any CPU count.
+# An exhaustive-scan config, which runs its cells one at a time at any CPU count.
 ML_CONFIG = {**SCHEDULE_CONFIGS["map"], "estimators": ["ml", "map", "qmv"]}
 
 
@@ -296,15 +319,15 @@ class TestCellSchedule:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize(
-        "cpus,doc,pooled",
+        "cpus,doc,workers",
         [
-            (1, SCHEDULE_CONFIGS["ams"], False),
-            (8, ML_CONFIG, False),
-            (8, SCHEDULE_CONFIGS["ams"], True),
-            (8, SCHEDULE_CONFIGS["map"], True),
+            (1, SCHEDULE_CONFIGS["ams"], 1),
+            (8, ML_CONFIG, 1),
+            (8, SCHEDULE_CONFIGS["ams"], 8),  # 10 cells
+            (8, SCHEDULE_CONFIGS["map"], 6),  # 6 cells
         ],
     )
-    def test_pool_only_for_several_cpus_without_a_scan(self, monkeypatch, cpus, doc, pooled):
+    def test_one_worker_per_cpu_and_one_for_a_scan(self, monkeypatch, cpus, doc, workers):
         pools = []
         real = experiment_mod.ThreadPoolExecutor
 
@@ -314,7 +337,7 @@ class TestCellSchedule:
 
         monkeypatch.setattr(experiment_mod, "ThreadPoolExecutor", spy)
         run_on_cpus(monkeypatch, make_config(**doc), cpus)
-        assert bool(pools) == pooled
+        assert pools == [{"max_workers": workers}]
 
     def test_cpu_count_fallback(self, monkeypatch):
         monkeypatch.delattr(experiment_mod.os, "sched_getaffinity", raising=False)
