@@ -145,9 +145,11 @@ class Prior:
                 raise ValidationError(f"per-qubit prior entries must be numbers: {exc}") from None
             if arr.ndim != 1 or arr.size == 0:
                 raise ValidationError("per-qubit prior must be a non-empty 1-d array")
-            for value in per_qubit:
-                if not _is_real(value):
-                    raise ValidationError(f"per-qubit prior entries must be numbers, got {value!r}")
+            # a real numeric ndarray holds no strings or booleans to reject
+            if not (isinstance(per_qubit, np.ndarray) and per_qubit.dtype.kind in "iuf"):
+                for value in per_qubit:
+                    if not _is_real(value):
+                        raise ValidationError(f"per-qubit prior entries must be numbers, got {value!r}")
             if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise ValidationError("per-qubit prior entries must lie in [0, 1]")
             arr.setflags(write=False)
@@ -261,6 +263,19 @@ def weighted_vote(vote_tally: VoteTally, noise: NoiseModel) -> Estimate:
     return Estimate(value=value, method="weighted", margins=t.margins)
 
 
+def _check_scan_memory(n: int, keys: int) -> None:
+    """Refuse an exhaustive scan of 2^n candidates over ``keys`` distinct
+    keys whose two working buffers, 1.5 x min(2^16, 2^n) x keys float64
+    values, would pass ``ENUM_MAX_BYTES``."""
+    block = min(_ENUM_BLOCK, 1 << n)
+    need = (block + block // 2) * keys * 8
+    if need > ENUM_MAX_BYTES:
+        raise InfeasibleError(
+            f"exhaustive likelihood scan over {keys} distinct keys needs {need / 2**30:.1f} "
+            f"GiB of working memory, more than the {ENUM_MAX_BYTES / 2**30:.0f} GiB allowed"
+        )
+
+
 _CONTRADICTION = "every candidate has zero posterior weight; observations contradict hard evidence"
 
 
@@ -291,13 +306,8 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
         raise InfeasibleError(
             f"exhaustive likelihood scan supports at most {ENUM_MAX_QUBITS} qubits, got {n}"
         )
+    _check_scan_memory(n, len(counts))
     block = min(_ENUM_BLOCK, 1 << n)
-    need = (block + block // 2) * len(counts) * 8
-    if need > ENUM_MAX_BYTES:
-        raise InfeasibleError(
-            f"exhaustive likelihood scan over {len(counts)} distinct keys needs {need / 2**30:.1f} "
-            f"GiB of working memory, more than the {ENUM_MAX_BYTES / 2**30:.0f} GiB allowed"
-        )
     _, ybits, weights = counts.as_arrays(canonical=True, keys=False)
     wts = weights.astype(np.float64)
     with np.errstate(divide="ignore"):

@@ -23,11 +23,12 @@ from typing import Any
 
 from .ams import adaptive_vote
 from .budget import per_qubit_target_bound, m3_shot_requirement, qmv_error_bound, required_shots
-from .core import CountsTable, hamming_distance, tally
+from .core import MAX_QUBITS, CountsTable, hamming_distance, tally
 from .errors import InfeasibleError, ValidationError
 from .estimators import (
     AntipodalPair,
     Prior,
+    _check_scan_memory,
     _is_real,
     map_estimate,
     ml_bruteforce,
@@ -61,8 +62,8 @@ GROUND_TRUTH_PATTERNS = ("alternating", "all-zeros", "ghz-antipodal")
 
 def ground_truth_pattern(name: str, n: int) -> str:
     """Expand a named ground-truth pattern to n qubits."""
-    if n < 1:
-        raise ValidationError(f"pattern length must be positive, got {n}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValidationError(f"pattern length must be in 1..{MAX_QUBITS}, got {n}")
     if name == "alternating":
         return ("10" * ((n + 1) // 2))[:n]
     if name in ("all-zeros", "ghz-antipodal"):
@@ -105,11 +106,14 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValidationError(f"field {name!r} must not repeat entries, got {list(values)}")
-        if "ml" in self.estimators and n > HARNESS_ENUM_MAX_QUBITS:
-            raise InfeasibleError(
-                f"estimator 'ml' scans 2^n strings and is limited to "
-                f"{HARNESS_ENUM_MAX_QUBITS} qubits in experiments, got {n}"
-            )
+        if "ml" in self.estimators:
+            if n > HARNESS_ENUM_MAX_QUBITS:
+                raise InfeasibleError(
+                    f"estimator 'ml' scans 2^n strings and is limited to "
+                    f"{HARNESS_ENUM_MAX_QUBITS} qubits in experiments, got {n}"
+                )
+            # a cell's table has at most min(shots, 2^n) distinct keys
+            _check_scan_memory(n, min(max(self.shots), 1 << n))
         if "window" in self.estimators and n < 2:
             raise InfeasibleError("estimator 'window' needs at least 2 qubits")
         # NaN fails both range tests

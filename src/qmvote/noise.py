@@ -5,7 +5,9 @@ probability p01 and a true 1 reads as 0 with probability p10, independently
 per qubit and per shot. Simulation is driven by a counter-based generator
 (Philox) keyed from a 64-bit seed plus the shot-block index, so a run is a
 pure function of its arguments and blocks may be produced in any order or
-in parallel without changing the result.
+in parallel without changing the result. Each shot-qubit draws one 32-bit
+word and reads 1 when the word is below round(Pr(read 1) * 2^32), so every
+simulated probability is exact to within 2^-33.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ MAX_SEED = 2**64
 # workers and still assemble into the sequential result. The block size is
 # part of the output definition and must not be tuned per run.
 _BLOCK_SHOTS = 1 << 15
-# A block is drawn in row chunks of about this many uniforms, so its float64
-# draws never exist at once. Consecutive draws from one generator continue
-# its stream, so unlike the block size this is not part of the output.
+# A block is drawn in row chunks of about this many words, so its draws
+# never exist at once. Consecutive draws from one generator continue its
+# stream, so unlike the block size this is not part of the output.
 _CHUNK_DRAWS = 1 << 17
+# One draw is a 32-bit word; a threshold of 2^32 means "always reads 1".
+_WORD_RANGE = 1 << 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,43 +109,60 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | block))
 
 
-def _shot_block(
-    x0_bits: np.ndarray,
-    flip_p: np.ndarray,
-    seed: int,
-    block: int,
-    take: int,
-    comp_p: np.ndarray | None = None,
-) -> np.ndarray:
+def _words(bit_gen: np.random.BitGenerator, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit words of ``bit_gen``: each 64-bit output
+    split in two, low half first. An odd count drops the last high half."""
+    raw = bit_gen.random_raw((count + 1) // 2).astype("<u8", copy=False)
+    return raw.view("<u4")[:count]
+
+
+def _read1_thresholds(truths: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """round(Pr(read 1) * 2^32) for every qubit of each row of ``truths``
+    (uint8 bits), as uint64 in [0, 2^32]: p01 where the truth is 0 and
+    1 - p10 where it is 1. A probability below 2^-33 rounds to 0."""
+    read1 = np.where(truths == 0, noise.p01, 1.0 - noise.p10)
+    return np.rint(read1 * _WORD_RANGE).astype(np.uint64)
+
+
+def _shot_block(thresholds: np.ndarray, seed: int, block: int, take: int) -> np.ndarray:
     """Measured rows for one shot block, packed big-endian eight qubits per
     byte; depends only on its arguments.
 
-    With ``comp_p``, the flip probabilities of the complement of x0, each
-    shot's truth is x0 or its complement with equal chance; those choices
-    are drawn first, then the flips, row after row as without them.
+    ``thresholds`` has one row from :func:`_read1_thresholds`, or two: those
+    of x0 and of its complement. Each shot-qubit draws one 32-bit word and
+    reads 1 when the word is below its threshold. With two rows each shot's
+    truth is x0 or its complement with equal chance: one word per shot,
+    drawn first, picks the complement when it is below 2^31; then the flip
+    words follow, row after row as without them.
     """
-    rng = _block_rng(seed, block)
-    n = x0_bits.size
-    other = None if comp_p is None else rng.random(take) < 0.5
+    bit_gen = _block_rng(seed, block).bit_generator
+    n = thresholds.shape[1]
+    # 2^32 does not fit a uint32 word: those qubits read 1 whatever the word,
+    # so they are set after the comparison.
+    below = np.minimum(thresholds, _WORD_RANGE - 1).astype(np.uint32)
+    always = thresholds == _WORD_RANGE
+    any_always = bool(always.any())
+    branch = None
+    if len(thresholds) == 2:
+        branch = (_words(bit_gen, take) < _WORD_RANGE // 2).view(np.uint8)
     out = np.empty((take, (n + 7) // 8), dtype=np.uint8)
-    step = max(1, _CHUNK_DRAWS // n)
+    # An even row step keeps every chunk but the last on whole 64-bit
+    # outputs, so the chunking does not show in the output.
+    step = 2 * max(1, _CHUNK_DRAWS // (2 * n))
     for lo in range(0, take, step):
-        u = rng.random((min(step, take - lo), n))
-        if other is None:
-            bits = x0_bits ^ (u < flip_p)
-        else:
-            chunk = other[lo : lo + step, None]
-            bits = x0_bits ^ chunk ^ np.where(chunk, u < comp_p, u < flip_p)
-        out[lo : lo + step] = np.packbits(bits, axis=1)
+        rows = min(step, take - lo)
+        pick = 0 if branch is None else branch[lo : lo + rows]
+        bits = _words(bit_gen, rows * n).reshape(rows, n) < below[pick]
+        if any_always:
+            bits |= always[pick]
+        out[lo : lo + rows] = np.packbits(bits, axis=1)
     return out
 
 
-def _simulate_rows(
-    x0_bits: np.ndarray, flip_p: np.ndarray, shots: int, seed: int, comp_p: np.ndarray | None = None
-) -> np.ndarray:
+def _simulate_rows(thresholds: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """The packed shot record, block by block."""
     pieces = [
-        _shot_block(x0_bits, flip_p, seed, block, min(_BLOCK_SHOTS, shots - lo), comp_p)
+        _shot_block(thresholds, seed, block, min(_BLOCK_SHOTS, shots - lo))
         for block, lo in enumerate(range(0, shots, _BLOCK_SHOTS))
     ]
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
@@ -157,8 +178,7 @@ def _prepare(x0: str, noise: NoiseModel, shots: int, seed: int):
         raise ValidationError(f"shots must be a positive integer, got {shots!r}")
     seed = _check_seed(seed)
     x0_bits = np.frombuffer(x0.encode("ascii"), dtype=np.uint8) - ord("0")
-    flip_p = np.where(x0_bits == 0, noise.p01, noise.p10)
-    return x0_bits, flip_p, int(shots), seed
+    return x0_bits, int(shots), seed
 
 
 def simulate_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsTable:
@@ -166,8 +186,9 @@ def simulate_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsT
 
     Deterministic: identical arguments always yield a bit-identical table.
     """
-    x0_bits, flip_p, shots, seed = _prepare(x0, noise, shots, seed)
-    return CountsTable._from_shots(_simulate_rows(x0_bits, flip_p, shots, seed), x0_bits.size)
+    x0_bits, shots, seed = _prepare(x0, noise, shots, seed)
+    rows = _simulate_rows(_read1_thresholds(x0_bits[None], noise), shots, seed)
+    return CountsTable._from_shots(rows, x0_bits.size)
 
 
 def _subset_ones(x0: str, noise: NoiseModel, q: int, shots: int, seed: int) -> int:
@@ -175,10 +196,10 @@ def _subset_ones(x0: str, noise: NoiseModel, q: int, shots: int, seed: int) -> i
     on its own under its flip probabilities in ``noise``: the ones count of
     the one-qubit table :func:`simulate_shots` would draw from ``seed``,
     without building that table."""
-    x0_bits, flip_p, shots, seed = _prepare(x0, noise, shots, seed)
-    rows = _simulate_rows(x0_bits[q : q + 1], flip_p[q : q + 1], shots, seed)
+    x0_bits, shots, seed = _prepare(x0, noise, shots, seed)
+    thresholds = _read1_thresholds(x0_bits[None], noise)[:, q : q + 1]
     # one qubit per row: each packed row is one byte, nonzero when it read 1
-    return int(np.count_nonzero(rows))
+    return int(np.count_nonzero(_simulate_rows(thresholds, shots, seed)))
 
 
 def simulate_antipodal_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsTable:
@@ -188,10 +209,9 @@ def simulate_antipodal_shots(x0: str, noise: NoiseModel, shots: int, seed: int) 
     Models algorithms whose two correct outputs are bitwise complements
     (GHZ-style), with equal weight on the two branches.
     """
-    x0_bits, flip_p, shots, seed = _prepare(x0, noise, shots, seed)
-    comp_p = np.where(x0_bits == 0, noise.p10, noise.p01)
-    rows = _simulate_rows(x0_bits, flip_p, shots, seed, comp_p)
-    return CountsTable._from_shots(rows, x0_bits.size)
+    x0_bits, shots, seed = _prepare(x0, noise, shots, seed)
+    thresholds = _read1_thresholds(np.stack([x0_bits, x0_bits ^ 1]), noise)
+    return CountsTable._from_shots(_simulate_rows(thresholds, shots, seed), x0_bits.size)
 
 
 def shot_error_probability_exact(shots: int, p: float, ties: str = "error") -> float:

@@ -278,6 +278,16 @@ class TestSimulate:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "p01" in err
 
+    @pytest.mark.parametrize("n", ["0", "4097", str(10**30)])
+    def test_pattern_length_out_of_range_exit_one(self, capsys, n):
+        code, out, err = run(
+            capsys, "simulate", "--pattern", "all-zeros", "--n", n, "--p", "0.1", "--shots", "4"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "1..4096" in err
+
     def test_pattern_requires_n(self, capsys):
         code, _, err = run(capsys, "simulate", "--pattern", "alternating", "--p", "0.1", "--shots", "4")
         assert code == 1
@@ -401,6 +411,50 @@ class TestExperiment:
         )
         code, _, _ = run(capsys, "experiment", str(cfg_path))
         assert code == 2
+
+    def test_ml_over_memory_budget_exit_two_before_simulating(self, capsys, tmp_path, monkeypatch):
+        import qmvote.experiment as experiment_mod
+
+        def no_draw(*args):
+            raise AssertionError("shots were simulated")
+
+        monkeypatch.setattr(experiment_mod, "simulate_shots", no_draw)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "ground_truth": {"pattern": "alternating", "n": 16},
+                    "noise": {"p": 0.3},
+                    "shots": [60000],
+                    "estimators": ["qmv", "ml"],
+                    "seeds": [0],
+                }
+            )
+        )
+        code, out, err = run(capsys, "experiment", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "GiB" in err and "4 GiB allowed" in err
+
+    def test_pattern_length_out_of_range_exit_one(self, capsys, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "ground_truth": {"pattern": "alternating", "n": 10**30},
+                    "noise": {"p": 0.3},
+                    "shots": [10],
+                    "estimators": ["qmv"],
+                    "seeds": [0],
+                }
+            )
+        )
+        code, out, err = run(capsys, "experiment", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "1..4096" in err
 
 
 class TestParsing:

@@ -582,6 +582,9 @@ class TestPrior:
             (["0.5", 0.5], "'0.5'"),
             ([0.5, True], "True"),
             (np.array([True, False]), "True"),
+            (np.array([0.5, True], dtype=object), "True"),
+            (np.array(["0.5", 0.5], dtype=object), "'0.5'"),
+            (np.array(["0.5", "0.5"]), "'0.5'"),
         ):
             with pytest.raises(ValidationError, match=shown):
                 Prior(per_qubit=entries)
@@ -591,6 +594,8 @@ class TestPrior:
             Prior(table={"0": 0, "1": True})
         # other real numbers stay accepted, ints and numpy scalars included
         assert Prior(per_qubit=[0, 1, np.float32(0.25), np.int64(1)]).per_qubit.tolist() == [0, 1, 0.25, 1]
+        for dtype in (np.float32, np.float64, np.int64, np.uint8):
+            assert Prior(per_qubit=np.array([0, 1], dtype=dtype)).per_qubit.tolist() == [0, 1]
         assert Prior(table={"0": 0, "1": np.float64(1.0)}).table["1"] == 1.0
 
     def test_exactly_one_form(self):

@@ -37,6 +37,14 @@ class TestConfig:
         assert ground_truth_pattern("all-zeros", 3) == "000"
         assert ground_truth_pattern("ghz-antipodal", 4) == "0000"
 
+    def test_pattern_length_bounded(self):
+        assert len(ground_truth_pattern("alternating", 4096)) == 4096
+        for n in (0, -3, 4097, 10**30):
+            with pytest.raises(ValidationError, match="1..4096"):
+                ground_truth_pattern("all-zeros", n)
+        with pytest.raises(ValidationError, match="1..4096"):
+            make_config(ground_truth={"pattern": "alternating", "n": 10**30})
+
     def test_pattern_object_form(self):
         cfg = make_config(ground_truth={"pattern": "ghz-antipodal", "n": 6}, estimators=["window"])
         assert cfg.ground_truth == "000000"
@@ -55,6 +63,20 @@ class TestConfig:
     def test_ml_too_wide_is_infeasible(self):
         with pytest.raises(InfeasibleError):
             make_config(ground_truth="1" * 21, noise={"p": 0.1}, estimators=["ml"])
+
+    def test_ml_over_memory_budget_refused_at_config_time(self):
+        """A table has at most min(shots, 2^n) distinct keys; at n = 16 the
+        scan's 1.5 x 2^16 x K float64 buffers stay within 4 GiB up to
+        K = 5461."""
+        alternating = {"pattern": "alternating", "n": 16}
+        for shots in (5462, 60_000):
+            with pytest.raises(InfeasibleError, match=f"over {shots} distinct keys.*4 GiB allowed"):
+                make_config(ground_truth=alternating, shots=[64, shots], estimators=["qmv", "ml"])
+        assert make_config(ground_truth=alternating, shots=[5461], estimators=["ml"]).shots == (5461,)
+        # at n = 10 a table has at most 1024 keys, however many shots
+        make_config(ground_truth="1" * 10, shots=[10**6], estimators=["ml"])
+        # map with the harness's per-qubit prior does not scan
+        make_config(ground_truth=alternating, shots=[60_000], estimators=["map"])
 
     def test_ams_needs_settings_and_even_shots(self):
         with pytest.raises(ValidationError):

@@ -79,13 +79,12 @@ class TestSimulateShots:
         sequential record."""
         monkeypatch.setattr(noise_mod, "_BLOCK_SHOTS", 128)
         nm = NoiseModel.uniform(3, 0.25)
-        x0_bits = np.array([0, 1, 0], dtype=np.uint8)
-        flip_p = np.where(x0_bits == 0, nm.p01, nm.p10)
+        thresholds = noise_mod._read1_thresholds(np.array([[0, 1, 0]], dtype=np.uint8), nm)
         shots = 1000
-        sequential = noise_mod._simulate_rows(x0_bits, flip_p, shots, 11)
+        sequential = noise_mod._simulate_rows(thresholds, shots, 11)
         plan = [(b, min(128, shots - lo)) for b, lo in enumerate(range(0, shots, 128))]
         scrambled = {
-            b: noise_mod._shot_block(x0_bits, flip_p, 11, b, take) for b, take in reversed(plan)
+            b: noise_mod._shot_block(thresholds, 11, b, take) for b, take in reversed(plan)
         }
         assembled = np.concatenate([scrambled[b] for b, _ in plan])
         assert np.array_equal(assembled, sequential)
@@ -116,6 +115,18 @@ class TestSimulateShots:
                 sigma = math.sqrt((p * (1 - p)) ** 2 / shots)
                 assert abs(cov) < 5 * sigma
 
+    @pytest.mark.parametrize("word", [0, 2**31 - 1, 2**31, 2**32 - 1])
+    def test_extreme_words(self, monkeypatch, word):
+        """A threshold of 2^32 reads 1 and a threshold of 0 reads 0 whatever
+        the word, including the words a random draw almost never gives."""
+        monkeypatch.setattr(noise_mod, "_words", lambda bit_gen, count: np.full(count, word, np.uint32))
+        certain = NoiseModel(p01=[0.0, 1.0, 0.0, 1.0], p10=[0.0, 0.0, 1.0, 1.0])
+        assert dict(simulate_shots("0011", certain, 7, 0).counts) == {"0100": 7}
+        assert dict(simulate_shots("1100", certain, 7, 0).counts) == {"1101": 7}
+        # words below 2^31 pick the complement branch
+        both = simulate_antipodal_shots("0011", certain, 7, 0)
+        assert dict(both.counts) == {"1101" if word < 2**31 else "0100": 7}
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             simulate_shots("01", NoiseModel.uniform(3, 0.1), 10, 0)
@@ -135,6 +146,10 @@ class TestSimulateShots:
 # before they were packed (unique rows, string dict, validating constructor),
 # and the unpacked shot blocks it was fed. The packed path must reproduce
 # every table, key order and estimate it gave.
+#
+# The shot blocks are an unchunked copy of the draw: all 32-bit words of a
+# block at once (each 64-bit Philox output split low half first), one word
+# per shot-qubit, which reads 1 when below round(Pr(read 1) * 2^32).
 
 
 def reference_rows_to_counts(rows):
@@ -146,29 +161,40 @@ def reference_rows_to_counts(rows):
     return CountsTable(table, n=n)
 
 
+def reference_words(rng, count):
+    raw = rng.bit_generator.random_raw((count + 1) // 2)
+    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(-1)[:count]
+
+
+def reference_thresholds(truth_bits, noise):
+    read1 = [p01 if t == 0 else 1 - p10 for t, p01, p10 in zip(truth_bits, noise.p01, noise.p10)]
+    return np.array([round(p * 2**32) for p in read1], dtype=np.uint64)
+
+
 def reference_rows(x0, noise, shots, seed, block_shots):
     x0_bits = np.frombuffer(x0.encode("ascii"), dtype=np.uint8) - ord("0")
-    flip_p = np.where(x0_bits == 0, noise.p01, noise.p10)
+    thresholds = reference_thresholds(x0_bits, noise)
     pieces = []
     for block, lo in enumerate(range(0, shots, block_shots)):
         take = min(block_shots, shots - lo)
         rng = noise_mod._block_rng(seed, block)
-        flips = rng.random((take, x0_bits.size)) < flip_p[None, :]
-        pieces.append((x0_bits[None, :] ^ flips).astype(np.uint8))
+        words = reference_words(rng, take * x0_bits.size).reshape(take, x0_bits.size)
+        pieces.append((words < thresholds).astype(np.uint8))
     return np.concatenate(pieces)
 
 
 def reference_antipodal_rows(x0, noise, shots, seed, block_shots):
     x0_bits = np.frombuffer(x0.encode("ascii"), dtype=np.uint8) - ord("0")
+    plain = reference_thresholds(x0_bits, noise)
+    comp = reference_thresholds(1 - x0_bits, noise)
     pieces = []
     for block, lo in enumerate(range(0, shots, block_shots)):
         take = min(block_shots, shots - lo)
         rng = noise_mod._block_rng(seed, block)
-        truth_flip = (rng.random(take) < 0.5).astype(np.uint8)
-        truths = x0_bits[None, :] ^ truth_flip[:, None]
-        flip_p = np.where(truths == 0, noise.p01[None, :], noise.p10[None, :])
-        flips = rng.random((take, x0_bits.size)) < flip_p
-        pieces.append((truths ^ flips).astype(np.uint8))
+        other = reference_words(rng, take) < 2**31
+        words = reference_words(rng, take * x0_bits.size).reshape(take, x0_bits.size)
+        rows = np.where(other[:, None], words < comp, words < plain)
+        pieces.append(rows.astype(np.uint8))
     return np.concatenate(pieces)
 
 
@@ -258,15 +284,16 @@ class TestPackedTablesMatchReference:
         monkeypatch.setattr(noise_mod, "_BLOCK_SHOTS", 65)
         x0 = ("1101" * n)[:n]
         noise = NoiseModel(p01=np.linspace(0.05, 0.45, n), p10=np.linspace(0.4, 0.1, n))
-        x0_bits, flip_p, _, _ = noise_mod._prepare(x0, noise, 1, 0)
-        comp_p = np.where(x0_bits == 0, noise.p10, noise.p01)
+        x0_bits = noise_mod._prepare(x0, noise, 1, 0)[0]
+        plain = noise_mod._read1_thresholds(x0_bits[None], noise)
+        both = noise_mod._read1_thresholds(np.stack([x0_bits, 1 - x0_bits]), noise)
         for shots in (1, 97, 301):
             rows = reference_rows(x0, noise, shots, 3, 65)
-            record = noise_mod._simulate_rows(x0_bits, flip_p, shots, 3)
+            record = noise_mod._simulate_rows(plain, shots, 3)
             assert np.array_equal(record, np.packbits(rows, axis=1))
             assert_tables_identical(simulate_shots(x0, noise, shots, 3), reference_rows_to_counts(rows), rows)
             rows = reference_antipodal_rows(x0, noise, shots, 3, 65)
-            record = noise_mod._simulate_rows(x0_bits, flip_p, shots, 3, comp_p)
+            record = noise_mod._simulate_rows(both, shots, 3)
             assert np.array_equal(record, np.packbits(rows, axis=1))
             new = simulate_antipodal_shots(x0, noise, shots, 3)
             assert_tables_identical(new, reference_rows_to_counts(rows), rows)
@@ -276,6 +303,31 @@ class TestPackedTablesMatchReference:
         rows = reference_rows("1" * 13, noise, 70_000, 5, noise_mod._BLOCK_SHOTS)
         new = simulate_shots("1" * 13, noise, 70_000, 5)
         assert_tables_identical(new, reference_rows_to_counts(rows), rows)
+
+    @pytest.mark.parametrize("chunk", [3, noise_mod._CHUNK_DRAWS])
+    def test_edge_probabilities(self, monkeypatch, chunk):
+        """p = 0, p = 1 and p below 2^-33 (which rounds to no flip) on both
+        truths, next to mixed p01/p10 columns, in plain and antipodal draws."""
+        monkeypatch.setattr(noise_mod, "_CHUNK_DRAWS", chunk)
+        tiny = 2.0**-34
+        p01 = np.array([0.0, 1.0, tiny, 0.0, 1.0, tiny, 0.05, 0.3, 0.45, 0.0, 1 - tiny])
+        p10 = np.array([0.0, 1.0, tiny, 0.0, 1.0, tiny, 0.35, 0.02, 0.45, 1.0, 0.0])
+        x0 = "00011101011"
+        noise = NoiseModel(p01=p01, p10=p10)
+        x0_bits = np.frombuffer(x0.encode("ascii"), dtype=np.uint8) - ord("0")
+        for shots in (1, 50, 301):
+            rows = reference_rows(x0, noise, shots, 9, noise_mod._BLOCK_SHOTS)
+            new = simulate_shots(x0, noise, shots, 9)
+            assert_tables_identical(new, reference_rows_to_counts(rows), rows)
+            # certain columns: truth 0 with p01 = 0 or tiny, truth 1 with p10 = 0 or tiny
+            # never flip; p = 1 always flips
+            for q in (0, 2, 3, 5, 10):
+                assert np.all(rows[:, q] == x0_bits[q])
+            for q in (1, 4, 9):
+                assert np.all(rows[:, q] == 1 - x0_bits[q])
+            rows = reference_antipodal_rows(x0, noise, shots, 9, noise_mod._BLOCK_SHOTS)
+            new = simulate_antipodal_shots(x0, noise, shots, 9)
+            assert_tables_identical(new, reference_rows_to_counts(rows), rows)
 
 
 class TestSimulateAntipodalShots:
