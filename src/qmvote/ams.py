@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import VoteTally, tally, validate_bitstring
 from .errors import DimensionError, ValidationError
-from .estimators import Estimate, _qubit_loglikelihoods
+from .estimators import Estimate, _qubit_loglikelihoods, _tally_loglikelihoods
 from .noise import NoiseModel, _subset_ones, derive_seed, simulate_shots
 
 # Below this many shots per subset circuit the second phase is too thin to
@@ -100,29 +100,6 @@ def ams_plan(vote_tally: VoteTally, tau: float, total_shots: int) -> AmsPlan:
     )
 
 
-def _decide_qubit(
-    phase1: tuple[int, int, float, float],
-    subset: tuple[int, int, float, float] | None,
-    merge: str,
-) -> str:
-    """Fuse per-phase evidence for one qubit and vote; ties resolve to 1.
-
-    Each evidence tuple is (zeros, ones, p01, p10) evaluated under that
-    phase's own noise parameters.
-    """
-    sources = []
-    if merge == "pool" or subset is None:
-        sources.append(phase1)
-    if subset is not None:
-        sources.append(subset)
-    ll0 = ll1 = 0.0
-    for zeros, ones, p01, p10 in sources:
-        c0, c1 = _qubit_loglikelihoods(zeros, ones, p01, p10)
-        ll0 += c0
-        ll1 += c1
-    return "0" if ll0 > ll1 else "1"
-
-
 def merge_votes(
     phase1_tally: VoteTally,
     noise: NoiseModel,
@@ -143,18 +120,17 @@ def merge_votes(
         raise DimensionError("noise models must cover the same qubits as the tally")
     by_qubit = {s.qubit: s for s in subsets}
     out = []
-    for i in range(phase1_tally.n):
-        phase1 = (
-            int(phase1_tally.zeros[i]),
-            int(phase1_tally.ones[i]),
-            float(noise.p01[i]),
-            float(noise.p10[i]),
-        )
+    for i, (ll0, ll1) in enumerate(_tally_loglikelihoods(phase1_tally, noise)):
         sub = by_qubit.get(i)
-        subset = None
         if sub is not None:
-            subset = (sub.zeros, sub.ones, float(subset_noise.p01[i]), float(subset_noise.p10[i]))
-        out.append(_decide_qubit(phase1, subset, merge))
+            p01, p10 = float(subset_noise.p01[i]), float(subset_noise.p10[i])
+            c0, c1 = _qubit_loglikelihoods(sub.zeros, sub.ones, p01, p10)
+            if merge == "pool":
+                ll0, ll1 = ll0 + c0, ll1 + c1
+            else:
+                ll0, ll1 = c0, c1
+        # tie resolves to 1
+        out.append("0" if ll0 > ll1 else "1")
     return "".join(out)
 
 

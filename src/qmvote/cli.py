@@ -16,7 +16,7 @@ from . import __version__
 from .ams import MERGE_MODES, ams_execute, ams_plan
 from .budget import BudgetQuery, evaluate
 from .core import hamming_distance, tally
-from .countsfile import BIT_ORDERS, load_counts, serialize_counts
+from .countsfile import BIT_ORDERS, load_counts, serialize_counts, write_counts
 from .errors import InfeasibleError, MitigationError, ValidationError
 from .estimators import AntipodalPair, Prior, qmv, weighted_vote
 from .experiment import (
@@ -148,11 +148,10 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else 0
     simulate = simulate_antipodal_shots if args.pattern == "ghz-antipodal" else simulate_shots
     counts = simulate(truth, noise, args.shots, seed)
-    text = serialize_counts(counts)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_counts(args.out, counts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize_counts(counts))
     return 0
 
 

@@ -3,8 +3,8 @@
 Bitstrings are Python strings over {'0', '1'} wherever they cross the API,
 files or reports. Character position i (0-based, left to right) holds
 qubit i. Inside a shot table the distinct keys are rows of bits packed
-eight to a byte in the same order, and simulated tables never build the
-string form unless it is asked for.
+eight to a byte in the same order, kept in key order, and the string form
+is built only when it is asked for.
 """
 
 from __future__ import annotations
@@ -64,17 +64,19 @@ class CountsTable:
     counts are positive integers, and ``shots`` is their sum, at most 2**53.
 
     A table holds its distinct keys as rows of bits packed big-endian, eight
-    qubits per byte, with an int64 count per row. Tables made from a mapping
-    are validated and packed in one pass and keep the mapping's order;
-    tables made by the simulator arrive packed, sorted and deduplicated, and
-    build their string keys only when first asked for them.
+    qubits per byte, with an int64 count per row, always in key order
+    (ascending bitstrings) whatever its source: a mapping or file is
+    validated and packed in one pass and then sorted, and the simulator's
+    rows arrive sorted by their deduplication. String keys are decoded from
+    the rows the first time ``counts``, ``items()`` or a key lookup asks for
+    them, and iterate in the same key order.
     """
 
-    __slots__ = ("n", "shots", "_counts", "_packed", "_weights", "_canonical_rows")
+    __slots__ = ("n", "shots", "_counts", "_packed", "_weights")
 
     def __init__(self, counts: Mapping[str, int], n: int | None = None):
         if isinstance(counts, _Rows):
-            packed, weights, mapping = counts
+            packed, weights = counts
         else:
             if not counts:
                 raise ValidationError("counts table must contain at least one entry")
@@ -93,17 +95,18 @@ class CountsTable:
             packed, weights, total = _pack_entries(keys, values, n, _check_entry)
             if total > MAX_SHOTS:
                 raise ValidationError(f"counts sum to {total}, more than 2**53")
-        self._canonical_rows = None
         if weights is None:  # one row per shot: deduplicate, which sorts by key
             uniq, weights = np.unique(_row_keys(packed), return_counts=True)
             packed = uniq.view(np.uint8).reshape(-1, packed.shape[1])
             weights = weights.astype(np.int64, copy=False)
-            self._canonical_rows = (packed, weights)
+        else:  # distinct rows in the caller's order; stable is fast on sorted input
+            order = np.argsort(_row_keys(packed), kind="stable")
+            packed, weights = np.take(packed, order, axis=0), weights[order]
         packed.setflags(write=False)
         weights.setflags(write=False)
         self.n = n
         self.shots = int(weights.sum())
-        self._counts = None if mapping is None else MappingProxyType(mapping)
+        self._counts = None
         self._packed = packed
         self._weights = weights
 
@@ -112,21 +115,7 @@ class CountsTable:
         """Trusted constructor for the simulator: one row per shot, packed
         as by ``np.packbits(bits, axis=1)``. Rows are deduplicated and
         sorted by key; nothing is re-validated."""
-        return cls(_Rows(rows, None, None), n)
-
-    def _canonical(self) -> tuple[np.ndarray, np.ndarray]:
-        """Packed rows and counts sorted by key, so reductions over the
-        entries see a fixed order."""
-        if self._canonical_rows is None:
-            order = np.argsort(_row_keys(self._packed))
-            self._canonical_rows = (self._packed[order], self._weights[order])
-            for arr in self._canonical_rows:
-                arr.setflags(write=False)
-        return self._canonical_rows
-
-    def _bits(self, packed: np.ndarray) -> np.ndarray:
-        """uint8 bit matrix of some packed rows, one column per qubit."""
-        return np.unpackbits(packed, axis=1, count=self.n)
+        return cls(_Rows(rows, None), n)
 
     def _decode(self, packed: np.ndarray) -> list[str]:
         """String keys of packed rows, through the byte-to-text table."""
@@ -159,44 +148,35 @@ class CountsTable:
             return NotImplemented
         if self.n != other.n or self.shots != other.shots or len(self) != len(other):
             return False
-        mine, theirs = self._canonical(), other._canonical()
-        return np.array_equal(mine[0], theirs[0]) and np.array_equal(mine[1], theirs[1])
+        return np.array_equal(self._packed, other._packed) and np.array_equal(
+            self._weights, other._weights
+        )
 
     def __repr__(self) -> str:
         return f"CountsTable(n={self.n}, shots={self.shots}, distinct={len(self)})"
 
-    def as_arrays(
-        self, canonical: bool = False, *, keys: bool = True
-    ) -> tuple[list[str] | None, np.ndarray, np.ndarray]:
-        """Return (keys, bit matrix, count vector).
-
-        The bit matrix has one uint8 row per distinct key; the count vector
-        is int64. With ``canonical=True`` keys are sorted so downstream
-        floating-point reductions see a fixed order. With ``keys=False``
-        the first element is None and no string keys are built.
-        """
-        if canonical:
-            packed, weights = self._canonical()
-            names = self._decode(packed) if keys else None
-        else:
-            packed, weights = self._packed, self._weights
-            names = list(self.counts) if keys else None
-        return names, self._bits(packed), weights.copy()
+    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return (bit matrix, count vector) in key order, the order of
+        ``counts``: one uint8 row per distinct key, one column per qubit,
+        and an int64 count per row. No string keys are built."""
+        return np.unpackbits(self._packed, axis=1, count=self.n), self._weights.copy()
 
 
 class _Rows(NamedTuple):
     """Packed rows handed to ``CountsTable`` unchecked: the simulator's shot
-    record (no weights) or checked rows with their counts and, if the
-    caller holds one, the string mapping they were packed from."""
+    record (no weights), or checked distinct rows with their counts."""
 
     rows: np.ndarray
     weights: np.ndarray | None
-    mapping: Mapping[str, int] | None
 
 
 # Largest shot total a table may hold: float64 is exact for integers up to
 # 2**53, which the column sums below rely on.
 MAX_SHOTS = 2**53
+# Largest buffer one step may allocate: the exhaustive scan's working
+# buffers, or a simulated shot record packed eight qubits to a byte. Either
+# is refused before it is allocated.
+MAX_WORK_BYTES = 4 << 30
 # Entries are checked and packed in blocks of about this many key characters.
 _PACK_BLOCK_CHARS = 1 << 18
 
@@ -335,7 +315,7 @@ def tally(counts: CountsTable) -> VoteTally:
 
     Cost is linear in (distinct entries) x (qubits).
     """
-    _, bits, weights = counts.as_arrays(keys=False)
+    bits, weights = counts.as_arrays()
     ones = _column_sums(weights, bits)
     return VoteTally(zeros=counts.shots - ones, ones=ones, shots=counts.shots)
 

@@ -103,17 +103,16 @@ def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
             f"field 'shots' declares {shots} but counts sum to {total}",
             code="SUM_MISMATCH",
         )
-    return CountsTable(_Rows(packed, weights, None if right else raw), n=n)
+    return CountsTable(_Rows(packed, weights), n=n)
 
 
 def serialize_counts(table: CountsTable) -> str:
     """Render a counts table as the canonical document: what
     ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` gives, written
-    straight from the key-sorted rows (bitstring keys need no escaping)."""
-    packed, weights = table._canonical()
-    counts = ",\n".join(
-        f'    "{key}": {count}' for key, count in zip(table._decode(packed), weights.tolist())
-    )
+    straight from the table's key-ordered entries (bitstring keys need no
+    escaping)."""
+    entries = zip(table._decode(table._packed), table._weights.tolist())
+    counts = ",\n".join(f'    "{key}": {count}' for key, count in entries)
     return (
         f'{{\n  "counts": {{\n{counts}\n  }},\n  "n": {table.n},\n'
         f'  "schema_version": "{SCHEMA_VERSION}",\n  "shots": {table.shots}\n}}\n'

@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import CountsTable, VoteTally, _column_sums, complement, tally, validate_bitstring
+from .core import MAX_WORK_BYTES, CountsTable, VoteTally, _column_sums, complement, tally, validate_bitstring
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .noise import NoiseModel
 
@@ -45,7 +45,7 @@ _ENUM_BLOCK = 1 << 16
 ENUM_MAX_QUBITS = 24
 # The scan's two working buffers hold 1.5 x block x distinct-keys float64
 # values; a scan that needs more than this is refused before it allocates.
-ENUM_MAX_BYTES = 4 << 30
+ENUM_MAX_BYTES = MAX_WORK_BYTES
 
 NEG_INF = float("-inf")
 
@@ -209,7 +209,7 @@ def _check_tally(t: VoteTally) -> VoteTally:
 def mode_estimate(counts: CountsTable) -> Estimate:
     """Most frequently measured bitstring; ties pick the lexicographically
     smallest."""
-    packed, weights = counts._canonical()
+    packed, weights = counts._packed, counts._weights
     # rows are in key order, so the first maximum is the smallest tied key
     best = int(np.argmax(weights))
     second_count = int(np.partition(weights, -2)[-2]) if weights.size > 1 else 0
@@ -286,9 +286,9 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     Candidate k is the bitstring with qubit 0 as the most significant
     character, so ascending k is ascending lexicographic order. The score
     of a candidate is its shot log-likelihood. Per-entry log-likelihoods
-    are accumulated over a canonically ordered entry list, then weighted by
-    the entry counts, so the scan does not depend on dict or platform
-    reduction order.
+    are accumulated over the table's entries in key order, then weighted by
+    the entry counts, so the scan does not depend on how the table was
+    built or on platform reduction order.
 
     Each candidate's per-entry log-likelihood is the qubit-ordered sum
     ``((0 + t_0) + t_1) + ... + t_{n-1}``, where ``t_i`` is the entry's term
@@ -308,7 +308,7 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
         )
     _check_scan_memory(n, len(counts))
     block = min(_ENUM_BLOCK, 1 << n)
-    _, ybits, weights = counts.as_arrays(canonical=True, keys=False)
+    ybits, weights = counts.as_arrays()
     wts = weights.astype(np.float64)
     with np.errstate(divide="ignore"):
         # log_table[t, y, i] = log Pr(read y | true t) at qubit i
@@ -451,7 +451,7 @@ def sliding_window_antipodal(counts: CountsTable) -> AntipodalPair:
     n = counts.n
     if n < 2:
         raise ValidationError(f"antipodal windows need at least 2 qubits, got {n}")
-    _, bits, weights = counts.as_arrays(keys=False)
+    bits, weights = counts.as_arrays()
     differ = _column_sums(weights, bits[:, :-1] ^ bits[:, 1:])
     equal = 2 * differ <= counts.shots
     out = np.zeros(n, dtype=np.uint8)

@@ -17,7 +17,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -37,7 +37,7 @@ from .estimators import (
     sliding_window_antipodal,
     weighted_vote,
 )
-from .noise import NoiseModel, derive_seed, simulate_antipodal_shots, simulate_shots
+from .noise import NoiseModel, _check_record_memory, derive_seed, simulate_antipodal_shots, simulate_shots
 
 # name -> (needs noise, takes a prior, rule(counts, noise, prior)). Each rule
 # looks its estimator up by module-level name at call time, so a wrapper bound
@@ -83,7 +83,6 @@ class ExperimentConfig:
     antipodal: bool = False
     ams_tau: float | None = None
     ams_factor: float | None = None
-    source: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         n = len(self.ground_truth)
@@ -100,6 +99,7 @@ class ExperimentConfig:
                 )
         if not self.shots or any(s < 1 for s in self.shots):
             raise ValidationError("field 'shots' must list positive shot counts")
+        _check_record_memory(n, max(self.shots))
         if not self.seeds:
             raise ValidationError("field 'seeds' must list at least one seed")
         for name in ("shots", "seeds", "estimators"):
@@ -194,7 +194,6 @@ class ExperimentConfig:
             antipodal=antipodal,
             ams_tau=ams_tau,
             ams_factor=ams_factor,
-            source=dict(doc),
         )
 
     @classmethod

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import MAX_QUBITS, CountsTable, validate_bitstring
-from .errors import DimensionError, ValidationError
+from .core import MAX_QUBITS, MAX_WORK_BYTES, CountsTable, validate_bitstring
+from .errors import DimensionError, InfeasibleError, ValidationError
 
 MAX_SEED = 2**64
 
@@ -168,6 +168,17 @@ def _simulate_rows(thresholds: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
+def _check_record_memory(n: int, shots: int) -> None:
+    """Refuse a shot record of ``shots`` rows of ``n`` qubits, packed eight
+    to a byte, that would pass ``MAX_WORK_BYTES``."""
+    need = shots * ((n + 7) // 8)
+    if need > MAX_WORK_BYTES:
+        raise InfeasibleError(
+            f"{shots} shots of {n} qubits need {need / 2**30:.1f} GiB as a packed shot "
+            f"record, more than the {MAX_WORK_BYTES / 2**30:.0f} GiB allowed"
+        )
+
+
 def _prepare(x0: str, noise: NoiseModel, shots: int, seed: int):
     validate_bitstring(x0)
     if len(x0) != noise.n:
@@ -176,9 +187,11 @@ def _prepare(x0: str, noise: NoiseModel, shots: int, seed: int):
         )
     if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
         raise ValidationError(f"shots must be a positive integer, got {shots!r}")
+    shots = int(shots)
+    _check_record_memory(noise.n, shots)
     seed = _check_seed(seed)
     x0_bits = np.frombuffer(x0.encode("ascii"), dtype=np.uint8) - ord("0")
-    return x0_bits, int(shots), seed
+    return x0_bits, shots, seed
 
 
 def simulate_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsTable:

@@ -266,6 +266,21 @@ class TestSimulate:
         )
         assert first == second
 
+    def test_oversized_shot_record_exit_two_before_drawing(self, capsys, monkeypatch):
+        import qmvote.noise as noise_mod
+
+        def no_draw(*args):
+            raise AssertionError("a shot block was drawn")
+
+        monkeypatch.setattr(noise_mod, "_shot_block", no_draw)
+        code, out, err = run(
+            capsys, "simulate", "--truth", "01", "--p", "0.1", "--shots", "10000000000000"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "packed shot record" in err and "4 GiB allowed" in err
+
     def test_requires_noise(self, capsys):
         code, _, err = run(capsys, "simulate", "--truth", "01", "--shots", "10")
         assert code == 1

@@ -236,19 +236,15 @@ def key_bits(keys, n):
 
 
 def assert_table_matches(table, entries, n, shots):
-    keys, counts = list(entries), list(entries.values())
+    """``table`` holds ``entries`` (in any order) in key order."""
+    keys = sorted(entries)
+    counts = [entries[k] for k in keys]
     assert (table.n, table.shots, len(table)) == (n, shots, len(entries))
     assert list(table.counts) == keys
-    assert dict(table.counts) == entries
-    names, bits, weights = table.as_arrays()
-    assert names == keys
+    assert list(table.items()) == list(zip(keys, counts))
+    bits, weights = table.as_arrays()
     assert np.array_equal(bits, key_bits(keys, n))
     assert weights.dtype == np.int64 and weights.tolist() == counts
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    names, bits, weights = table.as_arrays(canonical=True)
-    assert names == sorted(keys)
-    assert np.array_equal(bits, key_bits(sorted(keys), n))
-    assert weights.tolist() == [counts[i] for i in order]
     if shots <= 100_000:  # the simulator's path builds it from one row per shot
         shots_rows = np.packbits(np.repeat(key_bits(keys, n), counts, axis=0), axis=1)
         assert table == CountsTable._from_shots(shots_rows, n)
@@ -432,6 +428,38 @@ class TestDifferentialAgainstEntryLoop:
             expected = outcome(reference_table, mapping, n)
             assert isinstance(expected, tuple), mapping
             assert outcome(CountsTable, mapping, n) == expected
+
+
+class TestOneKeyOrder:
+    """Entry order carries no information, so every source of the same
+    multiset gives the same table, held in key order."""
+
+    @pytest.mark.parametrize("n", [1, 11, 127])
+    def test_every_source_gives_one_table(self, n):
+        rng = np.random.default_rng(n)
+        entries = random_entries(rng, n, 300)
+        ordered = dict(sorted(entries.items()))
+        if list(entries) == list(ordered):  # keep the mapping out of key order
+            entries = dict(reversed(entries.items()))
+        assert list(entries) != list(ordered)
+        keys, counts = list(entries), list(entries.values())
+        rows = np.packbits(np.repeat(key_bits(keys, n), counts, axis=0), axis=1)
+        tables = [
+            CountsTable(entries, n=n),
+            CountsTable(ordered, n=n),
+            parse_counts(counts_doc(entries, n)),
+            parse_counts(counts_doc({k[::-1]: c for k, c in entries.items()}, n), bit_order="right"),
+            CountsTable._from_shots(rows[rng.permutation(len(rows))], n),
+        ]
+        text = serialize_counts(tables[0])
+        assert text.encode() == reference_serialize(entries, n, sum(counts))
+        for table in tables:
+            assert list(table.items()) == list(ordered.items())
+            bits, weights = table.as_arrays()
+            assert np.array_equal(bits, key_bits(list(ordered), n))
+            assert weights.tolist() == list(ordered.values())
+            assert all(table == other for other in tables)
+            assert serialize_counts(table) == text
 
 
 class TestShotLimit:

@@ -78,6 +78,13 @@ class TestConfig:
         # map with the harness's per-qubit prior does not scan
         make_config(ground_truth=alternating, shots=[60_000], estimators=["map"])
 
+    def test_oversized_shot_record_refused_at_config_time(self):
+        # 16 qubits pack to two bytes per shot, so 4 GiB holds 2**31 shots
+        alternating = {"pattern": "alternating", "n": 16}
+        with pytest.raises(InfeasibleError, match="packed shot record.*4 GiB allowed"):
+            make_config(ground_truth=alternating, shots=[64, 2**31 + 2])
+        assert make_config(ground_truth=alternating, shots=[2**31]).shots == (2**31,)
+
     def test_ams_needs_settings_and_even_shots(self):
         with pytest.raises(ValidationError):
             make_config(estimators=["ams"])

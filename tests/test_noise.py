@@ -9,6 +9,7 @@ import qmvote.noise as noise_mod
 from qmvote import (
     CountsTable,
     DimensionError,
+    InfeasibleError,
     NoiseModel,
     ValidationError,
     derive_seed,
@@ -104,7 +105,7 @@ class TestSimulateShots:
         shots = 10**6
         p = 0.3
         counts = simulate_shots("000", NoiseModel.uniform(3, p), shots, 31)
-        _, bits, weights = counts.as_arrays()
+        bits, weights = counts.as_arrays()
         flips = bits.astype(np.float64)
         mean = (weights @ flips) / shots
         for i in range(3):
@@ -134,6 +135,21 @@ class TestSimulateShots:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValidationError):
             simulate_shots("01", NoiseModel.uniform(2, 0.1), 0, 0)
+
+    def test_oversized_record_refused_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a shot block was drawn")
+
+        monkeypatch.setattr(noise_mod, "_shot_block", no_draw)
+        # a shot of two qubits packs to one byte and one of nine to two, so
+        # 4 GiB holds 2**32 and 2**31 shots
+        for simulate in (simulate_shots, simulate_antipodal_shots):
+            with pytest.raises(InfeasibleError, match="packed shot record.*4 GiB allowed"):
+                simulate("01", NoiseModel.uniform(2, 0.1), 2**32 + 1, 0)
+            with pytest.raises(InfeasibleError, match="4.0 GiB"):
+                simulate("0" * 9, NoiseModel.uniform(9, 0.1), 2**31 + 1, 0)
+        noise_mod._check_record_memory(2, 2**32)
+        noise_mod._check_record_memory(9, 2**31)
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ValidationError):
@@ -216,14 +232,10 @@ def assert_tables_identical(new, ref, rows):
         len(keys), n
     )
     ref_weights = np.array(list(ref.counts.values()), dtype=np.int64)
-    for canonical in (False, True):
-        bare_keys, bare_bits, bare_weights = new.as_arrays(canonical=canonical, keys=False)
-        assert bare_keys is None
-        assert np.array_equal(bare_bits, ref_bits) and np.array_equal(bare_weights, ref_weights)
-        new_keys, new_bits, new_weights = new.as_arrays(canonical=canonical)
-        assert new_keys == keys
-        assert new_bits.dtype == np.uint8 and np.array_equal(new_bits, ref_bits)
-        assert new_weights.dtype == np.int64 and np.array_equal(new_weights, ref_weights)
+    assert keys == sorted(keys)
+    new_bits, new_weights = new.as_arrays()
+    assert new_bits.dtype == np.uint8 and np.array_equal(new_bits, ref_bits)
+    assert new_weights.dtype == np.int64 and np.array_equal(new_weights, ref_weights)
     t = tally(new)
     assert np.array_equal(t.ones, rows.sum(axis=0)) and t == tally(ref)
     estimate = mode_estimate(new)
