@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, mitigate, bound, ams, experiment, distance.
-Exit codes: 0 success, 1 validation error, 2 infeasible request.
+Exit codes: 0 success, 1 validation error, 2 infeasible request (also
+when memory runs out).
 """
 
 from __future__ import annotations
@@ -270,6 +271,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -68,8 +68,9 @@ class CountsTable:
     (ascending bitstrings) whatever its source: a mapping or file is
     validated and packed in one pass and then sorted, and the simulator's
     rows arrive sorted by their deduplication. String keys are decoded from
-    the rows the first time ``counts``, ``items()`` or a key lookup asks for
-    them, and iterate in the same key order.
+    the rows the first time ``counts`` or ``items()`` asks for them, and
+    iterate in the same key order; a key lookup packs the one key and
+    searches the rows for it.
     """
 
     __slots__ = ("n", "shots", "_counts", "_packed", "_weights")
@@ -101,7 +102,9 @@ class CountsTable:
             weights = weights.astype(np.int64, copy=False)
         else:  # distinct rows in the caller's order; stable is fast on sorted input
             order = np.argsort(_row_keys(packed), kind="stable")
-            packed, weights = np.take(packed, order, axis=0), weights[order]
+            # an increasing permutation is the identity: the rows are in key order
+            if np.any(order[1:] < order[:-1]):
+                packed, weights = np.take(packed, order, axis=0), weights[order]
         packed.setflags(write=False)
         weights.setflags(write=False)
         self.n = n
@@ -134,11 +137,28 @@ class CountsTable:
     def items(self) -> Iterator[tuple[str, int]]:
         return iter(self.counts.items())
 
+    def _find(self, key) -> int | None:
+        """Row of a string key, or None when the table does not hold it.
+        The one key is packed and looked up among the key-ordered rows, so
+        no other key is decoded."""
+        if not isinstance(key, str) or len(key) != self.n:
+            return None
+        text = np.frombuffer(key.encode("ascii", "replace"), dtype=np.uint8) - np.uint8(ord("0"))
+        if text.max() > 1:  # a character below '0' wraps round to a large value
+            return None
+        rows = _row_keys(self._packed)
+        query = _row_keys(np.packbits(text)[None, :])
+        at = int(np.searchsorted(rows, query[0]))
+        return at if at < rows.size and rows[at] == query[0] else None
+
     def __getitem__(self, key: str) -> int:
-        return self.counts[key]
+        at = self._find(key)
+        if at is None:
+            raise KeyError(key)
+        return int(self._weights[at])
 
     def __contains__(self, key: str) -> bool:
-        return key in self.counts
+        return self._find(key) is not None
 
     def __len__(self) -> int:
         return len(self._weights)
@@ -173,9 +193,10 @@ class _Rows(NamedTuple):
 # Largest shot total a table may hold: float64 is exact for integers up to
 # 2**53, which the column sums below rely on.
 MAX_SHOTS = 2**53
-# Largest buffer one step may allocate: the exhaustive scan's working
-# buffers, or a simulated shot record packed eight qubits to a byte. Either
-# is refused before it is allocated.
+# Largest size one step may reach: a simulated shot record packed eight
+# qubits to a byte, refused before it is allocated, or the exhaustive
+# scan's size limit (see ``estimators._check_scan_memory``), refused before
+# the scan starts.
 MAX_WORK_BYTES = 4 << 30
 # Entries are checked and packed in blocks of about this many key characters.
 _PACK_BLOCK_CHARS = 1 << 18

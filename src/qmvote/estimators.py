@@ -37,15 +37,25 @@ from .core import MAX_WORK_BYTES, CountsTable, VoteTally, _column_sums, compleme
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .noise import NoiseModel
 
-# 2^n candidates are scanned in blocks of this size. Each block's scores
-# come from one matrix-vector product whose summation order depends on the
-# row count, so the block size is part of the output definition and must
-# not be tuned per run.
+# 2^n candidates are scanned in blocks of this size. A block's scores are
+# defined as one matrix-vector product over its rows, whose summation order
+# can depend on the row count, so the block size is part of the output
+# definition and must not be tuned per run.
 _ENUM_BLOCK = 1 << 16
 ENUM_MAX_QUBITS = 24
-# The scan's two working buffers hold 1.5 x block x distinct-keys float64
-# values; a scan that needs more than this is refused before it allocates.
+# Size limit of a scan, measured as 1.5 x block x distinct-keys float64
+# values (the two buffers a whole-block build would take); a larger scan
+# is refused before it starts.
 ENUM_MAX_BYTES = MAX_WORK_BYTES
+# A block's candidate x entry matrix is built a tile of rows at a time, a
+# tile holding about this many bytes so that it and its half-size ping-pong
+# partner stay in cache. Tiles are powers of two of at least
+# _ENUM_TILE_MIN_ROWS rows, capped at the block. A tile's matrix-vector
+# product gives the same bits as the same rows inside one block-sized
+# product only on BLAS's path for four or more rows (OpenBLAS 0.3.31 takes
+# another path for one or two rows), so the minimum must stay >= 4.
+_ENUM_TILE_BYTES = 1 << 20
+_ENUM_TILE_MIN_ROWS = 64
 
 NEG_INF = float("-inf")
 
@@ -265,15 +275,25 @@ def weighted_vote(vote_tally: VoteTally, noise: NoiseModel) -> Estimate:
 
 def _check_scan_memory(n: int, keys: int) -> None:
     """Refuse an exhaustive scan of 2^n candidates over ``keys`` distinct
-    keys whose two working buffers, 1.5 x min(2^16, 2^n) x keys float64
-    values, would pass ``ENUM_MAX_BYTES``."""
+    keys whose size, 1.5 x min(2^16, 2^n) x keys float64 values, would pass
+    ``ENUM_MAX_BYTES``. This is a limit on the scan's size, not memory it
+    allocates: the scan itself works in tiles of about a megabyte."""
     block = min(_ENUM_BLOCK, 1 << n)
     need = (block + block // 2) * keys * 8
     if need > ENUM_MAX_BYTES:
         raise InfeasibleError(
-            f"exhaustive likelihood scan over {keys} distinct keys needs {need / 2**30:.1f} "
-            f"GiB of working memory, more than the {ENUM_MAX_BYTES / 2**30:.0f} GiB allowed"
+            f"exhaustive likelihood scan over {keys} distinct keys has a size of "
+            f"{need / 2**30:.1f} GiB (1.5 x candidates per block x keys float64 values), "
+            f"more than the {ENUM_MAX_BYTES / 2**30:.0f} GiB allowed"
         )
+
+
+def _scan_tile_rows(keys: int, block: int) -> int:
+    """Rows per tile of a scan over ``keys`` distinct keys: the largest
+    power of two whose float64 rows fit in ``_ENUM_TILE_BYTES``, at least
+    ``_ENUM_TILE_MIN_ROWS`` and at most ``block``."""
+    rows = 1 << max(0, (_ENUM_TILE_BYTES // (8 * keys)).bit_length() - 1)
+    return min(block, max(_ENUM_TILE_MIN_ROWS, rows))
 
 
 _CONTRADICTION = "every candidate has zero posterior weight; observations contradict hard evidence"
@@ -292,12 +312,19 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
 
     Each candidate's per-entry log-likelihood is the qubit-ordered sum
     ``((0 + t_0) + t_1) + ... + t_{n-1}``, where ``t_i`` is the entry's term
-    at qubit i under the candidate's bit there. Within a block the high
-    qubits are fixed, so their partial sum is one row; the low qubits are
-    then added in qubit order by doubling, row r becoming rows 2r (bit 0)
-    and 2r + 1 (bit 1). The last doubling lands every row at its candidate's
-    offset in the block, and every row holds exactly the qubit-ordered sum,
-    so the scores do not depend on how the rows were built.
+    at qubit i under the candidate's bit there. Candidates are scored in
+    blocks of ``_ENUM_BLOCK``, and each block is built a tile of rows at a
+    time (see ``_scan_tile_rows``). Within a tile the high qubits are fixed,
+    so their partial sum is one row; the low qubits are then added in qubit
+    order by doubling, row r becoming rows 2r (bit 0) and 2r + 1 (bit 1).
+    The last doubling lands every row at its candidate's offset in the
+    tile, and every row holds exactly the qubit-ordered sum, so the scores
+    do not depend on how the rows were built. The tile's rows are weighted
+    by the entry counts into the block's score vector, and the argmax and
+    runner-up are taken once per block.
+
+    The working set is a tile of about 1 MiB and its half-size ping-pong
+    partner, one block of scores and the n x 2 x entries term table.
     """
     n = counts.n
     if noise.n != n:
@@ -321,26 +348,31 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     # terms[i, t, e] = log Pr(entry e's bit at qubit i | true bit t)
     terms = np.ascontiguousarray(log_table[:, ybits, np.arange(n)].transpose(2, 0, 1))
     total = 1 << n
-    # qubits 0..high-1 are fixed within a block
-    high = n - (block.bit_length() - 1)
-    # Ping-pong buffers: the last doubling writes all ``block`` rows into
-    # ``full``, the one before it writes half as many into ``half``.
     entries = ybits.shape[0]
-    full = np.empty((block, entries))
-    half = np.empty((block // 2, entries))
+    tile = _scan_tile_rows(entries, block)
+    # qubits 0..fixed-1 are fixed within a tile
+    fixed = n - (tile.bit_length() - 1)
+    # Ping-pong buffers: the last doubling writes all ``tile`` rows into
+    # ``full``, the one before it writes half as many into ``half``.
+    full = np.empty((tile, entries))
+    half = np.empty((tile // 2, entries))
+    prefix = np.empty((1, entries))
+    scores = np.empty(block)
     best_k = 0
     best_score = NEG_INF
     second_score = NEG_INF
     for lo in range(0, total, block):
-        rows = np.zeros((1, entries))
-        for i in range(high):
-            rows += terms[i, (lo >> (n - 1 - i)) & 1]
-        for i in range(high, n):
-            out = full if (n - 1 - i) % 2 == 0 else half
-            size = 2 * rows.shape[0]
-            np.add(rows[:, None], terms[i], out=out[:size].reshape(size // 2, 2, entries))
-            rows = out[:size]
-        scores = rows @ wts
+        for at in range(0, block, tile):
+            prefix.fill(0.0)
+            for i in range(fixed):
+                prefix += terms[i, ((lo + at) >> (n - 1 - i)) & 1]
+            rows = prefix
+            for i in range(fixed, n):
+                out = full if (n - 1 - i) % 2 == 0 else half
+                size = 2 * rows.shape[0]
+                np.add(rows[:, None], terms[i], out=out[:size].reshape(size // 2, 2, entries))
+                rows = out[:size]
+            np.matmul(rows, wts, out=scores[at : at + tile])
         top_score = float(scores.max())
         if top_score == NEG_INF:
             continue

@@ -364,15 +364,13 @@ def run_experiment(config: ExperimentConfig) -> Report:
     two-phase schedule.
 
     Cells are independent, so they run on a thread pool with one worker per
-    usable CPU; their rows are joined in cell order, so the report does not
-    depend on the schedule. Configs that name ml get one worker, because
-    each exhaustive scan's working block can take gigabytes (map runs with a
-    per-qubit uniform prior here, which needs no scan). If cells fail, the
+    usable CPU, at most one per cell; their rows are joined in cell order,
+    so the report does not depend on the schedule. If cells fail, the
     first failing cell's exception is raised.
     """
     truth = config.ground_truth
     cells = [(shots, seed) for shots in config.shots for seed in config.seeds]
-    workers = 1 if "ml" in config.estimators else min(len(cells), _usable_cpus())
+    workers = min(len(cells), _usable_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # map yields in cell order; the first failure re-raises there and
         # cancels the cells still queued

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qmvote import NoiseModel, complement, simulate_shots
+from qmvote import cli as cli_mod
 from qmvote.cli import main
 
 
@@ -150,6 +151,21 @@ class TestMitigate:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "GiB" in err and "4 GiB allowed" in err
+
+    @pytest.mark.parametrize(
+        "exc", [MemoryError(), MemoryError("Unable to allocate 890. MiB for an array")]
+    )
+    def test_out_of_memory_exit_two(self, capsys, tmp_path, monkeypatch, exc):
+        def rule(counts, noise, prior):
+            raise exc
+
+        monkeypatch.setitem(cli_mod.ESTIMATORS, "ml", (True, False, rule))
+        path = write_counts_file(tmp_path, {"01": 3, "11": 1}, 2)
+        code, out, err = run(capsys, "mitigate", path, "--method", "ml", "--p", "0.3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert str(exc) in err
 
     def test_ml_too_wide_exit_two(self, capsys, tmp_path):
         path = write_counts_file(tmp_path, {"0" * 25: 4}, 25)

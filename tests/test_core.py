@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from qmvote import (
     CountsTable,
     DimensionError,
+    NoiseModel,
     ValidationError,
     VoteTally,
     complement,
     hamming_distance,
     merge_tallies,
+    simulate_shots,
     tally,
 )
 
@@ -118,6 +120,58 @@ class TestCountsTable:
         assert weights.dtype == np.int64 and weights.tolist() == [4, 2, 1]
         weights[0] = 99  # a copy: the table is unchanged
         assert ct.as_arrays()[1].tolist() == [4, 2, 1] and ct["001"] == 4
+
+    def test_lookups_decode_no_keys(self):
+        n = 13
+        table = simulate_shots("0110100111010", NoiseModel.uniform(n, 0.3), 3000, 4)
+        # the same seed gives the same table; decode the keys of that copy
+        items = dict(simulate_shots("0110100111010", NoiseModel.uniform(n, 0.3), 3000, 4).items())
+        assert len(items) == len(table) > 1000
+        rng = np.random.default_rng(5)
+        absent = [k for k in (format(int(v), f"0{n}b") for v in rng.integers(0, 1 << n, 300)) if k not in items]
+        assert absent
+        for key, count in items.items():
+            assert key in table and table[key] == count
+        for key in absent + ["0" * n, "1" * n]:
+            assert (key in table) == (key in items)
+            if key not in items:
+                with pytest.raises(KeyError):
+                    table[key]
+        # wrong types and lengths, and characters above '1', below '0' and outside ASCII
+        malformed = [5, None, b"0" * n, ["0"] * n, "", "0" * (n - 1), "0" * (n + 1)]
+        malformed += [c + "0" * (n - 1) for c in ("2", "/", " ", "\x00", "é", "x")]
+        # a stored key with one '1' swapped for another character
+        malformed += [k.replace("1", c, 1) for k in list(items)[:50] for c in ("2", "/", "é")]
+        for key in malformed:
+            assert key not in table
+            with pytest.raises(KeyError):
+                table[key]
+        assert table._counts is None
+
+    def test_lookups_in_padded_and_single_row_tables(self):
+        for keys in (["0"], ["1"], ["101"], ["00000000"], ["111111111", "000000001", "100000000"]):
+            table = CountsTable({k: i + 1 for i, k in enumerate(keys)})
+            for i, k in enumerate(keys):
+                assert k in table and table[k] == i + 1
+            n = len(keys[0])
+            for v in range(min(1 << n, 600)):
+                other = format(v, f"0{n}b")
+                assert (other in table) == (other in keys)
+            assert table._counts is None
+
+    def test_sorted_and_shuffled_mappings_build_equal_tables(self):
+        table = simulate_shots("1011001110", NoiseModel.uniform(10, 0.3), 2000, 9)
+        ordered = dict(table.items())
+        assert list(ordered) == sorted(ordered)
+        keys = list(ordered)
+        np.random.default_rng(3).shuffle(keys)
+        shuffled = {k: ordered[k] for k in keys}
+        assert list(shuffled) != list(ordered)
+        a, b = CountsTable(ordered), CountsTable(shuffled)
+        assert a == b == table
+        for x, y in zip(a.as_arrays(), b.as_arrays()):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert list(a.items()) == list(b.items()) == list(ordered.items())
 
 
 class TestTally:

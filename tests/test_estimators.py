@@ -28,7 +28,7 @@ from qmvote import (
     tally,
     weighted_vote,
 )
-from qmvote.estimators import ENUM_MAX_BYTES, _ENUM_BLOCK, _enumerate_scores
+from qmvote.estimators import ENUM_MAX_BYTES, _ENUM_BLOCK, _enumerate_scores, _scan_tile_rows
 
 
 def random_counts(rng, n, shots, skew=True):
@@ -131,6 +131,19 @@ class TestMlBruteforce:
         assert f"{need / 2**30:.1f} GiB" in str(info.value)
         assert "4 GiB allowed" in str(info.value)
         assert peak < need / 1000
+
+    def test_scan_works_in_tiles(self):
+        """A whole-block build of this scan takes about 1.3 GB."""
+        nm = NoiseModel.uniform(16, 0.3)
+        counts = simulate_shots("01" * 8, nm, 2000, 1)
+        assert len(counts) > 1700
+        tracemalloc.start()
+        try:
+            ml_bruteforce(counts, nm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
 
     def test_matches_direct_scoring_oracle(self):
         """Exhaustive check against a from-scratch per-candidate scorer."""
@@ -305,6 +318,36 @@ class TestScanMatchesGatherReference:
         counts = simulate_shots(truth, nm, 6, 15)
         k, _, _ = self.assert_identical(counts, nm)
         assert k == int(truth, 2)
+
+    def test_tiles_smaller_than_the_block(self):
+        """Tables wide enough that a block is built in several tiles, at
+        every tile size from the smallest up to the whole block: K values
+        on both sides of each step of the tile size, and K of 1-2k."""
+        rng = np.random.default_rng(16)
+        sizes = set()
+        steps = (16, 17, 32, 33, 64, 65, 128, 129, 256, 257, 512, 513, 1024, 1025, 1500)
+        for n, keys in [(13, k) for k in steps] + [(12, 2000)]:
+            picked = rng.choice(1 << n, size=keys, replace=False)
+            counts = CountsTable(
+                {format(int(k), f"0{n}b"): int(c) for k, c in zip(picked, rng.integers(1, 40, keys))}
+            )
+            nm = NoiseModel(p01=rng.uniform(0.01, 0.49, n), p10=rng.uniform(0.01, 0.49, n))
+            sizes.add(_scan_tile_rows(len(counts), 1 << n))
+            assert isinstance(self.assert_identical(counts, nm), tuple)
+        assert sizes == {1 << t for t in range(6, 14)}
+
+    def test_tiles_with_hard_evidence_qubits(self):
+        rng = np.random.default_rng(17)
+        n = 12
+        for _ in range(3):
+            p01 = rng.uniform(0.2, 0.45, n)
+            p10 = rng.uniform(0.2, 0.45, n)
+            p01[rng.random(n) < 0.3] = 0.0
+            nm = NoiseModel(p01=p01, p10=p10)
+            truth = "".join(rng.choice(["0", "1"], size=n))
+            counts = simulate_shots(truth, nm, 4000, int(rng.integers(2**32)))
+            assert _scan_tile_rows(len(counts), 1 << n) < 1 << n
+            assert isinstance(self.assert_identical(counts, nm), tuple)
 
     def test_impossible_evidence_raises_in_both(self):
         cases = [

@@ -313,7 +313,7 @@ SCHEDULE_CONFIGS = {
     },
 }
 
-# An exhaustive-scan config, which runs its cells one at a time at any CPU count.
+# An exhaustive-scan config, whose cells share the pool like any other.
 ML_CONFIG = {**SCHEDULE_CONFIGS["map"], "estimators": ["ml", "map", "qmv"]}
 
 
@@ -328,7 +328,7 @@ def timeless(rows):
 
 class TestCellSchedule:
     def assert_same_reports(self, monkeypatch):
-        for name, doc in SCHEDULE_CONFIGS.items():
+        for name, doc in {**SCHEDULE_CONFIGS, "ml": ML_CONFIG}.items():
             cfg = make_config(**doc)
             inline = run_on_cpus(monkeypatch, cfg, 1)
             pooled = run_on_cpus(monkeypatch, cfg, 8)
@@ -351,7 +351,7 @@ class TestCellSchedule:
         "cpus,doc,workers",
         [
             (1, SCHEDULE_CONFIGS["ams"], 1),
-            (8, ML_CONFIG, 1),
+            (8, ML_CONFIG, 6),  # 6 cells
             (8, SCHEDULE_CONFIGS["ams"], 8),  # 10 cells
             (8, SCHEDULE_CONFIGS["map"], 6),  # 6 cells
         ],
