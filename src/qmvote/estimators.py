@@ -356,17 +356,15 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     # ``full``, the one before it writes half as many into ``half``.
     full = np.empty((tile, entries))
     half = np.empty((tile // 2, entries))
-    prefix = np.empty((1, entries))
     scores = np.empty(block)
     best_k = 0
     best_score = NEG_INF
     second_score = NEG_INF
     for lo in range(0, total, block):
         for at in range(0, block, tile):
-            prefix.fill(0.0)
+            rows = np.zeros((1, entries))
             for i in range(fixed):
-                prefix += terms[i, ((lo + at) >> (n - 1 - i)) & 1]
-            rows = prefix
+                rows += terms[i, ((lo + at) >> (n - 1 - i)) & 1]
             for i in range(fixed, n):
                 out = full if (n - 1 - i) % 2 == 0 else half
                 size = 2 * rows.shape[0]
