@@ -20,7 +20,6 @@ from .core import (
     VoteTally,
     complement,
     hamming_distance,
-    merge_tallies,
     tally,
     validate_bitstring,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "load_counts",
     "m3_shot_requirement",
     "map_estimate",
-    "merge_tallies",
     "merge_votes",
     "ml_bruteforce",
     "mode_estimate",

@@ -18,12 +18,42 @@ produced by stacks that order bits right-to-left can be ingested with
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from . import core
 from .core import MAX_QUBITS, MAX_SHOTS, CountsTable, _pack_entries, _Rows
 from .errors import CountsFormatError, ValidationError
 
 SCHEMA_VERSION = "1"
+
+# The canonical layout, the bytes of ``json.dumps(doc, indent=2,
+# sort_keys=True) + "\n"``: the head, then one line per entry in key order,
+# ``    "<key>": <count>``, the lines joined by ",\n", then the tail with n
+# and shots after its first and second piece. ``serialize_counts`` writes
+# it, and ``parse_counts`` reads it without ``json``.
+_HEAD = b'{\n  "counts": {\n'
+_LEAD = b'    "'
+_SEP = b'": '
+_TAIL = (b'\n  },\n  "n": ', b',\n  "schema_version": "%s",\n  "shots": ' % SCHEMA_VERSION.encode(), b"\n}\n")
+_TAIL_RE = re.compile(b"%s([1-9][0-9]{0,15})%s([1-9][0-9]{0,15})%s" % tuple(map(re.escape, _TAIL)))
+# A count has at most 16 digits (2**53 has 16). Digit j of a right-aligned
+# 16-digit window has place value _PLACES[j]; a count below _WIDTHS[k]
+# has k + 1 digits or fewer.
+_DIGITS = 16
+_PLACES = 10 ** np.arange(_DIGITS - 1, -1, -1, dtype=np.int64)
+_WIDTHS = _PLACES[-2::-1].copy()
+# Longest entry line, with its ",\n", beyond the key.
+_LINE_EXTRA = len(_LEAD) + len(_SEP) + _DIGITS + 2
+# Eight key characters as one little-endian word: their low bits, and the
+# multiplier that gathers those bits into the top byte, first character
+# highest, as ``np.packbits`` orders them.
+_ONES = np.uint64(0x0101010101010101)
+_CHARS_1 = np.uint64(0x3131313131313131)
+_GATHER = np.uint64(0x8040201008040201)
 
 _REQUIRED_FIELDS = ("schema_version", "n", "shots", "counts")
 
@@ -56,6 +86,13 @@ def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
     """
     if bit_order not in BIT_ORDERS:
         raise _schema_error(f"bit_order must be one of {BIT_ORDERS}, got {bit_order!r}")
+    try:
+        raw = data.encode("ascii") if isinstance(data, str) else data
+    except UnicodeEncodeError:
+        raw = None
+    table = _read_canonical(raw, reverse=bit_order == "right") if isinstance(raw, bytes) else None
+    if table is not None:
+        return table
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -106,17 +143,115 @@ def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
     return CountsTable(_Rows(packed, weights), n=n)
 
 
+def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
+    """The table of a document in the canonical layout, or None for any
+    other input; never raises.
+
+    Every byte is checked at its offset in its line, the keys must be
+    strictly increasing (so none repeats), every count is 1..2**53 written
+    without a leading zero, their sum is ``shots``, and ``n`` is at most
+    ``MAX_QUBITS``. A document that passes is one the ``json`` path reads to
+    the same table, so that path, run for every other input, is the one
+    source of errors. Lines are read a block of about ``_PACK_BLOCK_CHARS``
+    bytes at a time, so no temporary grows with the file.
+    """
+    end = data.rfind(_TAIL[0])  # the newline ending the last entry line
+    tail = _TAIL_RE.fullmatch(data, end) if data.startswith(_HEAD) else None
+    if tail is None:
+        return None
+    n, shots = int(tail[1]), int(tail[2])
+    key_end = len(_LEAD) + n  # offsets in a line
+    digits_start = key_end + len(_SEP)
+    if n > MAX_QUBITS or shots > MAX_SHOTS or end < len(_HEAD) + digits_start + 1:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # Keys are read as little-endian 64-bit words of eight characters; the
+    # bytes past the key in its last word are masked out.
+    words = (n + 7) // 8
+    key_mask = np.full(words, 2**64 - 1, dtype=np.uint64)
+    key_mask[-1] >>= np.uint64(8 * (-n % 8))
+    keys_at = sliding_window_view(buf, 8 * words)
+    step = max(core._PACK_BLOCK_CHARS, n + _LINE_EXTRA)
+    rows, counts, total, last = [], [], 0, None
+    lo = len(_HEAD)
+    while lo <= end:
+        stops = lo + np.flatnonzero(buf[lo : min(lo + step, end + 1)] == ord("\n"))
+        if stops.size == 0:
+            return None
+        starts = np.concatenate(([lo], stops[:-1] + 1))
+        lo = int(stops[-1]) + 1
+        comma = stops < end  # every line but the last ends in ","
+        digits_end = stops - comma
+        width = digits_end - starts - digits_start
+        wide = int(width.max())
+        if width.min() < 1 or wide > _DIGITS:
+            return None
+        text = keys_at[starts + len(_LEAD)].view("<u8")
+        if (
+            np.any(sliding_window_view(buf, len(_LEAD))[starts] != np.frombuffer(_LEAD, np.uint8))
+            or np.any(sliding_window_view(buf, len(_SEP))[starts + key_end] != np.frombuffer(_SEP, np.uint8))
+            or np.any(buf[digits_end[comma]] != ord(","))
+            or np.any(buf[digits_end - width] == ord("0"))
+            or np.any(((text | _ONES) ^ _CHARS_1) & key_mask)  # a byte other than "0" or "1"
+        ):
+            return None
+        packed = ((text & (_ONES & key_mask)) * _GATHER >> np.uint64(56)).astype(np.uint8)
+        # strictly increasing: at the first byte where neighbours differ, the later is larger
+        seq = packed if last is None else np.concatenate((last, packed))
+        differ = seq[1:] != seq[:-1]
+        at = (np.arange(len(differ)), differ.argmax(axis=1))
+        if not np.all(differ[at] & (seq[1:][at] > seq[:-1][at])):
+            return None
+        last = packed[-1:]
+        digits = sliding_window_view(buf, wide)[digits_end - wide] - np.uint8(ord("0"))
+        digits[np.arange(wide) < wide - width[:, None]] = 0
+        if digits.max() > 9:  # a byte below "0" wraps round to a large value
+            return None
+        values = digits @ _PLACES[-wide:]
+        if values.max() > MAX_SHOTS:
+            return None
+        # exact: each half sums to well under 2**63
+        total += (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
+        if total > shots:
+            return None
+        if reverse:
+            packed = np.packbits(np.unpackbits(packed, axis=1, count=n)[:, ::-1], axis=1)
+        rows.append(packed)
+        counts.append(values)
+    if total != shots:
+        return None
+    return CountsTable(_Rows(np.concatenate(rows), np.concatenate(counts)), n=n)
+
+
 def serialize_counts(table: CountsTable) -> str:
     """Render a counts table as the canonical document: what
-    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` gives, written
-    straight from the table's key-ordered entries (bitstring keys need no
-    escaping)."""
-    entries = zip(table._decode(table._packed), table._weights.tolist())
-    counts = ",\n".join(f'    "{key}": {count}' for key, count in entries)
-    return (
-        f'{{\n  "counts": {{\n{counts}\n  }},\n  "n": {table.n},\n'
-        f'  "schema_version": "{SCHEMA_VERSION}",\n  "shots": {table.shots}\n}}\n'
-    )
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` gives, built as
+    bytes from the table's key-ordered packed rows a block of lines at a
+    time (bitstring keys need no escaping)."""
+    n, packed, weights = table.n, table._packed, table._weights
+    parts = [_HEAD]
+    step = max(1, core._PACK_BLOCK_CHARS // (n + _LINE_EXTRA))
+    for lo in range(0, len(weights), step):
+        block, values = packed[lo : lo + step], weights[lo : lo + step]
+        width = 1 + np.searchsorted(_WIDTHS, values, side="right")
+        wide = int(width.max())
+        key_end = len(_LEAD) + n
+        lines = np.empty((len(values), key_end + len(_SEP) + wide + 2), dtype=np.uint8)
+        lines[:, : len(_LEAD)] = np.frombuffer(_LEAD, np.uint8)
+        np.add(np.unpackbits(block, axis=1, count=n), np.uint8(ord("0")), out=lines[:, len(_LEAD) : key_end])
+        lines[:, key_end : key_end + len(_SEP)] = np.frombuffer(_SEP, np.uint8)
+        field = lines[:, key_end + len(_SEP) : -2]  # the count, zero-padded to `wide` digits
+        field[:] = values[:, None] // _PLACES[-wide:] % 10 + ord("0")
+        lines[:, -2:] = np.frombuffer(b",\n", np.uint8)
+        if width.min() == wide:
+            out = lines.ravel()
+        else:  # drop the padding zeros
+            keep = np.ones(lines.shape, dtype=bool)
+            keep[:, key_end + len(_SEP) : -2] = np.arange(wide) >= wide - width[:, None]
+            out = lines[keep]
+        parts.append(out[:-2] if lo + step >= len(weights) else out)
+    parts.append(b"%s%d%s%d%s" % (_TAIL[0], n, _TAIL[1], table.shots, _TAIL[2]))
+    return b"".join(parts).decode("ascii")
 
 
 def load_counts(path: str | Path, bit_order: str = "left") -> CountsTable:
@@ -124,4 +259,4 @@ def load_counts(path: str | Path, bit_order: str = "left") -> CountsTable:
 
 
 def write_counts(path: str | Path, table: CountsTable) -> None:
-    Path(path).write_text(serialize_counts(table), encoding="utf-8")
+    Path(path).write_bytes(serialize_counts(table).encode("ascii"))

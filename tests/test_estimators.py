@@ -658,7 +658,6 @@ class TestSlidingWindowAntipodal:
         pair = sliding_window_antipodal(CountsTable({"0000": 50, "1111": 50}))
         assert pair.x == "0000"
         assert pair.x_complement == "1111"
-        assert pair.canonical
 
     def test_all_windows_tied_gives_all_equal(self):
         # both windows split their agree/disagree votes 1-1
@@ -711,11 +710,6 @@ class TestAntipodalPair:
     def test_rejects_non_complement(self):
         with pytest.raises(ValidationError):
             AntipodalPair(x="00", x_complement="01")
-
-    def test_from_bitstring_normalizes_orientation(self):
-        pair = AntipodalPair.from_bitstring("110")
-        assert pair.x == "001"
-        assert pair.canonical
 
 
 class TestSharedInvariances:

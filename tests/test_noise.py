@@ -99,7 +99,7 @@ class TestSimulateShots:
         # truth 0 flips with p01, truth 1 with p10
         expected = np.array([0.05, 1 - 0.1, 0.5])
         sigma = np.sqrt(expected * (1 - expected) / shots)
-        np.testing.assert_array_less(np.abs(t.p1 - expected), 5 * sigma + 1e-12)
+        np.testing.assert_array_less(np.abs(t.ones / t.shots - expected), 5 * sigma + 1e-12)
 
     def test_pairwise_flip_independence(self):
         shots = 10**6
@@ -355,7 +355,7 @@ class TestSimulateAntipodalShots:
         counts = simulate_antipodal_shots("000", NoiseModel.uniform(3, 0.2), shots, 17)
         t = tally(counts)
         sigma = math.sqrt(0.25 / shots)
-        assert np.all(np.abs(t.p1 - 0.5) < 5 * sigma)
+        assert np.all(np.abs(t.ones / t.shots - 0.5) < 5 * sigma)
 
     def test_noiseless_mixture_is_pure_pair(self):
         counts = simulate_antipodal_shots("0101", NoiseModel.uniform(4, 0.0), 500, 23)
