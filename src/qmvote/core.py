@@ -315,9 +315,10 @@ def _bit_sums(packed: np.ndarray, weights: np.ndarray) -> np.ndarray:
     exact: every partial sum is an integer no larger than the weights' total,
     at most 2**53.
     """
-    bins = np.empty((packed.shape[1], 256))
-    for j in range(packed.shape[1]):
-        bins[j] = np.bincount(packed[:, j], weights=weights, minlength=256)
+    columns, weights = np.ascontiguousarray(packed.T), weights.astype(np.float64)
+    bins = np.empty((len(columns), 256))
+    for j, column in enumerate(columns):
+        bins[j] = np.bincount(column, weights=weights, minlength=256)
     return (bins @ _BYTE_BITS).ravel().astype(np.int64)
 
 

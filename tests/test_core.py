@@ -198,6 +198,22 @@ class TestTally:
         t = tally(CountsTable(keys))
         assert np.all(t.zeros + t.ones == t.shots)
 
+    def test_matches_integer_reference(self):
+        """Bit sums from per-byte histograms equal the int64 product of the
+        counts with the bit matrix, up to a 2**53 shot total."""
+        rng = np.random.default_rng(6)
+        for n in (1, 7, 8, 9, 64, 65, 200):
+            keys = {"".join(rng.choice(["0", "1"], size=n)) for _ in range(300)}
+            tables = [
+                CountsTable({k: int(rng.integers(1, 50)) for k in keys}, n=n),
+                CountsTable(dict(zip(sorted(keys), [2**53 - len(keys) + 1] + [1] * len(keys))), n=n),
+            ]
+            for table in tables:
+                bits, weights = table.as_arrays()
+                t = tally(table)
+                assert t.ones.tolist() == (weights @ bits.astype(np.int64)).tolist()
+                assert t.zeros.tolist() == (table.shots - weights @ bits.astype(np.int64)).tolist()
+
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=30)
     def test_regrouping_invariance(self, seed):

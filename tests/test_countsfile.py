@@ -1,6 +1,8 @@
 """Tests for the counts-file schema: strict parsing, error codes, round trips."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from qmvote import (
     simulate_shots,
     tally,
 )
-from qmvote import core
+from qmvote import core, countsfile
 from qmvote.countsfile import load_counts, write_counts
 
 
@@ -497,3 +499,160 @@ class TestShotLimit:
             votes = tally(table)
             assert votes.ones.tolist() == [1, 2**53]
             assert votes.zeros.tolist() == [2**53 - 1, 0]
+
+
+# --- The canonical reader ----------------------------------------------------
+# parse_counts reads the layout serialize_counts writes straight from its
+# bytes and hands every other document to json. The tests below compare it
+# with the json path alone, and with the frozen entry loop above.
+
+
+def json_path(data, bit_order="left"):
+    """parse_counts with the canonical reader switched off."""
+    with mock.patch.object(countsfile, "_read_canonical", lambda data, reverse: None):
+        return parse_counts(data, bit_order=bit_order)
+
+
+def reads_canonical(data, bit_order="left"):
+    return countsfile._read_canonical(data, reverse=bit_order == "right") is not None
+
+
+def random_keys(rng, n, distinct):
+    keys = set()
+    while len(keys) < min(distinct, 2**n):
+        keys.add("".join(rng.choice(["0", "1"], size=n)))
+    return sorted(keys, key=lambda _: rng.random())
+
+
+def width_tables(rng, n):
+    """Tables whose counts all have w digits, for w = 1..16; one with a count
+    of each width; one whose only count is 2**53."""
+    tables = []
+    for width in range(1, 17):
+        keys = random_keys(rng, n, 5)
+        high = min(10**width - 1, core.MAX_SHOTS // len(keys))
+        tables.append({k: int(rng.integers(10 ** (width - 1), high + 1)) for k in keys})
+    if 2**n >= 16:
+        tables.append({k: 10**w for w, k in enumerate(random_keys(rng, n, 16))})
+    tables.append({random_keys(rng, n, 1)[0]: core.MAX_SHOTS})
+    return [CountsTable(t, n=n) for t in tables]
+
+
+class TestCanonicalReader:
+    @pytest.mark.parametrize("bit_order", ["left", "right"])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 127, 4096])
+    def test_canonical_documents_read_as_json_reads_them(self, block_chars, n, bit_order):
+        rng = np.random.default_rng(n)
+        for table in width_tables(rng, n):
+            data = serialize_counts(table).encode()
+            assert reads_canonical(data, bit_order)
+            got = parse_counts(data, bit_order=bit_order)
+            assert got == json_path(data, bit_order)
+            assert got == parse_counts(data.decode(), bit_order=bit_order)
+            entries, ref_n, shots = reference_parse(data, bit_order)
+            assert got == CountsTable(entries, n=ref_n) and got.shots == shots
+            if bit_order == "left":
+                assert got == table
+
+    @pytest.mark.parametrize("bit_order", ["left", "right"])
+    def test_one_entry_and_100k_entries(self, bit_order):
+        n = 127
+        truth = ("10" * n)[:n]
+        tables = [
+            CountsTable({truth: 5}),
+            simulate_shots(truth, NoiseModel.uniform(n, 0.3), 100_000, 3),
+        ]
+        assert len(tables[1]) > 99_000
+        for table in tables:
+            data = serialize_counts(table).encode()
+            assert reads_canonical(data, bit_order)
+            got = parse_counts(data, bit_order=bit_order)
+            assert got == json_path(data, bit_order)
+            if bit_order == "left":
+                assert got == table
+
+    @pytest.mark.parametrize("bit_order", ["left", "right"])
+    def test_every_one_byte_edit(self, bit_order):
+        data = serialize_counts(CountsTable({"001": 7, "010": 30, "110": 1})).encode()
+        alphabet = sorted(set(data) | set(b"\r\t\x00\x7f\xff29-+.eE\\/ab"))
+        edits = set()
+        for i in range(len(data) + 1):
+            edits.update(data[:i] + bytes([c]) + data[i:] for c in alphabet)
+            if i < len(data):
+                edits.update(data[:i] + bytes([c]) + data[i + 1 :] for c in alphabet)
+                edits.add(data[:i] + data[i + 1 :])
+        edits.discard(data)
+        read = 0
+        for edit in edits:
+            got = outcome(parse_counts, edit, bit_order=bit_order)
+            assert got == outcome(json_path, edit, bit_order), edit
+            read += reads_canonical(edit, bit_order)
+            try:
+                expected = outcome(reference_parse, edit, bit_order)
+            except (ValueError, KeyError, TypeError, AttributeError):
+                continue  # json cannot read it, or a field the reference reads is missing
+            if isinstance(expected[0], dict):  # a table; parse_counts also checks the version
+                entries, n, _ = expected
+                assert got == CountsTable(entries, n=n) or got[1] == "SCHEMA", edit
+            else:
+                assert got == expected, edit
+        # edits that keep the layout: a key bit, a count digit with shots, ...
+        assert 0 < read < len(edits) // 10
+
+    def test_named_deviations(self, block_chars):
+        table = CountsTable({"010": 3, "011": 12, "110": 1})
+        data = serialize_counts(table).encode()
+        cases = {
+            "leading zero": (data.replace(b'"010": 3,', b'"010": 03,'), "SCHEMA"),
+            # ":" follows "9"; read as a digit, "1:" would be 20, which the shots match
+            "colon in a count": (data.replace(b'"010": 3,', b'"010": 1:,').replace(b": 16\n", b": 33\n"), "SCHEMA"),
+            "count 0": (reference_serialize({"010": 0, "011": 12}, 3, 12), "SCHEMA"),
+            "count 2**53 + 1": (reference_serialize({"010": 2**53 + 1, "011": 1}, 3, 2**53), "SCHEMA"),
+            # a line longer than any canonical line, and than a small block
+            "17-digit count": (reference_serialize({"010": 10**16, "011": 1}, 3, 5), "SCHEMA"),
+            # json keeps the last of two equal keys, so the counts no longer add up
+            "duplicate key": (data.replace(b'"011"', b'"010"'), "SUM_MISMATCH"),
+            "unsorted keys": (data.replace(b'"010": 3,\n    "011": 12', b'"011": 12,\n    "010": 3'), table),
+            "CRLF line ends": (data.replace(b"\n", b"\r\n"), table),
+            "BOM": (b"\xef\xbb\xbf" + data, "SCHEMA"),
+            "no final newline": (data[:-1], table),
+            "non-ASCII text": (data.decode().replace("{", "{\u00a0", 1), "SCHEMA"),
+        }
+        for name, (document, expected) in cases.items():
+            raw = document.encode() if isinstance(document, str) else document
+            assert raw != data and not reads_canonical(raw), name
+            got = outcome(parse_counts, document)
+            assert got == outcome(json_path, document), name
+            if isinstance(expected, CountsTable):
+                assert got == expected, name
+            else:
+                assert got[:2] == (CountsFormatError, expected), (name, got)
+        assert "more than 2**53" in outcome(parse_counts, cases["count 2**53 + 1"][0])[2]
+
+    def test_no_temporary_grows_with_the_file(self):
+        n = 127
+        table = simulate_shots(("10" * n)[:n], NoiseModel.uniform(n, 0.3), 100_000, 4)
+        data = serialize_counts(table).encode()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            parsed = parse_counts(data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert parsed == table
+        # the table's rows and counts take 2.4 MB; one byte per file byte is 13.8 MB
+        assert peak < 10e6, peak
+        assert len(data) > 13e6
+
+    @pytest.mark.parametrize("n", [1, 9, 127])
+    def test_serialize_matches_json_dumps_for_every_width(self, block_chars, n):
+        rng = np.random.default_rng(n + 1)
+        tables = width_tables(rng, n)
+        if n > 4:  # widths mixed at random inside and across blocks
+            keys = random_keys(rng, n, 300)
+            counts = 10 ** rng.uniform(0, 12, size=len(keys))
+            tables.append(CountsTable({k: int(c) for k, c in zip(keys, counts)}, n=n))
+        for table in tables:
+            expected = reference_serialize(dict(table.counts), table.n, table.shots)
+            assert serialize_counts(table).encode() == expected
