@@ -41,7 +41,11 @@ SCHEMA_VERSION = "1"
 _HEAD = b'{\n  "counts": {\n'
 _LEAD = b'    "'
 _SEP = b'": '
-_TAIL = (b'\n  },\n  "n": ', b',\n  "schema_version": "%s",\n  "shots": ' % SCHEMA_VERSION.encode(), b"\n}\n")
+_TAIL = (
+    b'\n  },\n  "n": ',
+    b',\n  "schema_version": "%s",\n  "shots": ' % SCHEMA_VERSION.encode(),
+    b"\n}\n",
+)
 _TAIL_RE = re.compile(b"%s([1-9][0-9]{0,15})%s([1-9][0-9]{0,15})%s" % tuple(map(re.escape, _TAIL)))
 # A count has at most 16 digits (2**53 has 16). Digit j of a right-aligned
 # 16-digit window has place value _PLACES[j]; a count below _WIDTHS[k]
@@ -232,25 +236,27 @@ def serialize_counts(table: CountsTable) -> str:
     bytes from the table's key-ordered packed rows a block of lines at a
     time (bitstring keys need no escaping)."""
     n, packed, weights = table.n, table._packed, table._weights
+    key_end = len(_LEAD) + n  # offsets in a line
+    digits_start = key_end + len(_SEP)
     parts = [_HEAD]
     step = max(1, core._PACK_BLOCK_CHARS // (n + _LINE_EXTRA))
     for lo in range(0, len(weights), step):
         block, values = packed[lo : lo + step], weights[lo : lo + step]
         width = 1 + np.searchsorted(_WIDTHS, values, side="right")
         wide = int(width.max())
-        key_end = len(_LEAD) + n
-        lines = np.empty((len(values), key_end + len(_SEP) + wide + 2), dtype=np.uint8)
+        lines = np.empty((len(values), digits_start + wide + 2), dtype=np.uint8)
         lines[:, : len(_LEAD)] = np.frombuffer(_LEAD, np.uint8)
-        np.add(np.unpackbits(block, axis=1, count=n), np.uint8(ord("0")), out=lines[:, len(_LEAD) : key_end])
-        lines[:, key_end : key_end + len(_SEP)] = np.frombuffer(_SEP, np.uint8)
-        field = lines[:, key_end + len(_SEP) : -2]  # the count, zero-padded to `wide` digits
-        field[:] = values[:, None] // _PLACES[-wide:] % 10 + ord("0")
+        keys = lines[:, len(_LEAD) : key_end]
+        np.add(np.unpackbits(block, axis=1, count=n), np.uint8(ord("0")), out=keys)
+        lines[:, key_end:digits_start] = np.frombuffer(_SEP, np.uint8)
+        # each count zero-padded to `wide` digits
+        lines[:, digits_start:-2] = values[:, None] // _PLACES[-wide:] % 10 + ord("0")
         lines[:, -2:] = np.frombuffer(b",\n", np.uint8)
         if width.min() == wide:
             out = lines.ravel()
         else:  # drop the padding zeros
             keep = np.ones(lines.shape, dtype=bool)
-            keep[:, key_end + len(_SEP) : -2] = np.arange(wide) >= wide - width[:, None]
+            keep[:, digits_start:-2] = np.arange(wide) >= wide - width[:, None]
             out = lines[keep]
         parts.append(out[:-2] if lo + step >= len(weights) else out)
     parts.append(b"%s%d%s%d%s" % (_TAIL[0], n, _TAIL[1], table.shots, _TAIL[2]))

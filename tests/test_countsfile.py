@@ -605,14 +605,23 @@ class TestCanonicalReader:
         cases = {
             "leading zero": (data.replace(b'"010": 3,', b'"010": 03,'), "SCHEMA"),
             # ":" follows "9"; read as a digit, "1:" would be 20, which the shots match
-            "colon in a count": (data.replace(b'"010": 3,', b'"010": 1:,').replace(b": 16\n", b": 33\n"), "SCHEMA"),
+            "colon in a count": (
+                data.replace(b'"010": 3,', b'"010": 1:,').replace(b": 16\n", b": 33\n"),
+                "SCHEMA",
+            ),
             "count 0": (reference_serialize({"010": 0, "011": 12}, 3, 12), "SCHEMA"),
-            "count 2**53 + 1": (reference_serialize({"010": 2**53 + 1, "011": 1}, 3, 2**53), "SCHEMA"),
+            "count 2**53 + 1": (
+                reference_serialize({"010": 2**53 + 1, "011": 1}, 3, 2**53),
+                "SCHEMA",
+            ),
             # a line longer than any canonical line, and than a small block
             "17-digit count": (reference_serialize({"010": 10**16, "011": 1}, 3, 5), "SCHEMA"),
             # json keeps the last of two equal keys, so the counts no longer add up
             "duplicate key": (data.replace(b'"011"', b'"010"'), "SUM_MISMATCH"),
-            "unsorted keys": (data.replace(b'"010": 3,\n    "011": 12', b'"011": 12,\n    "010": 3'), table),
+            "unsorted keys": (
+                data.replace(b'"010": 3,\n    "011": 12', b'"011": 12,\n    "010": 3'),
+                table,
+            ),
             "CRLF line ends": (data.replace(b"\n", b"\r\n"), table),
             "BOM": (b"\xef\xbb\xbf" + data, "SCHEMA"),
             "no final newline": (data[:-1], table),
