@@ -191,7 +191,7 @@ class _Rows(NamedTuple):
 
 
 # Largest shot total a table may hold: float64 is exact for integers up to
-# 2**53, which the bit sums of ``tally`` rely on.
+# 2**53, which the column sums below rely on.
 MAX_SHOTS = 2**53
 # Largest size one step may reach: a simulated shot record packed eight
 # qubits to a byte, refused before it is allocated, or the exhaustive
@@ -301,32 +301,31 @@ class VoteTally:
         return np.abs(self.zeros - self.ones) / self.shots
 
 
-# Row b: the bits of byte b, most significant first, as float64 for the
-# exact sums of ``_bit_sums``.
-_BYTE_BITS = (_BYTE_CHARS - np.uint8(ord("0"))).astype(np.float64)
+# Column sums run over blocks of roughly this many matrix elements so the
+# float64 products stay cache-resident.
+_SUM_BLOCK_ELEMS = 1 << 18
 
 
-def _bit_sums(packed: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted count of the rows with each bit set, for every bit of the
-    packed rows in order, as int64.
+def _column_sums(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``weights @ matrix`` for int64 weights and a 0/1 matrix, as int64.
 
-    Each byte column is counted into 256 bins by value, weighted, and the
-    bins are multiplied by the bits of each value. The float64 sums are
-    exact: every partial sum is an integer no larger than the weights' total,
-    at most 2**53.
+    Partial sums use float64 matrix products, which are exact here because
+    every partial sum is an integer bounded by the shot total (at most
+    2**53), and accumulate into 64-bit counters.
     """
-    columns, weights = np.ascontiguousarray(packed.T), weights.astype(np.float64)
-    bins = np.empty((len(columns), 256))
-    for j, column in enumerate(columns):
-        bins[j] = np.bincount(column, weights=weights, minlength=256)
-    return (bins @ _BYTE_BITS).ravel().astype(np.int64)
+    rows = max(256, _SUM_BLOCK_ELEMS // matrix.shape[1])
+    sums = np.zeros(matrix.shape[1], dtype=np.int64)
+    wf = weights.astype(np.float64)
+    for lo in range(0, matrix.shape[0], rows):
+        sums += (wf[lo : lo + rows] @ matrix[lo : lo + rows].astype(np.float64)).astype(np.int64)
+    return sums
 
 
 def tally(counts: CountsTable) -> VoteTally:
     """Collapse a counts table into per-qubit zero/one vote counts.
 
-    Cost is linear in (distinct entries) x (qubits / 8).
+    Cost is linear in (distinct entries) x (qubits).
     """
-    ones = _bit_sums(counts._packed, counts._weights)[: counts.n]
+    bits, weights = counts.as_arrays()
+    ones = _column_sums(weights, bits)
     return VoteTally(zeros=counts.shots - ones, ones=ones, shots=counts.shots)
-

@@ -46,6 +46,7 @@ _TAIL = (
     b',\n  "schema_version": "%s",\n  "shots": ' % SCHEMA_VERSION.encode(),
     b"\n}\n",
 )
+_HEAD_TEXT, _TAIL_TEXT = _HEAD.decode(), _TAIL[2].decode()
 _TAIL_RE = re.compile(b"%s([1-9][0-9]{0,15})%s([1-9][0-9]{0,15})%s" % tuple(map(re.escape, _TAIL)))
 # A count has at most 16 digits (2**53 has 16). Digit j of a right-aligned
 # 16-digit window has place value _PLACES[j]; a count below _WIDTHS[k]
@@ -93,8 +94,12 @@ def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
     """
     if bit_order not in BIT_ORDERS:
         raise _schema_error(f"bit_order must be one of {BIT_ORDERS}, got {bit_order!r}")
-    # a non-ASCII character becomes "?", which the canonical layout never holds
-    raw = data.encode("ascii", "replace") if isinstance(data, str) else data
+    raw = data
+    if isinstance(data, str):
+        # Text is copied to bytes only if its ends are those of the canonical
+        # layout. A non-ASCII character becomes "?", which that layout never holds.
+        canonical = data.startswith(_HEAD_TEXT) and data.endswith(_TAIL_TEXT)
+        raw = data.encode("ascii", "replace") if canonical else None
     table = _read_canonical(raw, reverse=bit_order == "right") if isinstance(raw, bytes) else None
     if table is not None:
         return table
@@ -160,8 +165,10 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
     source of errors. Lines are read a block of about ``_PACK_BLOCK_CHARS``
     bytes at a time, so no temporary grows with the file.
     """
+    if not (data.startswith(_HEAD) and data.endswith(_TAIL[2])):
+        return None
     end = data.rfind(_TAIL[0])  # the newline ending the last entry line
-    tail = _TAIL_RE.fullmatch(data, end) if data.startswith(_HEAD) else None
+    tail = _TAIL_RE.fullmatch(data, end)
     if tail is None:
         return None
     n, shots = int(tail[1]), int(tail[2])

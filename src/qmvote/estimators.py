@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import MAX_WORK_BYTES, CountsTable, VoteTally, _bit_sums, complement, tally, validate_bitstring
+from .core import MAX_WORK_BYTES, CountsTable, VoteTally, _column_sums, complement, tally, validate_bitstring
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .noise import NoiseModel
 
@@ -470,11 +470,8 @@ def sliding_window_antipodal(counts: CountsTable) -> AntipodalPair:
     n = counts.n
     if n < 2:
         raise ValidationError(f"antipodal windows need at least 2 qubits, got {n}")
-    packed = counts._packed
-    # bit i of `following` is bit i + 1 of the row
-    following = packed << np.uint8(1)
-    following[:, :-1] |= packed[:, 1:] >> np.uint8(7)
-    differ = _bit_sums(packed ^ following, counts._weights)[: n - 1]
+    bits, weights = counts.as_arrays()
+    differ = _column_sums(weights, bits[:, :-1] ^ bits[:, 1:])
     equal = 2 * differ <= counts.shots
     out = np.zeros(n, dtype=np.uint8)
     out[1:] = np.where(equal, 0, 1)

@@ -199,8 +199,8 @@ class TestTally:
         assert np.all(t.zeros + t.ones == t.shots)
 
     def test_matches_integer_reference(self):
-        """Bit sums from per-byte histograms equal the int64 product of the
-        counts with the bit matrix, up to a 2**53 shot total."""
+        """Tallies equal the int64 product of the counts with the bit
+        matrix, up to a 2**53 shot total."""
         rng = np.random.default_rng(6)
         for n in (1, 7, 8, 9, 64, 65, 200):
             keys = {"".join(rng.choice(["0", "1"], size=n)) for _ in range(300)}

@@ -654,6 +654,28 @@ class TestCanonicalReader:
         assert peak < 10e6, peak
         assert len(data) > 13e6
 
+    def test_text_in_another_layout_is_not_copied(self):
+        """A str document in another layout reaches json with no copy of it
+        made on the way."""
+        n = 127
+        table = simulate_shots(("10" * n)[:n], NoiseModel.uniform(n, 0.3), 20_000, 4)
+        text = json.dumps(json.loads(serialize_counts(table)))
+        peaks, json_loads = [], json.loads
+
+        def loads(data):
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return json_loads(data)
+
+        with mock.patch.object(countsfile.json, "loads", loads):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                parsed = parse_counts(text)
+            finally:
+                tracemalloc.stop()
+        assert parsed == table
+        assert len(text) > 2e6 and peaks[0] < 1e5, peaks
+
     @pytest.mark.parametrize("n", [1, 9, 127])
     def test_serialize_matches_json_dumps_for_every_width(self, block_chars, n):
         rng = np.random.default_rng(n + 1)
