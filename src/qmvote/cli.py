@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -120,7 +121,7 @@ def _emit(args, payload: dict):
     if args.format == "csv":
         flat = _flatten(payload)
         out.write(",".join(flat) + "\n")
-        out.write(",".join(str(v) for v in flat.values()) + "\n")
+        out.write(",".join("" if v is None else str(v) for v in flat.values()) + "\n")
     else:
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -170,7 +171,8 @@ def _cmd_mitigate(args) -> int:
     if est.margins is not None:
         payload["margins"] = [round(m, 12) for m in est.margins.tolist()]
     if est.gap is not None:
-        payload["gap"] = est.gap
+        # an infinite gap (no runner-up of non-zero likelihood) has no JSON number
+        payload["gap"] = est.gap if math.isfinite(est.gap) else None
     _emit(args, payload)
     return 0
 

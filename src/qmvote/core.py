@@ -52,11 +52,6 @@ def hamming_distance(a: str, b: str) -> int:
     return (int(a, 2) ^ int(b, 2)).bit_count()
 
 
-# Row b of this table is the 8-character bitstring of byte b, most
-# significant bit first: the key text of one packed byte.
-_BYTE_CHARS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) + np.uint8(ord("0"))
-
-
 class CountsTable:
     """Multiset of measured bitstrings with occurrence counts.
 
@@ -121,9 +116,9 @@ class CountsTable:
         return cls(_Rows(rows, None), n)
 
     def _decode(self, packed: np.ndarray) -> list[str]:
-        """String keys of packed rows, through the byte-to-text table."""
+        """String keys of packed rows."""
         n = self.n
-        chars = _BYTE_CHARS[packed].reshape(packed.shape[0], -1)[:, :n]
+        chars = np.unpackbits(packed, axis=1, count=n) + np.uint8(ord("0"))
         blob = chars.tobytes().decode("ascii")
         return [blob[i * n : (i + 1) * n] for i in range(packed.shape[0])]
 

@@ -48,8 +48,8 @@ ENUM_MAX_QUBITS = 24
 # is refused before it starts.
 ENUM_MAX_BYTES = MAX_WORK_BYTES
 # A block's candidate x entry matrix is built a tile of rows at a time, a
-# tile holding about this many bytes so that it and its half-size ping-pong
-# partner stay in cache. Tiles are powers of two of at least
+# tile holding about this many bytes so that it and the stack of fixed-qubit
+# partial sums stay in cache. Tiles are powers of two of at least
 # _ENUM_TILE_MIN_ROWS rows, capped at the block. A tile's matrix-vector
 # product gives the same bits as the same rows inside one block-sized
 # product only on BLAS's path for four or more rows (OpenBLAS 0.3.31 takes
@@ -304,16 +304,21 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     at qubit i under the candidate's bit there. Candidates are scored in
     blocks of ``_ENUM_BLOCK``, and each block is built a tile of rows at a
     time (see ``_scan_tile_rows``). Within a tile the high qubits are fixed,
-    so their partial sum is one row; the low qubits are then added in qubit
-    order by doubling, row r becoming rows 2r (bit 0) and 2r + 1 (bit 1).
-    The last doubling lands every row at its candidate's offset in the
-    tile, and every row holds exactly the qubit-ordered sum, so the scores
-    do not depend on how the rows were built. The tile's rows are weighted
-    by the entry counts into the block's score vector, and the argmax and
+    so their partial sum is one row, taken from a stack of prefix sums that
+    is recomputed only from the first fixed qubit whose bit differs from
+    the previous tile's. The low qubits are then added in qubit order by
+    append-doubling in one buffer: with r rows built, rows r..2r-1 become
+    the first r rows plus the bit-1 term, and the first r rows then add the
+    bit-0 term in place. Row j then holds the candidate whose tile offset
+    is j with its low bits reversed, and every row holds exactly the
+    qubit-ordered sum, so the scores do not depend on how the rows were
+    built. The tile's rows are weighted by the entry counts, put back in
+    candidate order in the block's score vector, and the argmax and
     runner-up are taken once per block.
 
-    The working set is a tile of about 1 MiB and its half-size ping-pong
-    partner, one block of scores and the n x 2 x entries term table.
+    The working set is a tile of about 1 MiB, the (fixed qubits + 1) x
+    entries prefix stack, one block of scores and the n x 2 x entries term
+    table.
     """
     n = counts.n
     if noise.n != n:
@@ -339,27 +344,39 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     total = 1 << n
     entries = ybits.shape[0]
     tile = _scan_tile_rows(entries, block)
-    # qubits 0..fixed-1 are fixed within a tile
-    fixed = n - (tile.bit_length() - 1)
-    # Ping-pong buffers: the last doubling writes all ``tile`` rows into
-    # ``full``, the one before it writes half as many into ``half``.
+    low = tile.bit_length() - 1
+    # qubits 0..fixed-1 are fixed within a tile, qubits fixed..n-1 are its low qubits
+    fixed = n - low
+    # prefix[d] is the qubit-ordered sum of the current tile's first d
+    # fixed qubits; it is built for candidate 0 here and kept up to date
+    # from the first fixed qubit whose bit changes between tiles
+    prefix = np.zeros((fixed + 1, entries))
+    for i in range(fixed):
+        np.add(prefix[i], terms[i, 0], out=prefix[i + 1])
+    # append-doubling leaves the candidate at tile offset order[j] in row j
+    order = np.zeros(1, dtype=np.intp)
+    for _ in range(low):
+        order = np.concatenate([2 * order, 2 * order + 1])
     full = np.empty((tile, entries))
-    half = np.empty((tile // 2, entries))
+    row_scores = np.empty(tile)
     scores = np.empty(block)
     best_k = 0
     best_score = NEG_INF
     second_score = NEG_INF
+    previous = 0
     for lo in range(0, total, block):
         for at in range(0, block, tile):
-            rows = np.zeros((1, entries))
-            for i in range(fixed):
-                rows += terms[i, ((lo + at) >> (n - 1 - i)) & 1]
-            for i in range(fixed, n):
-                out = full if (n - 1 - i) % 2 == 0 else half
-                size = 2 * rows.shape[0]
-                np.add(rows[:, None], terms[i], out=out[:size].reshape(size // 2, 2, entries))
-                rows = out[:size]
-            np.matmul(rows, wts, out=scores[at : at + tile])
+            k = lo + at
+            for i in range(fixed - ((k ^ previous) >> low).bit_length(), fixed):
+                np.add(prefix[i], terms[i, (k >> (n - 1 - i)) & 1], out=prefix[i + 1])
+            previous = k
+            full[0] = prefix[fixed]
+            for b in range(low):
+                r = 1 << b
+                np.add(full[:r], terms[fixed + b, 1], out=full[r : 2 * r])
+                full[:r] += terms[fixed + b, 0]
+            np.matmul(full, wts, out=row_scores)
+            scores[at + order] = row_scores
         top_score = float(scores.max())
         if top_score == NEG_INF:
             continue

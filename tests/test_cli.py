@@ -217,6 +217,26 @@ class TestMitigate:
         assert code == 0
         assert json.loads(out)["estimate"] == "01"
 
+    def test_gap_without_runner_up_is_null(self, capsys, tmp_path):
+        """Noiseless shots of one string leave every other candidate at zero
+        likelihood, so the gap is infinite; stdout must still be strict JSON."""
+
+        def strict(name):
+            raise ValueError(f"stdout holds {name}, which is not JSON")
+
+        path = write_counts_file(tmp_path, {"01": 3}, 2)
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"table": {"01": 1.0}}))
+        for method in (["ml", "--p", "0"], ["map", "--p", "0.1", "--prior-file", str(prior)]):
+            code, out, err = run(capsys, "mitigate", path, "--method", *method)
+            assert code == 0, err
+            payload = json.loads(out, parse_constant=strict)
+            assert payload["estimate"] == "01"
+            assert payload["gap"] is None
+        code, out, err = run(capsys, "--format", "csv", "mitigate", path, "--method", "ml", "--p", "0")
+        assert code == 0, err
+        assert out == "method,estimate,gap\nml,01,\n"
+
 
 # stdout of `mitigate` on FROZEN_COUNTS with --p01 0.2 --p10 0.1, frozen from
 # the release before the estimators moved into one table.

@@ -28,6 +28,7 @@ from qmvote import (
     tally,
     weighted_vote,
 )
+from qmvote import estimators as estimators_mod
 from qmvote.estimators import ENUM_MAX_BYTES, _ENUM_BLOCK, _enumerate_scores, _scan_tile_rows
 
 
@@ -348,6 +349,75 @@ class TestScanMatchesGatherReference:
             counts = simulate_shots(truth, nm, 4000, int(rng.integers(2**32)))
             assert _scan_tile_rows(len(counts), 1 << n) < 1 << n
             assert isinstance(self.assert_identical(counts, nm), tuple)
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        """Blocks of 2^10 candidates, in the scan and in the reference, so
+        that n = 12 spans four blocks; with more than 1024 distinct keys a
+        block is sixteen 64-row tiles, and the fixed qubits' prefix sums
+        change at every tile and every block boundary."""
+        monkeypatch.setattr(estimators_mod, "_ENUM_BLOCK", 1 << 10)
+        monkeypatch.setitem(globals(), "_ENUM_BLOCK", 1 << 10)
+        return 12
+
+    def assert_identical_in_small_tiles(self, counts, noise):
+        assert len(counts) > 1 << 10
+        assert _scan_tile_rows(len(counts), 1 << 10) == 64
+        return self.assert_identical(counts, noise)
+
+    def test_small_blocks_hard_evidence_on_fixed_qubits(self, small_blocks):
+        """Qubits 0-5 are fixed in a tile. Candidates with the bit that hard
+        evidence rules out at qubit 1, 2 or 4 carry -inf entries from that
+        prefix sum down through every later qubit."""
+        n = small_blocks
+        rng = np.random.default_rng(18)
+        truth = "010010" + "".join(rng.choice(["0", "1"], size=n - 6))
+        p01 = rng.uniform(0.3, 0.45, n)
+        p10 = rng.uniform(0.3, 0.45, n)
+        # the shots read both bits at qubits 1, 2 and 4, but a true 0 is
+        # never read as 1 at qubits 1 and 4, nor a true 1 as 0 at qubit 2
+        p01[[1, 4]] = 0.0
+        p10[2] = 0.0
+        nm = NoiseModel(p01=p01, p10=p10)
+        counts = simulate_shots(truth, nm, 6000, 18)
+        k, best, second = self.assert_identical_in_small_tiles(counts, nm)
+        assert k == int(truth, 2)
+        assert best > second > -math.inf
+
+    def test_small_blocks_first_maximum_across_permuted_rows(self, small_blocks):
+        """Under a p = 0.5 channel tied candidates sit in permuted rows of a
+        tile; the scan must still return the smallest of them."""
+        n = small_blocks
+        rng = np.random.default_rng(19)
+        counts = random_counts(rng, n, 3000, skew=False)
+        k, best, second = self.assert_identical_in_small_tiles(counts, NoiseModel.uniform(n, 0.5))
+        assert k == 0 and best - second == 0.0
+        # only the three lowest qubits are uninformative: the winner ties
+        # with the seven candidates that differ from it there
+        p = np.append(rng.uniform(0.3, 0.45, n - 3), [0.5] * 3)
+        nm = NoiseModel(p01=p, p10=p)
+        counts = simulate_shots("101100111000", nm, 6000, 19)
+        k, best, second = self.assert_identical_in_small_tiles(counts, nm)
+        assert k & 0b111 == 0 and best - second == 0.0
+
+    def test_small_blocks_gap_sign(self, small_blocks):
+        """The gap's sign is checked by copysign in every comparison, and
+        here on a gap whose sign the -0.0 terms of noiseless qubits could
+        flip: with p01 = 0 and p10 = 1 both bits explain a read 0 with
+        probability 1, so 16 candidates score zero."""
+        n = small_blocks
+        rng = np.random.default_rng(20)
+        p10 = np.zeros(n)
+        p10[[0, 3, 8, 10]] = 1.0
+        nm = NoiseModel(p01=np.zeros(n), p10=p10)
+        k, best, second = self.assert_identical(CountsTable({"0" * n: 3}), nm)
+        assert (k, best, second) == (0, 0.0, 0.0)
+        assert math.copysign(1.0, best - second) == 1.0
+        p = rng.uniform(0.3, 0.45, n)
+        nm = NoiseModel(p01=p, p10=p[::-1])
+        counts = simulate_shots("100101100111", nm, 6000, 20)
+        k, best, second = self.assert_identical_in_small_tiles(counts, nm)
+        assert math.copysign(1.0, best - second) == 1.0
 
     def test_impossible_evidence_raises_in_both(self):
         cases = [
