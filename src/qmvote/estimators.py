@@ -348,11 +348,9 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     # qubits 0..fixed-1 are fixed within a tile, qubits fixed..n-1 are its low qubits
     fixed = n - low
     # prefix[d] is the qubit-ordered sum of the current tile's first d
-    # fixed qubits; it is built for candidate 0 here and kept up to date
-    # from the first fixed qubit whose bit changes between tiles
+    # fixed qubits, recomputed from the first fixed qubit whose bit changes
+    # between tiles; prefix[0] stays zero
     prefix = np.zeros((fixed + 1, entries))
-    for i in range(fixed):
-        np.add(prefix[i], terms[i, 0], out=prefix[i + 1])
     # append-doubling leaves the candidate at tile offset order[j] in row j
     order = np.zeros(1, dtype=np.intp)
     for _ in range(low):
@@ -363,7 +361,8 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     best_k = 0
     best_score = NEG_INF
     second_score = NEG_INF
-    previous = 0
+    # differs from candidate 0 at every fixed qubit, so the first tile builds the whole stack
+    previous = total - 1
     for lo in range(0, total, block):
         for at in range(0, block, tile):
             k = lo + at
