@@ -218,8 +218,9 @@ class TestMitigate:
         assert json.loads(out)["estimate"] == "01"
 
     def test_gap_without_runner_up_is_null(self, capsys, tmp_path):
-        """Noiseless shots of one string leave every other candidate at zero
-        likelihood, so the gap is infinite; stdout must still be strict JSON."""
+        """Noiseless shots of one string, or a one-entry table prior, leave
+        no runner-up of non-zero weight, so the gap is infinite; stdout must
+        still be strict JSON."""
 
         def strict(name):
             raise ValueError(f"stdout holds {name}, which is not JSON")
@@ -233,7 +234,9 @@ class TestMitigate:
             payload = json.loads(out, parse_constant=strict)
             assert payload["estimate"] == "01"
             assert payload["gap"] is None
-        code, out, err = run(capsys, "--format", "csv", "mitigate", path, "--method", "ml", "--p", "0")
+        code, out, err = run(
+            capsys, "--format", "csv", "mitigate", path, "--method", "ml", "--p", "0"
+        )
         assert code == 0, err
         assert out == "method,estimate,gap\nml,01,\n"
 
