@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import VoteTally, tally, validate_bitstring
 from .errors import DimensionError, ValidationError
-from .estimators import Estimate, _qubit_loglikelihoods, _tally_loglikelihoods
+from .estimators import Estimate, _bitstring, _loglikelihoods
 from .noise import NoiseModel, _subset_ones, derive_seed, simulate_shots
 
 # Below this many shots per subset circuit the second phase is too thin to
@@ -116,22 +116,21 @@ def merge_votes(
     """
     if merge not in MERGE_MODES:
         raise ValidationError(f"merge must be one of {MERGE_MODES}, got {merge!r}")
-    if noise.n != phase1_tally.n or subset_noise.n != phase1_tally.n:
+    n = phase1_tally.n
+    if noise.n != n or subset_noise.n != n:
         raise DimensionError("noise models must cover the same qubits as the tally")
-    by_qubit = {s.qubit: s for s in subsets}
-    out = []
-    for i, (ll0, ll1) in enumerate(_tally_loglikelihoods(phase1_tally, noise)):
-        sub = by_qubit.get(i)
-        if sub is not None:
-            p01, p10 = float(subset_noise.p01[i]), float(subset_noise.p10[i])
-            c0, c1 = _qubit_loglikelihoods(sub.zeros, sub.ones, p01, p10)
-            if merge == "pool":
-                ll0, ll1 = ll0 + c0, ll1 + c1
-            else:
-                ll0, ll1 = c0, c1
-        # tie resolves to 1
-        out.append("0" if ll0 > ll1 else "1")
-    return "".join(out)
+    ll0, ll1 = _loglikelihoods(phase1_tally.zeros, phase1_tally.ones, noise.p01, noise.p10)
+    if subsets:
+        q, zeros, ones = np.array([(s.qubit, s.zeros, s.ones) for s in subsets], dtype=np.int64).T
+        if np.any((q < 0) | (q >= n)):
+            raise DimensionError(f"subset qubits must lie in 0..{n - 1}")
+        c0, c1 = _loglikelihoods(zeros, ones, subset_noise.p01[q], subset_noise.p10[q])
+        # with a qubit listed twice, its last subset counts, in either mode
+        if merge == "pool":
+            c0, c1 = ll0[q] + c0, ll1[q] + c1
+        ll0[q], ll1[q] = c0, c1
+    # tie resolves to 1
+    return _bitstring(ll0 <= ll1)
 
 
 def _scaled_noise(noise: NoiseModel, factor: float) -> NoiseModel:
@@ -179,32 +178,26 @@ def _execute(
         raise ValidationError(f"merge must be one of {MERGE_MODES}, got {merge!r}")
 
     subset_noise = _scaled_noise(noise, subset_noise_factor)
-    if plan.subset_count == 0:
-        # Degenerate plan: one all-qubit measurement spending the full budget.
-        pooled = tally(simulate_shots(x0, noise, plan.total_shots, derive_seed(seed, "phase1")))
-        value = merge_votes(pooled, noise, [], subset_noise, merge)
-        return Estimate(value=value, method="ams", margins=pooled.margins)
-
-    if phase1 is None:
-        phase1 = tally(simulate_shots(x0, noise, plan.phase1_shots, derive_seed(seed, "phase1")))
+    close = list(plan.close_qubits)
+    if phase1 is None or not close:
+        # a degenerate plan spends the full budget on one all-qubit measurement
+        phase1_shots = plan.phase1_shots if close else plan.total_shots
+        phase1 = tally(simulate_shots(x0, noise, phase1_shots, derive_seed(seed, "phase1")))
     shots = plan.per_subset_shots
-    subsets = []
-    for q in plan.close_qubits:
-        ones = _subset_ones(x0, subset_noise, q, shots, derive_seed(seed, "subset", q))
-        subsets.append(SubsetResult(qubit=q, zeros=shots - ones, ones=ones))
-
+    sub_ones = np.array(
+        [_subset_ones(x0, subset_noise, q, shots, derive_seed(seed, "subset", q)) for q in close],
+        dtype=np.int64,
+    )
+    subsets = [SubsetResult(q, shots - one, one) for q, one in zip(close, sub_ones.tolist())]
     value = merge_votes(phase1, noise, subsets, subset_noise, merge)
 
     # Informational margins: pooled counts where a subset ran, phase 1 alone
     # elsewhere.
-    zeros = phase1.zeros.astype(np.int64).copy()
-    ones = phase1.ones.astype(np.int64).copy()
-    shots_per_qubit = np.full(plan.n, phase1.shots, dtype=np.int64)
-    for s in subsets:
-        zeros[s.qubit] += s.zeros
-        ones[s.qubit] += s.ones
-        shots_per_qubit[s.qubit] += s.shots
-    margins = np.abs(zeros - ones) / shots_per_qubit
+    zeros = phase1.zeros.copy()
+    ones = phase1.ones.copy()
+    zeros[close] += shots - sub_ones
+    ones[close] += sub_ones
+    margins = np.abs(zeros - ones) / (zeros + ones)
     return Estimate(value=value, method="ams", margins=margins)
 
 

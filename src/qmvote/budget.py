@@ -113,12 +113,22 @@ def per_qubit_target_bound(n: float, epsilon: float) -> float:
 
 def m3_shot_requirement(n: float, p: float) -> float:
     """Shots at which a measured-strings-only mitigator expects to see the
-    correct output once: (1-p)^(-n), constant factor 1."""
+    correct output once: (1-p)^(-n), constant factor 1; ``math.inf`` past
+    float range."""
     if n < 1:
         raise ValidationError(f"qubit count must be at least 1, got {n}")
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"p must lie in [0, 1), got {p}")
-    return (1.0 - p) ** (-n)
+    try:
+        return (1.0 - p) ** (-n)
+    except OverflowError:
+        return math.inf
+
+
+def _finite_or_none(value: float) -> float | None:
+    """``value``, or None (JSON null, an empty CSV field) where it is
+    infinite, which JSON has no number for."""
+    return value if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -184,7 +194,7 @@ class BudgetReport:
             "bound_per_qubit": self.bound_per_qubit,
             "bound_any_qubit": self.bound_any_qubit,
             "per_qubit_target": self.per_qubit_target,
-            "m3_shots_estimate": self.m3_shots_estimate,
+            "m3_shots_estimate": _finite_or_none(self.m3_shots_estimate),
         }
 
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .ams import MERGE_MODES, ams_execute, ams_plan
-from .budget import BudgetQuery, evaluate
+from .budget import BudgetQuery, _finite_or_none, evaluate
 from .core import hamming_distance, tally
 from .countsfile import BIT_ORDERS, load_counts, serialize_counts, write_counts
 from .errors import InfeasibleError, MitigationError, ValidationError
@@ -171,8 +170,8 @@ def _cmd_mitigate(args) -> int:
     if est.margins is not None:
         payload["margins"] = [round(m, 12) for m in est.margins.tolist()]
     if est.gap is not None:
-        # an infinite gap (no runner-up of non-zero likelihood) has no JSON number
-        payload["gap"] = est.gap if math.isfinite(est.gap) else None
+        # infinite when no runner-up has non-zero likelihood
+        payload["gap"] = _finite_or_none(est.gap)
     _emit(args, payload)
     return 0
 

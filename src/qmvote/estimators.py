@@ -216,37 +216,42 @@ def mode_estimate(counts: CountsTable) -> Estimate:
     return Estimate(value=counts._decode(packed[best : best + 1])[0], method="mode", gap=gap)
 
 
-def _log_pow(p: float, k: int) -> float:
-    """k * log(p) with the conventions 0 * log(0) = 0 and log(0) = -inf."""
-    if k == 0:
-        return 0.0
-    if p <= 0.0:
-        return NEG_INF
-    return k * math.log(p)
+def _per_distinct(func, values: np.ndarray) -> np.ndarray:
+    """Scalar ``func`` of every entry of ``values``, one call per distinct
+    value. Logs are taken with ``math``, whose last bit ``np.log`` and
+    ``np.log1p`` do not always match."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([func(v) for v in distinct.tolist()])[inverse]
 
 
-def _qubit_loglikelihoods(zeros: int, ones: int, p01: float, p10: float) -> tuple[float, float]:
-    """Log-likelihood of the observed (zeros, ones) under true bit 0 and 1."""
-    ll0 = _log_pow(p01, ones) + _log_pow(1.0 - p01, zeros)
-    ll1 = _log_pow(p10, zeros) + _log_pow(1.0 - p10, ones)
-    return ll0, ll1
+def _log(p: float) -> float:
+    return math.log(p) if p > 0.0 else NEG_INF
 
 
-def _tally_loglikelihoods(t: VoteTally, noise: NoiseModel) -> list[tuple[float, float]]:
-    """``_qubit_loglikelihoods`` of every qubit of a tally, in qubit order."""
-    if noise.n != t.n:
-        raise DimensionError(f"noise model covers {noise.n} qubits, tally has {t.n}")
-    columns = (t.zeros.tolist(), t.ones.tolist(), noise.p01.tolist(), noise.p10.tolist())
-    return [_qubit_loglikelihoods(*qubit) for qubit in zip(*columns)]
+def _loglikelihoods(zeros, ones, p01, p10) -> tuple[np.ndarray, np.ndarray]:
+    """Per-qubit log-likelihoods (ll0, ll1) of reading ``zeros`` zeros and
+    ``ones`` ones under true bit 0 and true bit 1, with flip probabilities
+    ``p01`` and ``p10``: ll0 = ones log(p01) + zeros log(1 - p01), and ll1
+    = zeros log(p10) + ones log(1 - p10). A count of zero contributes 0,
+    and log(0) is -inf."""
+    if len(p01) != len(zeros):
+        raise DimensionError(f"noise model covers {len(p01)} qubits, tally has {len(zeros)}")
+    logs = _per_distinct(_log, np.stack([p01, 1.0 - p01, p10, 1.0 - p10]))
+    counts = np.stack([ones, zeros, zeros, ones])
+    terms = np.multiply(counts, logs, out=np.zeros(logs.shape), where=counts != 0)
+    return terms[0] + terms[1], terms[2] + terms[3]
+
+
+def _bitstring(bits: np.ndarray) -> str:
+    """The bitstring of a 0/1 (or boolean) array."""
+    return (bits.astype(np.uint8) + np.uint8(ord("0"))).tobytes().decode("ascii")
 
 
 def qmv(vote_tally: VoteTally) -> Estimate:
     """Qubit-wise majority vote: bit i is 0 iff strictly more shots read 0
     than 1 there; ties resolve to 1."""
     t = _check_tally(vote_tally)
-    bits = np.where(t.zeros > t.ones, ord("0"), ord("1")).astype(np.uint8)
-    value = bits.tobytes().decode("ascii")
-    return Estimate(value=value, method="qmv", margins=t.margins)
+    return Estimate(value=_bitstring(t.zeros <= t.ones), method="qmv", margins=t.margins)
 
 
 def weighted_vote(vote_tally: VoteTally, noise: NoiseModel) -> Estimate:
@@ -258,8 +263,8 @@ def weighted_vote(vote_tally: VoteTally, noise: NoiseModel) -> Estimate:
     With p01 = p10 = p < 0.5 this reduces bit-for-bit to the majority vote.
     """
     t = _check_tally(vote_tally)
-    value = "".join("0" if ll0 > ll1 else "1" for ll0, ll1 in _tally_loglikelihoods(t, noise))
-    return Estimate(value=value, method="weighted", margins=t.margins)
+    ll0, ll1 = _loglikelihoods(t.zeros, t.ones, noise.p01, noise.p10)
+    return Estimate(value=_bitstring(ll0 <= ll1), method="weighted", margins=t.margins)
 
 
 def _check_scan_memory(n: int, keys: int) -> None:
@@ -393,10 +398,6 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     return best_k, best_score, second_score
 
 
-def _bitstring_of(k: int, n: int) -> str:
-    return format(k, f"0{n}b")
-
-
 def ml_bruteforce(counts: CountsTable, noise: NoiseModel) -> Estimate:
     """Exhaustive maximum-likelihood estimate over all 2^n bitstrings.
 
@@ -407,7 +408,7 @@ def ml_bruteforce(counts: CountsTable, noise: NoiseModel) -> Estimate:
     vote rules are checked against, so it must not share their shortcut.
     """
     best_k, best, second = _enumerate_scores(counts, noise)
-    return Estimate(value=_bitstring_of(best_k, counts.n), method="ml", gap=best - second)
+    return Estimate(value=format(best_k, f"0{counts.n}b"), method="ml", gap=best - second)
 
 
 def map_estimate(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estimate:
@@ -436,41 +437,35 @@ def _map_table(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estimate
         # A constant prior cannot move the argmax; reuse the plain scan so
         # the result, ties included, is bit-identical to ml_bruteforce.
         best_k, best, second = _enumerate_scores(counts, noise)
-        return Estimate(value=_bitstring_of(best_k, counts.n), method="map", gap=best - second)
+        return Estimate(value=format(best_k, f"0{counts.n}b"), method="map", gap=best - second)
+    t = tally(counts)
+    lls = np.stack(_loglikelihoods(t.zeros, t.ones, noise.p01, noise.p10))
     bits = prior._support_bits
     scores = prior._support_logs.copy()
-    for i, lls in enumerate(_tally_loglikelihoods(tally(counts), noise)):
-        scores += np.array(lls)[bits[:, i]]
+    for i in range(counts.n):
+        scores += lls[bits[:, i], i]
     # the support is in key order, so the first maximum is the smallest tied key
     best_k = int(np.argmax(scores))
     best = float(scores[best_k])
     if best == NEG_INF:
         raise ValidationError(_CONTRADICTION)
     second = float(np.partition(scores, -2)[-2]) if scores.size > 1 else NEG_INF
-    value = (bits[best_k] + ord("0")).tobytes().decode("ascii")
-    return Estimate(value=value, method="map", gap=best - second)
+    return Estimate(value=_bitstring(bits[best_k]), method="map", gap=best - second)
 
 
 def _map_per_qubit(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estimate:
     t = tally(counts)
-    out = bytearray(counts.n)
-    for i, (ll0, ll1) in enumerate(_tally_loglikelihoods(t, noise)):
-        pi = float(prior.per_qubit[i])
-        if pi == 0.0:
-            out[i] = ord("0")
-            continue
-        if pi == 1.0:
-            out[i] = ord("1")
-            continue
-        post1 = ll1 + math.log(pi)
-        post0 = ll0 + math.log1p(-pi)
-        if post1 == NEG_INF and post0 == NEG_INF:
-            # observations impossible under both hypotheses; fall back to the prior
-            out[i] = ord("1") if pi > 0.5 else ord("0")
-        else:
-            # tie resolves to 0, keeping MAP in the lexicographic family
-            out[i] = ord("1") if post1 > post0 else ord("0")
-    return Estimate(value=out.decode("ascii"), method="map", margins=t.margins)
+    ll0, ll1 = _loglikelihoods(t.zeros, t.ones, noise.p01, noise.p10)
+    pi = prior.per_qubit
+    # a hard prior pi in {0, 1} makes the posterior of the bit it rules out -inf
+    post1 = ll1 + _per_distinct(_log, pi)
+    post0 = ll0 + _per_distinct(lambda q: math.log1p(-q) if q < 1.0 else NEG_INF, pi)
+    # where the observations are impossible under both bits the prior
+    # decides; otherwise a tie resolves to 0, keeping MAP in the
+    # lexicographic family
+    impossible = (post1 == NEG_INF) & (post0 == NEG_INF)
+    ones = np.where(impossible, pi > 0.5, post1 > post0)
+    return Estimate(value=_bitstring(ones), method="map", margins=t.margins)
 
 
 def sliding_window_antipodal(counts: CountsTable) -> AntipodalPair:
@@ -490,7 +485,6 @@ def sliding_window_antipodal(counts: CountsTable) -> AntipodalPair:
     differ = _column_sums(weights, bits[:, :-1] ^ bits[:, 1:])
     equal = 2 * differ <= counts.shots
     out = np.zeros(n, dtype=np.uint8)
-    out[1:] = np.where(equal, 0, 1)
-    out = np.bitwise_xor.accumulate(out)
-    value = (out + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    out[1:] = ~equal
+    value = _bitstring(np.bitwise_xor.accumulate(out))
     return AntipodalPair(x=value, x_complement=complement(value))

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from .ams import adaptive_vote
-from .budget import per_qubit_target_bound, m3_shot_requirement, qmv_error_bound, required_shots
+from .budget import BudgetQuery, evaluate, qmv_error_bound
 from .core import MAX_QUBITS, CountsTable, hamming_distance, tally
 from .errors import InfeasibleError, ValidationError
 from .estimators import (
@@ -306,13 +306,9 @@ def _budget_section(config: ExperimentConfig) -> dict | None:
     p = float(noise.p01[0])
     if not bool((noise.p01 == p).all()) or not p < 0.5:
         return None
-    epsilon = 0.5 - p
-    return {
-        "p": p,
-        "epsilon": epsilon,
-        "required_shots": required_shots(config.n, epsilon),
-        "per_qubit_target": per_qubit_target_bound(config.n, epsilon),
-        "m3_shots_estimate": m3_shot_requirement(config.n, p),
+    figures = evaluate(BudgetQuery.from_p(config.n, p)).to_dict()
+    keep = ("p", "epsilon", "required_shots", "per_qubit_target", "m3_shots_estimate")
+    return {key: figures[key] for key in keep} | {
         "qmv_error_bound": {
             str(s): (qmv_error_bound(s, p) if s % 2 == 0 and p > 0.0 else None)
             for s in config.shots

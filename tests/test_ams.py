@@ -159,6 +159,13 @@ class TestMergeVotes:
         assert merge_votes(t, noise, [subset], sub_noise, merge="replace") == "1"
         assert merge_votes(t, noise, [subset], sub_noise, merge="pool") == "0"
 
+    @pytest.mark.parametrize("qubit", [-1, 2])
+    def test_subset_qubit_out_of_range_rejected(self, qubit):
+        noise = NoiseModel.uniform(2, 0.2)
+        t = VoteTally(zeros=np.array([70, 30]), ones=np.array([30, 70]))
+        with pytest.raises(DimensionError):
+            merge_votes(t, noise, [SubsetResult(qubit, zeros=0, ones=10)], noise)
+
     def test_qubits_without_subset_use_phase1_weighted_vote(self):
         noise = NoiseModel.uniform(2, 0.2)
         t = VoteTally(zeros=np.array([70, 30]), ones=np.array([30, 70]))

@@ -152,6 +152,20 @@ class TestM3ShotRequirement:
         with pytest.raises(ValidationError):
             m3_shot_requirement(10, 1.0)
 
+    @pytest.mark.parametrize("n, p", [(100_000, 0.4), (3000, 0.45), (1 << 40, 0.01)])
+    def test_past_float_range_is_infinite(self, n, p):
+        assert m3_shot_requirement(n, p) == math.inf
+
+    def test_infinite_estimate_reported_as_none(self):
+        report = evaluate(BudgetQuery.from_epsilon(100_000, 0.1))
+        assert report.m3_shots_estimate == math.inf
+        assert report.to_dict()["m3_shots_estimate"] is None
+
+    def test_largest_finite_value_kept(self):
+        # 0.5^-1023 = 2^1023 is in range, 2^1024 is not
+        assert m3_shot_requirement(1023, 0.5) == 2.0**1023
+        assert m3_shot_requirement(1024, 0.5) == math.inf
+
     def test_ratio_to_vote_rule_grows_in_n(self):
         p = 0.2
         ratios = [

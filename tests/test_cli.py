@@ -15,6 +15,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def write_counts_file(tmp_path, counts, n):
     shots = sum(counts.values())
     path = tmp_path / "counts.json"
@@ -49,6 +53,16 @@ class TestBound:
         code, _, err = run(capsys, "bound", "--n", "10", "--p", "0.6")
         assert code == 1
         assert "p" in err
+
+    @pytest.mark.parametrize("query", [("--n", "100000", "--epsilon", "0.1"), ("--n", "3000", "--p", "0.45")])
+    def test_m3_estimate_past_float_range_is_null(self, capsys, query):
+        code, out, err = run(capsys, "bound", *query)
+        assert code == 0 and err == ""
+        assert json.loads(out, parse_constant=reject_constant)["m3_shots_estimate"] is None
+        code, out, _ = run(capsys, "--format", "csv", "bound", *query)
+        header, values = out.strip("\n").split("\n")
+        assert code == 0
+        assert dict(zip(header.split(","), values.split(",")))["m3_shots_estimate"] == ""
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "bound", "--n", "16", "--p", "0.2")
@@ -397,6 +411,20 @@ class TestExperiment:
         payload = json.loads(report_path.read_text())
         assert len(payload["rows"]) == 4
         assert csv_path.read_text().splitlines()[0] == "estimator,S,seed,distance,runtime_ms"
+
+    def test_m3_estimate_past_float_range_is_null(self, capsys, tmp_path):
+        config = {
+            "ground_truth": {"pattern": "alternating", "n": 3000},
+            "noise": {"p": 0.45},
+            "shots": [20],
+            "estimators": ["qmv"],
+            "seeds": [0],
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "experiment", str(cfg_path))
+        assert code == 0 and err == ""
+        assert json.loads(out, parse_constant=reject_constant)["budget"]["m3_shots_estimate"] is None
 
     def test_bad_config_exit_one(self, capsys, tmp_path):
         cfg_path = tmp_path / "config.json"

@@ -6,11 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmvote import (
     AntipodalPair,
+    SubsetResult,
     CountsTable,
     InfeasibleError,
     NoiseModel,
@@ -19,6 +20,7 @@ from qmvote import (
     VoteTally,
     complement,
     map_estimate,
+    merge_votes,
     ml_bruteforce,
     mode_estimate,
     qmv,
@@ -496,6 +498,149 @@ class TestScanMatchesGatherReference:
             assert got == want
         elif want[1] - want[2] > 1e-9 * abs(want[1]):
             assert got.value == format(want[0], f"0{n}b")
+
+
+def reference_log_pow(p, k):
+    """Frozen scalar k * log(p), with 0 * log(0) = 0 and log(0) = -inf."""
+    if k == 0:
+        return 0.0
+    if p <= 0.0:
+        return -math.inf
+    return k * math.log(p)
+
+
+def reference_loglikelihoods(zeros, ones, p01, p10):
+    """Frozen scalar (ll0, ll1) of one qubit's zero/one counts."""
+    ll0 = reference_log_pow(p01, ones) + reference_log_pow(1.0 - p01, zeros)
+    ll1 = reference_log_pow(p10, zeros) + reference_log_pow(1.0 - p10, ones)
+    return ll0, ll1
+
+
+def reference_evidence(t, noise):
+    columns = (t.zeros.tolist(), t.ones.tolist(), noise.p01.tolist(), noise.p10.tolist())
+    return [reference_loglikelihoods(*qubit) for qubit in zip(*columns)]
+
+
+# flip probabilities and prior entries: hard 0 and 1 mixed with interior values
+unit_interval = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def evidence_cases(draw):
+    """A counts table, some of whose qubits read one value in every shot (so
+    per-qubit counts of 0 and S occur), and noise with hard 0/1 entries."""
+    n = draw(st.integers(1, 10), label="n")
+    key = st.integers(0, (1 << n) - 1)
+    rows = draw(st.lists(key, min_size=1, max_size=20), label="rows")
+    pinned, pinned_to = draw(key, label="pinned"), draw(key, label="pinned_to")
+    table = {}
+    for row in rows:
+        word = format((row & ~pinned) | (pinned_to & pinned), f"0{n}b")
+        table[word] = table.get(word, 0) + 1
+    rates = st.lists(unit_interval, min_size=n, max_size=n)
+    noise = NoiseModel(p01=draw(rates, label="p01"), p10=draw(rates, label="p10"))
+    return CountsTable(table, n=n), noise
+
+
+def float_bits(values):
+    return [float.hex(v) for v in values]
+
+
+class TestEvidenceArraysMatchScalarReference:
+    """Every per-qubit rule reads one pair of evidence arrays (ll0, ll1).
+    They and every decision built on them must equal the scalar per-qubit
+    computation, bit for bit, hard 0/1 evidence and counts of 0 and S
+    included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(evidence_cases())
+    def test_evidence_and_weighted_vote(self, case):
+        counts, nm = case
+        t = tally(counts)
+        ll0, ll1 = estimators_mod._loglikelihoods(t.zeros, t.ones, nm.p01, nm.p10)
+        want = reference_evidence(t, nm)
+        assert not np.isnan(ll0).any() and not np.isnan(ll1).any()
+        assert float_bits(ll0.tolist()) == float_bits([w[0] for w in want])
+        assert float_bits(ll1.tolist()) == float_bits([w[1] for w in want])
+        assert weighted_vote(t, nm).value == "".join("0" if a > b else "1" for a, b in want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(evidence_cases(), st.data())
+    def test_per_qubit_map(self, case, data):
+        counts, nm = case
+        pis = data.draw(st.lists(unit_interval, min_size=counts.n, max_size=counts.n), label="pi")
+        want = []
+        for (ll0, ll1), pi in zip(reference_evidence(tally(counts), nm), pis):
+            if pi in (0.0, 1.0):
+                want.append(str(int(pi)))
+                continue
+            post1, post0 = ll1 + math.log(pi), ll0 + math.log1p(-pi)
+            if post1 == post0 == -math.inf:
+                want.append("1" if pi > 0.5 else "0")
+            else:
+                want.append("1" if post1 > post0 else "0")
+        assert map_estimate(counts, nm, Prior(per_qubit=pis)).value == "".join(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(evidence_cases(), st.data())
+    def test_merge_votes(self, case, data):
+        counts, nm = case
+        n = counts.n
+        sub_nm = NoiseModel(
+            p01=data.draw(st.lists(unit_interval, min_size=n, max_size=n), label="sub p01"),
+            p10=data.draw(st.lists(unit_interval, min_size=n, max_size=n), label="sub p10"),
+        )
+        sub_shots = data.draw(st.integers(1, 20), label="sub shots")
+        ones = st.sampled_from([0, sub_shots]) | st.integers(0, sub_shots)
+        # qubits may repeat; the last subset of a qubit counts
+        subsets = [
+            SubsetResult(q, sub_shots - one, one)
+            for q, one in data.draw(st.lists(st.tuples(st.integers(0, n - 1), ones), max_size=n + 2))
+        ]
+        t = tally(counts)
+        by_qubit = {s.qubit: s for s in subsets}
+        for merge in ("pool", "replace"):
+            want = []
+            for i, (ll0, ll1) in enumerate(reference_evidence(t, nm)):
+                sub = by_qubit.get(i)
+                if sub is not None:
+                    c0, c1 = reference_loglikelihoods(
+                        sub.zeros, sub.ones, float(sub_nm.p01[i]), float(sub_nm.p10[i])
+                    )
+                    ll0, ll1 = (ll0 + c0, ll1 + c1) if merge == "pool" else (c0, c1)
+                want.append("0" if ll0 > ll1 else "1")
+            assert merge_votes(t, nm, subsets, sub_nm, merge) == "".join(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(evidence_cases(), st.data())
+    def test_table_map_value_and_gap(self, case, data):
+        counts, nm = case
+        n = counts.n
+        key = st.integers(0, (1 << n) - 1).map(lambda k: format(k, f"0{n}b"))
+        weights = data.draw(
+            st.dictionaries(key, st.floats(0.0, 1.0), min_size=1, max_size=1 << n)
+            .filter(lambda w: sum(w.values()) > 0.0),
+            label="weights",
+        )
+        total = sum(weights.values())
+        prior = Prior(table={k: w / total for k, w in weights.items()})
+        assume(not prior.is_uniform)
+        evidence = reference_evidence(tally(counts), nm)
+        scores = []
+        for k in sorted(k for k, prob in prior.table.items() if prob > 0.0):
+            score = math.log(prior.table[k])
+            for i, bit in enumerate(k):
+                score += evidence[i][int(bit)]
+            scores.append((score, k))
+        best = max(s for s, _ in scores)
+        if best == -math.inf:
+            assert outcome(map_estimate, counts, nm, prior) == "ValidationError"
+            return
+        value = next(k for s, k in scores if s == best)
+        second = sorted(s for s, _ in scores)[-2] if len(scores) > 1 else -math.inf
+        got = map_estimate(counts, nm, prior)
+        assert got.value == value
+        assert float.hex(got.gap) == float.hex(best - second)
 
 
 class TestWeightedVote:
