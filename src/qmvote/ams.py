@@ -121,11 +121,12 @@ def merge_votes(
         raise DimensionError("noise models must cover the same qubits as the tally")
     ll0, ll1 = _loglikelihoods(phase1_tally.zeros, phase1_tally.ones, noise.p01, noise.p10)
     if subsets:
-        q, zeros, ones = np.array([(s.qubit, s.zeros, s.ones) for s in subsets], dtype=np.int64).T
+        # with a qubit listed twice, its last subset counts, in either mode
+        last = {s.qubit: s for s in subsets}.values()
+        q, zeros, ones = np.array([(s.qubit, s.zeros, s.ones) for s in last], dtype=np.int64).T
         if np.any((q < 0) | (q >= n)):
             raise DimensionError(f"subset qubits must lie in 0..{n - 1}")
         c0, c1 = _loglikelihoods(zeros, ones, subset_noise.p01[q], subset_noise.p10[q])
-        # with a qubit listed twice, its last subset counts, in either mode
         if merge == "pool":
             c0, c1 = ll0[q] + c0, ll1[q] + c1
         ll0[q], ll1[q] = c0, c1

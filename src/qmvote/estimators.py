@@ -220,8 +220,9 @@ def _per_distinct(func, values: np.ndarray) -> np.ndarray:
     """Scalar ``func`` of every entry of ``values``, one call per distinct
     value. Logs are taken with ``math``, whose last bit ``np.log`` and
     ``np.log1p`` do not always match."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([func(v) for v in distinct.tolist()])[inverse]
+    # a 1-D input, as numpy releases differ in the shape of a 2-D inverse
+    distinct, inverse = np.unique(values.ravel(), return_inverse=True)
+    return np.array([func(v) for v in distinct.tolist()])[inverse].reshape(values.shape)
 
 
 def _log(p: float) -> float:

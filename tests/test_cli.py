@@ -425,6 +425,10 @@ class TestExperiment:
         code, out, err = run(capsys, "experiment", str(cfg_path))
         assert code == 0 and err == ""
         assert json.loads(out, parse_constant=reject_constant)["budget"]["m3_shots_estimate"] is None
+        out_path = tmp_path / "report.json"
+        code, _, err = run(capsys, "experiment", str(cfg_path), "--out", str(out_path))
+        assert code == 0 and err == ""
+        assert json.loads(out_path.read_text(), parse_constant=reject_constant) == json.loads(out)
 
     def test_bad_config_exit_one(self, capsys, tmp_path):
         cfg_path = tmp_path / "config.json"

@@ -642,6 +642,35 @@ class TestEvidenceArraysMatchScalarReference:
         assert got.value == value
         assert float.hex(got.gap) == float.hex(best - second)
 
+    def test_flat_unique_inverse(self, monkeypatch):
+        """numpy before 2.0 gives np.unique of a 2-D array a flat inverse;
+        the evidence arrays must not depend on that shape."""
+        t = VoteTally(zeros=np.array([0, 3, 7, 10]), ones=np.array([10, 7, 3, 0]))
+        nm = NoiseModel(p01=[0.1, 0.0, 0.3, 1.0], p10=[0.2, 0.5, 0.0, 0.1])
+        prior = Prior(per_qubit=[0.3, 0.0, 0.5, 0.9])
+        subsets = [SubsetResult(1, 4, 6), SubsetResult(2, 9, 1)]
+
+        def decisions():
+            counts = CountsTable({"1000": 3, "0110": 7}, n=4)
+            return (
+                weighted_vote(t, nm).value,
+                map_estimate(counts, nm, prior).value,
+                merge_votes(t, nm, subsets, nm, "pool"),
+                merge_votes(t, nm, subsets, nm, "replace"),
+            )
+
+        want = decisions()
+        real_unique = np.unique
+
+        def flat_unique(values, *args, **kwargs):
+            out = real_unique(values, *args, **kwargs)
+            if kwargs.get("return_inverse"):
+                out = (out[0], out[1].ravel(), *out[2:])
+            return out
+
+        monkeypatch.setattr(np, "unique", flat_unique)
+        assert decisions() == want
+
 
 class TestWeightedVote:
     def test_hard_evidence_forces_zero(self):
