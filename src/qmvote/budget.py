@@ -27,7 +27,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidRegimeError, ValidationError
+from .errors import InfeasibleError, InvalidRegimeError, ValidationError
+
+
+def _check_float_range(value: int, name: str) -> int:
+    """Refuse an integer beyond float range, which the float formulas below
+    cannot take."""
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must lie within float range (about 1.8e308)") from None
+    return value
 
 
 def _check_even_shots(shots: int) -> int:
@@ -35,7 +45,7 @@ def _check_even_shots(shots: int) -> int:
         raise ValidationError(f"shots must be an integer, got {shots!r}")
     if shots < 2 or shots % 2:
         raise ValidationError(f"the bound is derived for even shots >= 2, got {shots}")
-    return shots
+    return _check_float_range(shots, "shots")
 
 
 def _check_sub_half_p(p: float) -> float:
@@ -97,7 +107,12 @@ def required_shots(n: float, epsilon: float) -> int:
         raise ValidationError(f"the shot rule needs at least 2 qubits, got {n}")
     if not 0.0 < epsilon <= 0.5:
         raise ValidationError(f"epsilon must lie in (0, 0.5], got {epsilon}")
-    shots = math.ceil(0.5 * math.log(n) / epsilon**2)
+    try:
+        shots = math.ceil(0.5 * math.log(n) / epsilon**2)
+    except (ZeroDivisionError, OverflowError):  # epsilon**2 underflows to zero or near it
+        raise InfeasibleError(
+            f"the shot rule needs more shots than float range holds at epsilon={epsilon}"
+        ) from None
     return shots + (shots % 2)
 
 
@@ -146,6 +161,7 @@ class BudgetQuery:
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError(f"budget queries need at least 2 qubits, got {self.n}")
+        _check_float_range(self.n, "qubit count")
         _check_sub_half_p(self.p)
         _check_even_shots(self.shots)
 

@@ -188,11 +188,6 @@ class _Rows(NamedTuple):
 # Largest shot total a table may hold: float64 is exact for integers up to
 # 2**53, which the column sums below rely on.
 MAX_SHOTS = 2**53
-# Largest size one step may reach: a simulated shot record packed eight
-# qubits to a byte, refused before it is allocated, or the exhaustive
-# scan's size limit (see ``estimators._check_scan_memory``), refused before
-# the scan starts.
-MAX_WORK_BYTES = 4 << 30
 # Entries are checked and packed in blocks of about this many key characters.
 _PACK_BLOCK_CHARS = 1 << 18
 

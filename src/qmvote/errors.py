@@ -37,4 +37,4 @@ class CountsFormatError(ValidationError):
 
 class InfeasibleError(MitigationError):
     """Structurally valid request that cannot be served, e.g. exhaustive
-    likelihood search beyond the supported qubit count (CLI exit code 2)."""
+    likelihood search beyond its work limit (CLI exit code 2)."""

@@ -33,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import MAX_WORK_BYTES, CountsTable, VoteTally, _column_sums, complement, tally, validate_bitstring
+from .core import CountsTable, VoteTally, _column_sums, complement, tally, validate_bitstring
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .noise import NoiseModel
 
@@ -42,11 +42,13 @@ from .noise import NoiseModel
 # can depend on the row count, so the block size is part of the output
 # definition and must not be tuned per run.
 _ENUM_BLOCK = 1 << 16
-ENUM_MAX_QUBITS = 24
-# Size limit of a scan, measured as 1.5 x block x distinct-keys float64
-# values (the two buffers a whole-block build would take); a larger scan
-# is refused before it starts.
-ENUM_MAX_BYTES = MAX_WORK_BYTES
+# A scan over K distinct keys does about 2^n x (K + _ENUM_CANDIDATE_PAIRS)
+# candidate-key pairs of work: about 2-3 ns per pair, plus 18-28 ns per
+# candidate at one key, the cost of some 8-12 pairs (2-vCPU Xeon VM, numpy
+# 2.4, OpenBLAS 0.3.31). A scan of more than _ENUM_MAX_PAIRS pairs, about
+# 6 minutes there, is refused before it starts.
+_ENUM_CANDIDATE_PAIRS = 16
+_ENUM_MAX_PAIRS = 1 << 37
 # A block's candidate x entry matrix is built a tile of rows at a time, a
 # tile holding about this many bytes so that it and the stack of fixed-qubit
 # partial sums stay in cache. Tiles are powers of two of at least
@@ -268,18 +270,16 @@ def weighted_vote(vote_tally: VoteTally, noise: NoiseModel) -> Estimate:
     return Estimate(value=_bitstring(ll0 <= ll1), method="weighted", margins=t.margins)
 
 
-def _check_scan_memory(n: int, keys: int) -> None:
+def _check_scan_work(n: int, keys: int) -> None:
     """Refuse an exhaustive scan of 2^n candidates over ``keys`` distinct
-    keys whose size, 1.5 x min(2^16, 2^n) x keys float64 values, would pass
-    ``ENUM_MAX_BYTES``. This is a limit on the scan's size, not memory it
-    allocates: the scan itself works in tiles of about a megabyte."""
-    block = min(_ENUM_BLOCK, 1 << n)
-    need = (block + block // 2) * keys * 8
-    if need > ENUM_MAX_BYTES:
+    keys whose work, 2^n x (keys + ``_ENUM_CANDIDATE_PAIRS``) candidate-key
+    pairs, would pass ``_ENUM_MAX_PAIRS``."""
+    pairs = (keys + _ENUM_CANDIDATE_PAIRS) << n
+    if pairs > _ENUM_MAX_PAIRS:
         raise InfeasibleError(
-            f"exhaustive likelihood scan over {keys} distinct keys has a size of "
-            f"{need / 2**30:.1f} GiB (1.5 x candidates per block x keys float64 values), "
-            f"more than the {ENUM_MAX_BYTES / 2**30:.0f} GiB allowed"
+            f"exhaustive likelihood scan of 2^{n} candidates over {keys} distinct keys is "
+            f"{pairs} candidate-key pairs of work (2^n x (keys + {_ENUM_CANDIDATE_PAIRS})), "
+            f"more than the {_ENUM_MAX_PAIRS} allowed"
         )
 
 
@@ -329,11 +329,7 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     n = counts.n
     if noise.n != n:
         raise DimensionError(f"noise model covers {noise.n} qubits, counts have {n}")
-    if n > ENUM_MAX_QUBITS:
-        raise InfeasibleError(
-            f"exhaustive likelihood scan supports at most {ENUM_MAX_QUBITS} qubits, got {n}"
-        )
-    _check_scan_memory(n, len(counts))
+    _check_scan_work(n, len(counts))
     block = min(_ENUM_BLOCK, 1 << n)
     ybits, weights = counts.as_arrays()
     wts = weights.astype(np.float64)
@@ -404,8 +400,9 @@ def ml_bruteforce(counts: CountsTable, noise: NoiseModel) -> Estimate:
 
     Evaluates the full shot likelihood of every candidate and takes the
     argmax, breaking ties toward the lexicographically smallest string.
-    Exponential in n (capped at ``ENUM_MAX_QUBITS``); use the vote rules
-    for anything large. Kept enumerative on purpose: this is the oracle the
+    Exponential in n: a scan of more than ``_ENUM_MAX_PAIRS`` candidate-key
+    pairs is refused (see ``_check_scan_work``); use the vote rules for
+    anything large. Kept enumerative on purpose: this is the oracle the
     vote rules are checked against, so it must not share their shortcut.
     """
     best_k, best, second = _enumerate_scores(counts, noise)

@@ -28,7 +28,7 @@ from .errors import InfeasibleError, ValidationError
 from .estimators import (
     AntipodalPair,
     Prior,
-    _check_scan_memory,
+    _check_scan_work,
     _is_real,
     map_estimate,
     ml_bruteforce,
@@ -53,9 +53,6 @@ ESTIMATORS = {
 
 # ams is harness-only: it simulates its own subset shots from the truth.
 ESTIMATOR_NAMES = (*ESTIMATORS, "ams")
-
-# Exhaustive-scan estimators stay desk-sized inside the harness.
-HARNESS_ENUM_MAX_QUBITS = 20
 
 GROUND_TRUTH_PATTERNS = ("alternating", "all-zeros", "ghz-antipodal")
 
@@ -107,13 +104,8 @@ class ExperimentConfig:
             if len(set(values)) != len(values):
                 raise ValidationError(f"field {name!r} must not repeat entries, got {list(values)}")
         if "ml" in self.estimators:
-            if n > HARNESS_ENUM_MAX_QUBITS:
-                raise InfeasibleError(
-                    f"estimator 'ml' scans 2^n strings and is limited to "
-                    f"{HARNESS_ENUM_MAX_QUBITS} qubits in experiments, got {n}"
-                )
             # a cell's table has at most min(shots, 2^n) distinct keys
-            _check_scan_memory(n, min(max(self.shots), 1 << n))
+            _check_scan_work(n, min(max(self.shots), 1 << n))
         if "window" in self.estimators and n < 2:
             raise InfeasibleError("estimator 'window' needs at least 2 qubits")
         # NaN fails both range tests

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import MAX_QUBITS, MAX_WORK_BYTES, CountsTable, validate_bitstring
+from .core import MAX_QUBITS, CountsTable, validate_bitstring
 from .errors import DimensionError, InfeasibleError, ValidationError
 
 MAX_SEED = 2**64
@@ -168,14 +168,19 @@ def _simulate_rows(thresholds: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
+# Largest simulated shot record, packed eight qubits to a byte; a larger one
+# is refused before it is allocated.
+MAX_RECORD_BYTES = 4 << 30
+
+
 def _check_record_memory(n: int, shots: int) -> None:
     """Refuse a shot record of ``shots`` rows of ``n`` qubits, packed eight
-    to a byte, that would pass ``MAX_WORK_BYTES``."""
+    to a byte, that would pass ``MAX_RECORD_BYTES``."""
     need = shots * ((n + 7) // 8)
-    if need > MAX_WORK_BYTES:
+    if need > MAX_RECORD_BYTES:
         raise InfeasibleError(
             f"{shots} shots of {n} qubits need {need / 2**30:.1f} GiB as a packed shot "
-            f"record, more than the {MAX_WORK_BYTES / 2**30:.0f} GiB allowed"
+            f"record, more than the {MAX_RECORD_BYTES / 2**30:.0f} GiB allowed"
         )
 
 

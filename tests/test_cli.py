@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmvote import NoiseModel, complement, simulate_shots
 from qmvote import cli as cli_mod
@@ -70,6 +74,68 @@ class TestBound:
         header, values = out.strip().splitlines()
         assert "required_shots" in header
         assert len(header.split(",")) == len(values.split(","))
+
+    @pytest.mark.parametrize(
+        "query, want, text",
+        [
+            # epsilon**2 underflows to zero, or to a subnormal that makes the rule infinite
+            (("--n", "10", "--epsilon", "1e-300"), 2, "shot rule needs more shots"),
+            (("--n", "10", "--epsilon", "1e-155"), 2, "shot rule needs more shots"),
+            (("--n", str(10**400), "--p", "0.1"), 1, "qubit count must lie within float range"),
+            (("--n", "10", "--p", "0.1", "--shots", str(10**330)), 1, "shots must lie within float range"),
+        ],
+    )
+    def test_numbers_past_float_range_fail_cleanly(self, capsys, query, want, text):
+        code, out, err = run(capsys, "bound", *query)
+        assert code == want
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert text in err
+
+    def test_p_next_to_one_half(self, capsys):
+        code, out, err = run(capsys, "bound", "--n", "10", "--p", "0.4999999999")
+        assert code == 0 and err == ""
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["required_shots"] == payload["shots"] == 115129235598030176256
+        assert payload["bound_any_qubit"] == 1.0
+
+
+# ints from negative through past float range (about 1.8e308), and floats of
+# every class: subnormal, signed zero, nan and infinities
+_BOUND_INTS = st.one_of(
+    st.integers(-3, 10**6),
+    st.integers(10**300, 10**400),
+    st.sampled_from([2**1024 - 2**971, 2**1024 - 2**970]),
+)
+_BOUND_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(0.0, 0.5),
+    st.floats(0.0, 1e-150),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=_BOUND_INTS,
+    flag=st.sampled_from(["--p", "--epsilon"]),
+    value=_BOUND_FLOATS,
+    shots=st.none() | _BOUND_INTS,
+)
+def test_bound_fuzz_answers_or_fails_cleanly(n, flag, value, shots):
+    """``bound`` prints strict JSON, or exits 1 or 2 with one error line."""
+    argv = ["bound", f"--n={n}", f"{flag}={value!r}"]
+    if shots is not None:
+        argv.append(f"--shots={shots}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=reject_constant)
+    else:
+        assert code in (1, 2)
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 class TestMitigate:
@@ -157,14 +223,15 @@ class TestMitigate:
         assert code == 0, err
         assert json.loads(out)["estimate"] == truth
 
-    def test_ml_scan_over_memory_budget_exit_two(self, capsys, tmp_path):
-        counts = simulate_shots("01" * 8, NoiseModel.uniform(16, 0.3), 60_000, 16)
-        path = write_counts_file(tmp_path, dict(counts.items()), 16)
+    def test_ml_scan_over_work_limit_exit_two(self, capsys, tmp_path):
+        counts = simulate_shots("01" * 12, NoiseModel.uniform(24, 0.3), 20_000, 16)
+        path = write_counts_file(tmp_path, dict(counts.items()), 24)
         code, out, err = run(capsys, "mitigate", path, "--method", "ml", "--p", "0.3")
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "GiB" in err and "4 GiB allowed" in err
+        pairs = (len(counts) + 16) << 24
+        assert f"is {pairs} candidate-key pairs" in err and f"more than the {1 << 37} allowed" in err
 
     @pytest.mark.parametrize(
         "exc", [MemoryError(), MemoryError("Unable to allocate 890. MiB for an array")]
@@ -182,10 +249,12 @@ class TestMitigate:
         assert str(exc) in err
 
     def test_ml_too_wide_exit_two(self, capsys, tmp_path):
-        path = write_counts_file(tmp_path, {"0" * 25: 4}, 25)
-        code, _, err = run(capsys, "mitigate", path, "--method", "ml", "--p", "0.1")
+        path = write_counts_file(tmp_path, {"0" * 40: 4}, 40)
+        code, out, err = run(capsys, "mitigate", path, "--method", "ml", "--p", "0.1")
         assert code == 2
-        assert "24" in err
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"2^40 candidates over 1 distinct keys is {17 << 40} candidate-key pairs" in err
 
     def test_nan_noise_exit_one(self, capsys, tmp_path):
         path = write_counts_file(tmp_path, {"01": 8, "11": 2}, 2)
@@ -487,7 +556,7 @@ class TestExperiment:
         cfg_path.write_text(
             json.dumps(
                 {
-                    "ground_truth": "1" * 25,
+                    "ground_truth": "1" * 40,
                     "noise": {"p": 0.1},
                     "shots": [8],
                     "estimators": ["ml"],
@@ -495,10 +564,12 @@ class TestExperiment:
                 }
             )
         )
-        code, _, _ = run(capsys, "experiment", str(cfg_path))
+        code, out, err = run(capsys, "experiment", str(cfg_path))
         assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_ml_over_memory_budget_exit_two_before_simulating(self, capsys, tmp_path, monkeypatch):
+    def test_ml_over_work_limit_exit_two_before_simulating(self, capsys, tmp_path, monkeypatch):
         import qmvote.experiment as experiment_mod
 
         def no_draw(*args):
@@ -509,9 +580,9 @@ class TestExperiment:
         cfg_path.write_text(
             json.dumps(
                 {
-                    "ground_truth": {"pattern": "alternating", "n": 16},
+                    "ground_truth": {"pattern": "alternating", "n": 24},
                     "noise": {"p": 0.3},
-                    "shots": [60000],
+                    "shots": [20000],
                     "estimators": ["qmv", "ml"],
                     "seeds": [0],
                 }
@@ -521,7 +592,7 @@ class TestExperiment:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "GiB" in err and "4 GiB allowed" in err
+        assert f"is {20016 << 24} candidate-key pairs" in err and f"more than the {1 << 37} allowed" in err
 
     def test_pattern_length_out_of_range_exit_one(self, capsys, tmp_path):
         cfg_path = tmp_path / "config.json"

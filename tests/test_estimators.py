@@ -31,7 +31,14 @@ from qmvote import (
     weighted_vote,
 )
 from qmvote import estimators as estimators_mod
-from qmvote.estimators import ENUM_MAX_BYTES, _ENUM_BLOCK, _enumerate_scores, _scan_tile_rows
+from qmvote.estimators import (
+    _ENUM_BLOCK,
+    _ENUM_CANDIDATE_PAIRS,
+    _ENUM_MAX_PAIRS,
+    _check_scan_work,
+    _enumerate_scores,
+    _scan_tile_rows,
+)
 
 
 def random_counts(rng, n, shots, skew=True):
@@ -109,21 +116,23 @@ class TestMlBruteforce:
         assert est.value == "000"
         assert est.gap == 0.0
 
-    def test_too_many_qubits(self):
-        counts = CountsTable({"0" * 25: 1})
-        with pytest.raises(InfeasibleError):
-            ml_bruteforce(counts, NoiseModel.uniform(25, 0.1))
+    def test_wide_scan_over_work_limit(self):
+        counts = CountsTable({"0" * 40: 1})
+        with pytest.raises(InfeasibleError) as info:
+            ml_bruteforce(counts, NoiseModel.uniform(40, 0.1))
+        assert f"is {(1 + _ENUM_CANDIDATE_PAIRS) << 40} candidate-key pairs" in str(info.value)
+        assert f"more than the {_ENUM_MAX_PAIRS} allowed" in str(info.value)
 
     def test_impossible_evidence(self):
         counts = CountsTable({"0": 1, "1": 1})
         with pytest.raises(ValidationError):
             ml_bruteforce(counts, NoiseModel.uniform(1, 0.0, 0.0))
 
-    def test_oversized_scan_refused_before_allocating(self):
-        nm = NoiseModel.uniform(16, 0.3)
-        counts = simulate_shots("01" * 8, nm, 60_000, 16)
-        need = (_ENUM_BLOCK + _ENUM_BLOCK // 2) * len(counts) * 8
-        assert need > ENUM_MAX_BYTES
+    def test_scan_over_work_limit_refused_before_allocating(self):
+        nm = NoiseModel.uniform(24, 0.3)
+        counts = simulate_shots("01" * 12, nm, 20_000, 16)
+        pairs = (len(counts) + _ENUM_CANDIDATE_PAIRS) << 24
+        assert pairs > _ENUM_MAX_PAIRS
         tracemalloc.start()
         try:
             with pytest.raises(InfeasibleError) as info:
@@ -131,9 +140,50 @@ class TestMlBruteforce:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert f"{need / 2**30:.1f} GiB" in str(info.value)
-        assert "4 GiB allowed" in str(info.value)
-        assert peak < need / 1000
+        assert f"over {len(counts)} distinct keys is {pairs} candidate-key pairs" in str(info.value)
+        assert f"more than the {_ENUM_MAX_PAIRS} allowed" in str(info.value)
+        # one 64-row tile of this scan alone is 64 x keys float64 values, about 10 MB
+        assert peak < 1 << 20
+
+    def test_work_limit_boundary(self, monkeypatch):
+        """The scan runs at exactly the limit's pairs and is refused one
+        pair above it."""
+        nm = NoiseModel.uniform(6, 0.2)
+        counts = simulate_shots("011010", nm, 40, 3)
+        pairs = (len(counts) + _ENUM_CANDIDATE_PAIRS) << 6
+        monkeypatch.setattr(estimators_mod, "_ENUM_MAX_PAIRS", pairs)
+        assert ml_bruteforce(counts, nm).value == qmv(tally(counts)).value
+        monkeypatch.setattr(estimators_mod, "_ENUM_MAX_PAIRS", pairs - 1)
+        with pytest.raises(InfeasibleError, match=f"is {pairs} candidate-key pairs.*{pairs - 1} allowed"):
+            ml_bruteforce(counts, nm)
+
+    def test_limit_admits_every_scan_of_the_qubit_and_size_caps(self):
+        """The limit keeps every scan that a 24-qubit cap together with a
+        4 GiB size cap on 1.5 x min(2^16, 2^n) x keys float64 values
+        admitted, and its own boundary at n = 24 lies where it is set."""
+        for n in range(1, 25):
+            block = min(_ENUM_BLOCK, 1 << n)
+            _check_scan_work(n, min(1 << n, (4 << 30) // (12 * block)))
+        keys = (_ENUM_MAX_PAIRS >> 24) - _ENUM_CANDIDATE_PAIRS
+        _check_scan_work(24, keys)
+        with pytest.raises(InfeasibleError):
+            _check_scan_work(24, keys + 1)
+
+    def test_scan_past_the_old_size_cap(self):
+        """7723 distinct keys at n = 16: past the old 4 GiB size cap (5461
+        keys there), and about 2^16 x 7723 pairs, a second or so. The vote
+        is the maximum-likelihood output under symmetric noise."""
+        nm = NoiseModel.uniform(16, 0.3)
+        counts = simulate_shots("10" * 8, nm, 12_000, 1)
+        assert len(counts) == 7723
+        tracemalloc.start()
+        try:
+            est = ml_bruteforce(counts, nm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.value == qmv(tally(counts)).value
+        assert peak < 64 << 20
 
     def test_scan_works_in_tiles(self):
         """A whole-block build of this scan takes about 1.3 GB."""

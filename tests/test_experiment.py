@@ -60,23 +60,24 @@ class TestConfig:
         with pytest.raises(ValidationError):
             make_config(seeds=[])
 
-    def test_ml_too_wide_is_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            make_config(ground_truth="1" * 21, noise={"p": 0.1}, estimators=["ml"])
+    def test_ml_wide_over_work_limit_is_infeasible(self):
+        # 2^40 candidates x (8 keys + 16)
+        with pytest.raises(InfeasibleError, match=f"is {24 << 40} candidate-key pairs"):
+            make_config(ground_truth="1" * 40, noise={"p": 0.1}, shots=[8], estimators=["ml"])
 
-    def test_ml_over_memory_budget_refused_at_config_time(self):
-        """A table has at most min(shots, 2^n) distinct keys; at n = 16 the
-        scan's 1.5 x 2^16 x K float64 buffers stay within 4 GiB up to
-        K = 5461."""
-        alternating = {"pattern": "alternating", "n": 16}
-        for shots in (5462, 60_000):
-            with pytest.raises(InfeasibleError, match=f"over {shots} distinct keys.*4 GiB allowed"):
-                make_config(ground_truth=alternating, shots=[64, shots], estimators=["qmv", "ml"])
-        assert make_config(ground_truth=alternating, shots=[5461], estimators=["ml"]).shots == (5461,)
+    def test_ml_over_work_limit_refused_at_config_time(self):
+        """A table has at most min(shots, 2^n) distinct keys; at n = 24 the
+        scan's 2^24 x (K + 16) pairs stay within 2^37 up to K = 8176."""
+        n24 = {"pattern": "alternating", "n": 24}
+        for shots in (8177, 20_000):
+            message = f"over {shots} distinct keys is {(shots + 16) << 24} .*{1 << 37} allowed"
+            with pytest.raises(InfeasibleError, match=message):
+                make_config(ground_truth=n24, shots=[64, shots], estimators=["qmv", "ml"])
+        assert make_config(ground_truth=n24, shots=[8176], estimators=["ml"]).shots == (8176,)
         # at n = 10 a table has at most 1024 keys, however many shots
         make_config(ground_truth="1" * 10, shots=[10**6], estimators=["ml"])
         # map with the harness's per-qubit prior does not scan
-        make_config(ground_truth=alternating, shots=[60_000], estimators=["map"])
+        make_config(ground_truth=n24, shots=[20_000], estimators=["map"])
 
     def test_oversized_shot_record_refused_at_config_time(self):
         # 16 qubits pack to two bytes per shot, so 4 GiB holds 2**31 shots
@@ -177,6 +178,20 @@ class TestRunExperiment:
         )
         report = run_experiment(cfg)
         assert all(row["distance"] == 0 for row in report.rows)
+
+    def test_ml_at_twenty_one_qubits_runs(self):
+        """2^21 x (8 keys + 16) pairs, well under a second."""
+        cfg = make_config(
+            ground_truth={"pattern": "alternating", "n": 21},
+            shots=[8],
+            estimators=["ml", "qmv"],
+            seeds=[0],
+        )
+        report = run_experiment(cfg)
+        ml, vote = report.rows
+        assert (ml["estimator"], vote["estimator"]) == ("ml", "qmv")
+        assert len(ml["estimate"]) == 21
+        assert ml["runtime_ms"] < 10_000
 
     def test_majority_vote_beats_mode_when_truth_is_never_measured(self):
         # p=0.3 over 25 qubits: the exact truth shows up once per ~7500
