@@ -175,6 +175,10 @@ class BudgetQuery:
             raise ValidationError(f"epsilon must lie in (0, 0.5], got {epsilon}")
         if shots is None:
             shots = required_shots(n, epsilon)
+        if 0.5 - epsilon == 0.5:
+            raise ValidationError(
+                f"epsilon={epsilon} is too small to tell p = 0.5 - epsilon from 0.5 in float64"
+            )
         return cls(n=n, p=0.5 - epsilon, shots=shots)
 
     @classmethod

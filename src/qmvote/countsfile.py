@@ -56,12 +56,19 @@ _PLACES = 10 ** np.arange(_DIGITS - 1, -1, -1, dtype=np.int64)
 _WIDTHS = _PLACES[-2::-1].copy()
 # Longest entry line, with its ",\n", beyond the key.
 _LINE_EXTRA = len(_LEAD) + len(_SEP) + _DIGITS + 2
-# Eight key characters as one little-endian word: their low bits, and the
-# multiplier that gathers those bits into the top byte, first character
-# highest, as ``np.packbits`` orders them.
-_ONES = np.uint64(0x0101010101010101)
-_CHARS_1 = np.uint64(0x3131313131313131)
+# Eight key characters as one little-endian word: eight "0"s, and the
+# multiplier that gathers the low bits of its bytes into the top byte, first
+# character highest, as ``np.packbits`` orders them.
+_CHARS_0 = np.uint64(0x3030303030303030)
 _GATHER = np.uint64(0x8040201008040201)
+# The lead and the separator as little-endian 64-bit words, and the masks of
+# their bytes; the ",\n" that ends an entry line as a 16-bit word.
+_LEAD_WORD, _SEP_WORD = (np.uint64(int.from_bytes(text, "little")) for text in (_LEAD, _SEP))
+_LEAD_MASK, _SEP_MASK = (np.uint64(2 ** (8 * len(text)) - 1) for text in (_LEAD, _SEP))
+_LINE_END = int.from_bytes(b",\n", "little")
+_FIXED_BYTES = np.frombuffer(_LEAD + _SEP, np.uint8)
+# Lines are read a block of about this many bytes at a time.
+_READ_BLOCK_BYTES = 1 << 20
 
 _REQUIRED_FIELDS = ("schema_version", "n", "shots", "counts")
 
@@ -162,8 +169,16 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
     without a leading zero, their sum is ``shots``, and ``n`` is at most
     ``MAX_QUBITS``. A document that passes is one the ``json`` path reads to
     the same table, so that path, run for every other input, is the one
-    source of errors. Lines are read a block of about ``_PACK_BLOCK_CHARS``
-    bytes at a time, so no temporary grows with the file.
+    source of errors.
+
+    Lines are read a block of about ``_READ_BLOCK_BYTES`` bytes at a time,
+    so no temporary grows with the file. The first newline of a block gives
+    the length of its first line. When every line of the block before the
+    last entry line has that length (its ",\n" sits at every length-th
+    byte), the lines are read through views of the bytes with that row
+    stride (``_stride_fields``); otherwise each newline is found and the
+    lines gathered from their starts (``_scan_fields``). Both give the key
+    text and the count digits, which the rest of the block's checks share.
     """
     if not (data.startswith(_HEAD) and data.endswith(_TAIL[2])):
         return None
@@ -172,9 +187,7 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
     if tail is None:
         return None
     n, shots = int(tail[1]), int(tail[2])
-    key_end = len(_LEAD) + n  # offsets in a line
-    digits_start = key_end + len(_SEP)
-    if n > MAX_QUBITS or shots > MAX_SHOTS or end < len(_HEAD) + digits_start + 1:
+    if n > MAX_QUBITS or shots > MAX_SHOTS or end < len(_HEAD) + len(_LEAD) + n + len(_SEP) + 1:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
     # Keys are read as little-endian 64-bit words of eight characters; the
@@ -182,47 +195,40 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
     words = (n + 7) // 8
     key_mask = np.full(words, 2**64 - 1, dtype=np.uint64)
     key_mask[-1] >>= np.uint64(8 * (-n % 8))
-    keys_at = sliding_window_view(buf, 8 * words)
-    # offsets of the lead and separator bytes in a line, then of the first digit
-    fixed_at = np.r_[0 : len(_LEAD), key_end:digits_start, digits_start]
-    fixed_bytes = np.frombuffer(_LEAD + _SEP, np.uint8)
-    step = max(core._PACK_BLOCK_CHARS, n + _LINE_EXTRA)
+    final = data.rfind(b"\n", 0, end) + 1  # where the last entry line starts
+    step = max(_READ_BLOCK_BYTES, n + _LINE_EXTRA)
     rows, counts, total, last = [], [], 0, None
     lo = len(_HEAD)
     while lo <= end:
-        stops = lo + np.flatnonzero(buf[lo : min(lo + step, end + 1)] == ord("\n"))
-        if stops.size == 0:
+        hi = min(lo + step, end + 1)
+        length = data.find(b"\n", lo, hi) + 1 - lo  # of the first line, with its newline
+        lines = (min(hi, final) - lo) // length if length > 0 else 0
+        if lines > 0 and np.all(_column(data, lo + length - 2, length, lines, "<u2") == _LINE_END):
+            fields = _stride_fields(data, lo, length, lines, n)
+        else:
+            fields = _scan_fields(buf, lo, hi, end, n)
+        if fields is None:
             return None
-        starts = np.concatenate(([lo], stops[:-1] + 1))
-        lo = int(stops[-1]) + 1
-        comma = stops < end  # every line but the last ends in ","
-        digits_end = stops - comma
-        width = digits_end - starts - digits_start
-        wide = int(width.max())
-        if width.min() < 1 or wide > _DIGITS:
+        text, digits, lo = fields
+        # In place, on the block's own copy of the key text: a fresh
+        # temporary of its size costs more than the arithmetic on it.
+        text ^= _CHARS_0  # "0" and "1" become the bytes 0 and 1
+        text &= key_mask
+        if text.view(np.uint8).max() > 1:  # a byte other than "0" or "1"
             return None
-        fixed = buf[starts[:, None] + fixed_at]
-        text = keys_at[starts + len(_LEAD)].view("<u8")
-        if (
-            np.any(fixed[:, :-1] != fixed_bytes)
-            or np.any(fixed[:, -1] == ord("0"))  # a leading zero
-            or np.any(buf[digits_end[comma]] != ord(","))
-            or np.any(((text | _ONES) ^ _CHARS_1) & key_mask)  # a byte other than "0" or "1"
-        ):
-            return None
-        packed = ((text & (_ONES & key_mask)) * _GATHER >> np.uint64(56)).astype(np.uint8)
-        # strictly increasing: at the first byte where neighbours differ, the later is larger
-        seq = packed if last is None else np.concatenate((last, packed))
-        differ = seq[1:] != seq[:-1]
-        at = (np.arange(len(differ)), differ.argmax(axis=1))
-        if not np.all(differ[at] & (seq[1:][at] > seq[:-1][at])):
-            return None
-        last = packed[-1:]
-        digits = sliding_window_view(buf, wide)[digits_end - wide] - np.uint8(ord("0"))
-        digits[np.arange(wide) < wide - width[:, None]] = 0
         if digits.max() > 9:  # a byte below "0" wraps round to a large value
             return None
-        values = digits @ _PLACES[-wide:]
+        text *= _GATHER
+        text >>= np.uint64(56)
+        packed = text.astype(np.uint8)
+        # Packed rows read as big-endian words order as the keys do.
+        order = np.zeros((len(packed), (words + 7) // 8), ">u8")
+        order.view(np.uint8)[:, :words] = packed
+        order = order.astype(np.uint64)
+        if not _increasing(order if last is None else np.concatenate((last, order))):
+            return None
+        last = order[-1:]
+        values = digits @ _PLACES[-digits.shape[1] :]
         # exact: each half sums to well under 2**63. Counts are positive, so
         # a total of at most shots <= 2**53 bounds every count as well.
         total += (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
@@ -235,6 +241,75 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
     if total != shots:
         return None
     return CountsTable(_Rows(np.concatenate(rows), np.concatenate(counts)), n=n)
+
+
+def _increasing(rows: np.ndarray) -> bool:
+    """Whether rows of words, the first word the most significant, are
+    strictly increasing."""
+    later, earlier = rows[1:], rows[:-1]
+    ok = later[:, -1] > earlier[:, -1]
+    for j in range(rows.shape[1] - 2, -1, -1):
+        ok = (later[:, j] > earlier[:, j]) | ((later[:, j] == earlier[:, j]) & ok)
+    return bool(ok.all())
+
+
+def _column(data: bytes, offset: int, stride: int, lines: int, dtype: str) -> np.ndarray:
+    """One ``dtype`` value at ``offset`` in each of ``lines`` lines of
+    ``stride`` bytes: a view of ``data``, not a copy."""
+    return np.ndarray((lines,), dtype, buffer=data, offset=offset, strides=(stride,))
+
+
+def _stride_fields(data: bytes, lo: int, length: int, lines: int, n: int):
+    """The key text and count digits of ``lines`` lines of ``length`` bytes
+    from ``lo``, each known to end in ",\n", and the offset after them; or
+    None where a line's lead, separator or first digit is wrong or its count
+    is not 1 to 16 digits. Each field sits at one offset in every line, so
+    it is a view with row stride ``length``; the lead and the separator are
+    each compared as one masked 64-bit word, and only the key text is
+    copied."""
+    key_end = len(_LEAD) + n
+    digits_start = key_end + len(_SEP)
+    width = length - 2 - digits_start
+    if not 1 <= width <= _DIGITS:
+        return None
+    lead = _column(data, lo, length, lines, "<u8") & _LEAD_MASK
+    sep = _column(data, lo + key_end, length, lines, "<u8") & _SEP_MASK
+    digits = np.ndarray((lines, width), np.uint8, data, lo + digits_start, (length, 1))
+    if np.any(lead != _LEAD_WORD) or np.any(sep != _SEP_WORD) or np.any(digits[:, 0] == ord("0")):
+        return None
+    text = np.ndarray((lines, 8 * ((n + 7) // 8)), np.uint8, data, lo + len(_LEAD), (length, 1))
+    return text.copy().view("<u8"), digits - np.uint8(ord("0")), lo + lines * length
+
+
+def _scan_fields(buf: np.ndarray, lo: int, hi: int, end: int, n: int):
+    """The key text and count digits (right-aligned, zero-padded) of the
+    lines that end in ``buf[lo:hi]``, found by their newlines, and the
+    offset after the last of them; or None where a line's lead, separator,
+    first digit or comma is wrong or its count is not 1 to 16 digits."""
+    key_end = len(_LEAD) + n
+    digits_start = key_end + len(_SEP)
+    stops = lo + np.flatnonzero(buf[lo:hi] == ord("\n"))
+    if stops.size == 0:
+        return None
+    starts = np.concatenate(([lo], stops[:-1] + 1))
+    comma = stops < end  # every line but the last ends in ","
+    digits_end = stops - comma
+    width = digits_end - starts - digits_start
+    wide = int(width.max())
+    if width.min() < 1 or wide > _DIGITS:
+        return None
+    # the lead and separator bytes of each line, then its first digit
+    fixed = buf[starts[:, None] + np.r_[0 : len(_LEAD), key_end:digits_start, digits_start]]
+    if (
+        np.any(fixed[:, :-1] != _FIXED_BYTES)
+        or np.any(fixed[:, -1] == ord("0"))  # a leading zero
+        or np.any(buf[digits_end[comma]] != ord(","))
+    ):
+        return None
+    text = sliding_window_view(buf, 8 * ((n + 7) // 8))[starts + len(_LEAD)].view("<u8")
+    digits = sliding_window_view(buf, wide)[digits_end - wide] - np.uint8(ord("0"))
+    digits[np.arange(wide) < wide - width[:, None]] = 0
+    return text, digits, int(stops[-1]) + 1
 
 
 def serialize_counts(table: CountsTable) -> str:

@@ -81,6 +81,9 @@ class TestBound:
             # epsilon**2 underflows to zero, or to a subnormal that makes the rule infinite
             (("--n", "10", "--epsilon", "1e-300"), 2, "shot rule needs more shots"),
             (("--n", "10", "--epsilon", "1e-155"), 2, "shot rule needs more shots"),
+            # 0.5 - epsilon rounds to 0.5
+            (("--n", "10", "--epsilon", "1e-17"), 1, "epsilon=1e-17 is too small"),
+            (("--n", "10", "--epsilon", "2e-17"), 1, "epsilon=2e-17 is too small"),
             (("--n", str(10**400), "--p", "0.1"), 1, "qubit count must lie within float range"),
             (("--n", "10", "--p", "0.1", "--shots", str(10**330)), 1, "shots must lie within float range"),
         ],

@@ -282,14 +282,19 @@ def items_doc(items, n, shots):
     )
 
 
-# Entries are checked in blocks of about this many key characters; the small
-# value puts every few entries in a block of their own.
-BLOCK_CHARS = [core._PACK_BLOCK_CHARS, 20]
+# Entries are checked in blocks of about this many key characters, and
+# canonical files read in blocks of about this many bytes; None keeps the
+# defaults. 600 puts a few lines in each block, so the lines of a block
+# before the last entry line are read by stride where they share one length.
+# 20 puts every few entries in a block of their own.
+BLOCK_CHARS = [None, 600, 20]
 
 
-@pytest.fixture(params=BLOCK_CHARS, ids=["default-blocks", "small-blocks"])
+@pytest.fixture(params=BLOCK_CHARS, ids=["default-blocks", "line-blocks", "small-blocks"])
 def block_chars(request, monkeypatch):
-    monkeypatch.setattr(core, "_PACK_BLOCK_CHARS", request.param)
+    if request.param is not None:
+        monkeypatch.setattr(core, "_PACK_BLOCK_CHARS", request.param)
+        monkeypatch.setattr(countsfile, "_READ_BLOCK_BYTES", request.param)
     return request.param
 
 
@@ -687,3 +692,80 @@ class TestCanonicalReader:
         for table in tables:
             expected = reference_serialize(dict(table.counts), table.n, table.shots)
             assert serialize_counts(table).encode() == expected
+
+
+def spy(monkeypatch, name):
+    """Wrap countsfile.<name>, recording each call's arguments and whether it
+    returned None."""
+    calls, real = [], getattr(countsfile, name)
+
+    def wrapper(*args):
+        result = real(*args)
+        calls.append((args, result is None))
+        return result
+
+    monkeypatch.setattr(countsfile, name, wrapper)
+    return calls
+
+
+def line_length(n, width):
+    """Bytes of an entry line with a ``width``-digit count, with its ",\\n"."""
+    return len('    "') + n + len('": ') + width + 2
+
+
+class TestStrideLines:
+    """Blocks whose lines share one length are read through strided views;
+    every other block by its newlines. Both must accept and refuse exactly
+    what json does."""
+
+    def test_every_one_byte_edit(self, monkeypatch):
+        n, block = 4, 64
+        monkeypatch.setattr(countsfile, "_READ_BLOCK_BYTES", block)
+        entries = {format(k, "04b"): 1 + k % 9 for k in range(1, 10)}
+        data = serialize_counts(CountsTable(entries)).encode()
+        per_block = block // line_length(n, 1)
+        stride = spy(monkeypatch, "_stride_fields")
+        assert reads_canonical(data)
+        # every line but the last is read by stride, a block at a time
+        assert [args[3] for args, _ in stride] == [per_block, per_block]
+        # edits at every offset: its lead, key, separator, first digit, comma
+        # and newline, in lines read by stride and in the last line
+        alphabet = sorted(set(data) | set(b"\r\t\x00\x7f\xff29-+.eE\\/ab"))
+        edits = set()
+        for i in range(len(data) + 1):
+            edits.update(data[:i] + bytes([c]) + data[i:] for c in alphabet)
+            if i < len(data):
+                edits.update(data[:i] + bytes([c]) + data[i + 1 :] for c in alphabet)
+                edits.add(data[:i] + data[i + 1 :])
+        edits.discard(data)
+        stride.clear()
+        read = 0
+        for edit in edits:
+            got = outcome(parse_counts, edit)
+            assert got == outcome(json_path, edit), edit
+            read += isinstance(got, CountsTable) and reads_canonical(edit)
+        # some edits keep the layout (a key bit, a digit with the shots to
+        # match); the stride path refused some and read others
+        assert 0 < read < len(edits) // 10
+        refused = [args for args, none in stride if none]
+        assert refused and len(refused) < len(stride)
+
+    @pytest.mark.parametrize("bit_order", ["left", "right"])
+    def test_count_widths_change_mid_block_and_at_a_block_boundary(self, monkeypatch, bit_order):
+        n, block = 9, 600
+        monkeypatch.setattr(countsfile, "_READ_BLOCK_BYTES", block)
+        per_block = block // line_length(n, 1)
+        # one-digit counts fill the first block exactly, so the widths change
+        # at its end; later they change inside blocks
+        widths = [1] * per_block + [2] * 15 + [3] * 40 + [1] * 20 + [5] * 3
+        keys = random_keys(np.random.default_rng(9), n, len(widths))
+        entries = {k: 10 ** (w - 1) + i % 9 for i, (k, w) in enumerate(zip(sorted(keys), widths))}
+        data = serialize_counts(CountsTable(entries, n=n)).encode()
+        stride, scan = spy(monkeypatch, "_stride_fields"), spy(monkeypatch, "_scan_fields")
+        got = parse_counts(data, bit_order=bit_order)
+        assert got == json_path(data, bit_order)
+        ref_entries, ref_n, shots = reference_parse(data, bit_order)
+        assert got == CountsTable(ref_entries, n=ref_n) and got.shots == shots
+        assert stride[0][0][1:4] == (len(countsfile._HEAD), line_length(n, 1), per_block)
+        assert len(stride) >= 2 and len(scan) >= 2
+        assert not any(none for _, none in stride + scan)
