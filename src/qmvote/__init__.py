@@ -14,6 +14,7 @@ from .budget import (
     per_qubit_target_bound,
     qmv_error_bound,
     required_shots,
+    shot_error_probability_exact,
 )
 from .core import (
     CountsTable,
@@ -47,7 +48,6 @@ from .experiment import ExperimentConfig, Report, ground_truth_pattern, run_expe
 from .noise import (
     NoiseModel,
     derive_seed,
-    shot_error_probability_exact,
     simulate_antipodal_shots,
     simulate_shots,
 )

@@ -185,10 +185,10 @@ def _execute(
         phase1_shots = plan.phase1_shots if close else plan.total_shots
         phase1 = tally(simulate_shots(x0, noise, phase1_shots, derive_seed(seed, "phase1")))
     shots = plan.per_subset_shots
-    sub_ones = np.array(
-        [_subset_ones(x0, subset_noise, q, shots, derive_seed(seed, "subset", q)) for q in close],
-        dtype=np.int64,
-    )
+    sub_ones = np.zeros(0, dtype=np.int64)
+    if close:
+        seeds = [derive_seed(seed, "subset", q) for q in close]
+        sub_ones = _subset_ones(x0, subset_noise, close, shots, seeds)
     subsets = [SubsetResult(q, shots - one, one) for q, one in zip(close, sub_ones.tolist())]
     value = merge_votes(phase1, noise, subsets, subset_noise, merge)
 

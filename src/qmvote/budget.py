@@ -12,6 +12,8 @@ margin epsilon = 0.5 - p:
   (geometric tail bound, then a Stirling estimate of the central binomial
   coefficient) are exposed as ``tail_term`` and ``geometric_ratio`` so a
   dominance failure can be localized.
+* ``shot_error_probability_exact(S, p)`` -- the exact binomial tail that
+  bound is checked against, for any S >= 1 and p in [0, 1].
 * ``required_shots(n, epsilon)`` -- the rule S = 0.5 ln(n) / epsilon^2,
   rounded up to an even integer. Logarithmic in the qubit count.
 * ``per_qubit_target_bound(n, epsilon)`` -- the per-qubit error level the
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InfeasibleError, InvalidRegimeError, ValidationError
 
@@ -56,6 +60,11 @@ def _check_sub_half_p(p: float) -> float:
     return float(p)
 
 
+def _log_binomial(shots: int, k: int) -> float:
+    """log C(shots, k)."""
+    return math.lgamma(shots + 1) - math.lgamma(k + 1) - math.lgamma(shots - k + 1)
+
+
 def tail_term(shots: int, zeros: int, p: float) -> float:
     """One term of the error tail: C(shots, zeros) (1-p)^zeros p^(shots-zeros).
 
@@ -71,7 +80,7 @@ def tail_term(shots: int, zeros: int, p: float) -> float:
         return 0.0 if zeros < shots else 1.0
     if p == 1.0:
         return 1.0 if zeros == 0 else 0.0
-    log_c = math.lgamma(shots + 1) - math.lgamma(zeros + 1) - math.lgamma(shots - zeros + 1)
+    log_c = _log_binomial(shots, zeros)
     return math.exp(log_c + zeros * math.log1p(-p) + (shots - zeros) * math.log(p))
 
 
@@ -99,6 +108,53 @@ def qmv_error_bound(shots: int, p: float) -> float:
         - math.log1p(-2.0 * p)
     )
     return math.exp(log_bound)
+
+
+def shot_error_probability_exact(shots: int, p: float, ties: str = "error") -> float:
+    """Exact probability that a per-qubit majority over ``shots`` i.i.d.
+    measurements with symmetric flip probability ``p`` comes out wrong.
+
+    Sums the binomial tail sum_{f} C(shots, f) p^f (1-p)^(shots-f) over all
+    flip counts f that defeat the vote. With ``ties="error"`` an exact tie
+    (f = shots/2, even shots) counts against the vote, matching the
+    tie-to-1 vote rule when the ground truth is 0; ``ties="success"``
+    counts ties as correct. Computed in log space, stable up to shots
+    around 10**6.
+    """
+    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
+        raise ValidationError(f"shots must be a positive integer, got {shots!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"p must lie in [0, 1], got {p}")
+    if ties not in ("error", "success"):
+        raise ValidationError(f"ties must be 'error' or 'success', got {ties!r}")
+    if ties == "error":
+        lo = (shots + 1) // 2  # ceil(S/2); includes the tie term for even S
+    else:
+        lo = shots // 2 + 1
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0 if lo <= shots else 0.0
+    f = np.arange(lo, shots + 1, dtype=np.float64)
+    # log C(S, f) is log C(S, lo) plus the summed logs of the exact step
+    # ratios C(S, f + 1) / C(S, f) = (S - f) / (f + 1), so lgamma runs once.
+    # Every step works in place: at S = 10**6 a temporary is a fresh 4 MB.
+    log_terms = np.empty_like(f)
+    log_terms[0] = _log_binomial(shots, lo)
+    steps = log_terms[1:]
+    np.subtract(shots, f[:-1], out=steps)
+    steps /= f[1:]
+    np.log(steps, out=steps)
+    np.cumsum(steps, out=steps)
+    steps += log_terms[0]
+    log_terms += f * math.log(p)
+    np.subtract(shots, f, out=f)
+    f *= math.log1p(-p)
+    log_terms += f
+    peak = log_terms.max()
+    log_terms -= peak
+    total = math.exp(peak) * float(np.exp(log_terms, out=log_terms).sum())
+    return min(total, 1.0)
 
 
 def required_shots(n: float, epsilon: float) -> int:

@@ -181,7 +181,7 @@ def _load_prior(args, n: int) -> Prior:
         return Prior.uniform(n)
     try:
         doc = json.loads(Path(args.prior_file).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
         raise ValidationError(f"prior file {args.prior_file} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or ("per_qubit" in doc) == ("table" in doc):
         raise ValidationError("prior file must carry exactly one of 'per_qubit' or 'table'")

@@ -117,7 +117,7 @@ def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
             raise _schema_error(f"counts document is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _schema_error(f"counts document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise _schema_error("counts document must be a JSON object")

@@ -192,7 +192,7 @@ class ExperimentConfig:
     def from_json(cls, data: bytes | str) -> "ExperimentConfig":
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError(f"experiment config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 

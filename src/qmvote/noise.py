@@ -1,4 +1,4 @@
-"""Seeded bit-flip measurement noise: shot simulation and exact error tails.
+"""Seeded bit-flip measurement noise: shot simulation.
 
 The channel flips each measured bit independently: a true 0 reads as 1 with
 probability p01 and a true 1 reads as 0 with probability p10, independently
@@ -13,11 +13,9 @@ simulated probability is exact to within 2^-33.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import MAX_QUBITS, CountsTable, validate_bitstring
 from .errors import DimensionError, InfeasibleError, ValidationError
@@ -161,6 +159,7 @@ def _shot_block(thresholds: np.ndarray, seed: int, block: int, take: int) -> np.
 
 def _simulate_rows(thresholds: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """The packed shot record, block by block."""
+    seed = _check_seed(seed)
     pieces = [
         _shot_block(thresholds, seed, block, min(_BLOCK_SHOTS, shots - lo))
         for block, lo in enumerate(range(0, shots, _BLOCK_SHOTS))
@@ -184,7 +183,7 @@ def _check_record_memory(n: int, shots: int) -> None:
         )
 
 
-def _prepare(x0: str, noise: NoiseModel, shots: int, seed: int):
+def _prepare(x0: str, noise: NoiseModel, shots: int):
     validate_bitstring(x0)
     if len(x0) != noise.n:
         raise DimensionError(
@@ -194,9 +193,8 @@ def _prepare(x0: str, noise: NoiseModel, shots: int, seed: int):
         raise ValidationError(f"shots must be a positive integer, got {shots!r}")
     shots = int(shots)
     _check_record_memory(noise.n, shots)
-    seed = _check_seed(seed)
     x0_bits = np.frombuffer(x0.encode("ascii"), dtype=np.uint8) - ord("0")
-    return x0_bits, shots, seed
+    return x0_bits, shots
 
 
 def simulate_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsTable:
@@ -204,20 +202,27 @@ def simulate_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsT
 
     Deterministic: identical arguments always yield a bit-identical table.
     """
-    x0_bits, shots, seed = _prepare(x0, noise, shots, seed)
+    x0_bits, shots = _prepare(x0, noise, shots)
     rows = _simulate_rows(_read1_thresholds(x0_bits[None], noise), shots, seed)
     return CountsTable._from_shots(rows, x0_bits.size)
 
 
-def _subset_ones(x0: str, noise: NoiseModel, q: int, shots: int, seed: int) -> int:
-    """How many of ``shots`` read 1 when qubit ``q`` of ``x0`` is measured
-    on its own under its flip probabilities in ``noise``: the ones count of
-    the one-qubit table :func:`simulate_shots` would draw from ``seed``,
-    without building that table."""
-    x0_bits, shots, seed = _prepare(x0, noise, shots, seed)
-    thresholds = _read1_thresholds(x0_bits[None], noise)[:, q : q + 1]
+def _subset_ones(
+    x0: str, noise: NoiseModel, qubits: list[int], shots: int, seeds: list[int]
+) -> np.ndarray:
+    """How many of ``shots`` read 1 when each qubit in ``qubits`` of ``x0``
+    is measured on its own under its flip probabilities in ``noise``, as
+    int64: for qubit ``qubits[i]``, the ones count of the one-qubit table
+    :func:`simulate_shots` would draw from ``seeds[i]``, without building
+    that table."""
+    x0_bits, shots = _prepare(x0, noise, shots)
+    thresholds = _read1_thresholds(x0_bits[None], noise)
     # one qubit per row: each packed row is one byte, nonzero when it read 1
-    return int(np.count_nonzero(_simulate_rows(thresholds, shots, seed)))
+    ones = [
+        np.count_nonzero(_simulate_rows(thresholds[:, q : q + 1], shots, seed))
+        for q, seed in zip(qubits, seeds)
+    ]
+    return np.array(ones, dtype=np.int64)
 
 
 def simulate_antipodal_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsTable:
@@ -227,44 +232,6 @@ def simulate_antipodal_shots(x0: str, noise: NoiseModel, shots: int, seed: int) 
     Models algorithms whose two correct outputs are bitwise complements
     (GHZ-style), with equal weight on the two branches.
     """
-    x0_bits, shots, seed = _prepare(x0, noise, shots, seed)
+    x0_bits, shots = _prepare(x0, noise, shots)
     thresholds = _read1_thresholds(np.stack([x0_bits, x0_bits ^ 1]), noise)
     return CountsTable._from_shots(_simulate_rows(thresholds, shots, seed), x0_bits.size)
-
-
-def shot_error_probability_exact(shots: int, p: float, ties: str = "error") -> float:
-    """Exact probability that a per-qubit majority over ``shots`` i.i.d.
-    measurements with symmetric flip probability ``p`` comes out wrong.
-
-    Sums the binomial tail sum_{f} C(shots, f) p^f (1-p)^(shots-f) over all
-    flip counts f that defeat the vote. With ``ties="error"`` an exact tie
-    (f = shots/2, even shots) counts against the vote, matching the
-    tie-to-1 vote rule when the ground truth is 0; ``ties="success"``
-    counts ties as correct. Computed in log space, stable up to shots
-    around 10**6.
-    """
-    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
-        raise ValidationError(f"shots must be a positive integer, got {shots!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must lie in [0, 1], got {p}")
-    if ties not in ("error", "success"):
-        raise ValidationError(f"ties must be 'error' or 'success', got {ties!r}")
-    if ties == "error":
-        lo = (shots + 1) // 2  # ceil(S/2); includes the tie term for even S
-    else:
-        lo = shots // 2 + 1
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0 if lo <= shots else 0.0
-    f = np.arange(lo, shots + 1, dtype=np.float64)
-    log_terms = (
-        gammaln(shots + 1)
-        - gammaln(f + 1)
-        - gammaln(shots - f + 1)
-        + f * math.log(p)
-        + (shots - f) * math.log1p(-p)
-    )
-    peak = log_terms.max()
-    total = math.exp(peak) * float(np.exp(log_terms - peak).sum())
-    return min(total, 1.0)

@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmvote
 from qmvote import NoiseModel, complement, simulate_shots
 from qmvote import cli as cli_mod
 from qmvote.cli import main
@@ -626,6 +630,35 @@ class TestParsing:
         code, _, _ = run(capsys, "transmogrify")
         assert code == 1
 
+    @pytest.mark.parametrize("role", ["counts", "config", "prior"])
+    def test_deeply_nested_json_exit_one(self, capsys, tmp_path, role):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        good = write_counts_file(tmp_path, {"01": 2, "11": 1}, 2)
+        argv = {
+            "counts": ["mitigate", str(deep), "--method", "qmv"],
+            "config": ["experiment", str(deep)],
+            "prior": ["mitigate", good, "--method", "map", "--p", "0.1", "--prior-file", str(deep)],
+        }[role]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run(capsys, "mitigate", "/nonexistent/counts.json", "--method", "qmv")
         assert code == 1
+
+
+def test_package_imports_without_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter that imports
+    the package and its CLI has loaded no scipy module."""
+    src = str(Path(qmvote.__file__).parents[1])
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import qmvote, qmvote.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, src], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

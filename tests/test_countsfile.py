@@ -77,6 +77,11 @@ class TestParseCounts:
             with pytest.raises(CountsFormatError):
                 parse_counts(bad)
 
+    def test_deeply_nested_document_rejected(self):
+        with pytest.raises(CountsFormatError) as err:
+            parse_counts("[" * 200_000)
+        assert err.value.code == "SCHEMA"
+
     def test_bad_counts_rejected(self):
         for counts in [{"01": 0}, {"01": -2}, {"01": 1.5}, {"01": True}, {"0b": 1}, {}]:
             with pytest.raises(CountsFormatError):

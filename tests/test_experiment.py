@@ -50,6 +50,10 @@ class TestConfig:
         assert cfg.ground_truth == "000000"
         assert cfg.antipodal
 
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            ExperimentConfig.from_json("[" * 200_000)
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValidationError):
             make_config(estimators=["qmv", "oracle"])

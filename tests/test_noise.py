@@ -1,5 +1,6 @@
 """Tests for the bit-flip shot simulator and the exact binomial error tail."""
 
+import decimal
 import math
 
 import numpy as np
@@ -296,7 +297,7 @@ class TestPackedTablesMatchReference:
         monkeypatch.setattr(noise_mod, "_BLOCK_SHOTS", 65)
         x0 = ("1101" * n)[:n]
         noise = NoiseModel(p01=np.linspace(0.05, 0.45, n), p10=np.linspace(0.4, 0.1, n))
-        x0_bits = noise_mod._prepare(x0, noise, 1, 0)[0]
+        x0_bits = noise_mod._prepare(x0, noise, 1)[0]
         plain = noise_mod._read1_thresholds(x0_bits[None], noise)
         both = noise_mod._read1_thresholds(np.stack([x0_bits, 1 - x0_bits]), noise)
         for shots in (1, 97, 301):
@@ -400,12 +401,22 @@ class TestShotErrorProbabilityExact:
         assert shot_error_probability_exact(10, 1.0) == 1.0
 
     def test_matches_direct_summation(self):
-        for shots, p in [(6, 0.1), (11, 0.45), (20, 0.3)]:
-            lo = (shots + 1) // 2
-            direct = sum(
-                math.comb(shots, f) * p**f * (1 - p) ** (shots - f) for f in range(lo, shots + 1)
-            )
-            assert shot_error_probability_exact(shots, p) == pytest.approx(direct, rel=1e-12)
+        """Within 1e-12 of the tail summed term by term in 60-digit decimal
+        arithmetic, for every S up to 200 under both tie rules. Far out in p
+        the float sum drifts further (about 1.2e-11 at p = 1e-9, as does a
+        sum of scipy's gammaln terms), so the grid stops at p = 0.01."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for shots in range(1, 201):
+                for ties, lo in (("error", (shots + 1) // 2), ("success", shots // 2 + 1)):
+                    for p in (0.01, 0.1, 0.2, 0.3, 0.45, 0.5, 0.7, 0.99):
+                        q = decimal.Decimal(p)
+                        direct = sum(
+                            math.comb(shots, f) * q**f * (1 - q) ** (shots - f)
+                            for f in range(lo, shots + 1)
+                        )
+                        got = shot_error_probability_exact(shots, p, ties)
+                        assert got == pytest.approx(float(direct), rel=1e-12), (shots, ties, p)
 
     def test_large_shot_count_is_stable(self):
         value = shot_error_probability_exact(10**6, 0.49)
