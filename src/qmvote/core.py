@@ -61,11 +61,11 @@ class CountsTable:
     A table holds its distinct keys as rows of bits packed big-endian, eight
     qubits per byte, with an int64 count per row, always in key order
     (ascending bitstrings) whatever its source: a mapping or file is
-    validated and packed in one pass and then sorted, and the simulator's
-    rows arrive sorted by their deduplication. String keys are decoded from
-    the rows the first time ``counts`` or ``items()`` asks for them, and
-    iterate in the same key order; a key lookup packs the one key and
-    searches the rows for it.
+    validated and packed in one pass, in any key order, and then sorted,
+    which refuses a repeated key; the simulator's rows arrive sorted by
+    their deduplication. String keys are decoded from the rows the first
+    time ``counts`` or ``items()`` asks for them, and iterate in the same
+    key order; a key lookup packs the one key and searches the rows for it.
     """
 
     __slots__ = ("n", "shots", "_counts", "_packed", "_weights")
@@ -95,11 +95,15 @@ class CountsTable:
             uniq, weights = np.unique(_row_keys(packed), return_counts=True)
             packed = uniq.view(np.uint8).reshape(-1, packed.shape[1])
             weights = weights.astype(np.int64, copy=False)
-        else:  # distinct rows in the caller's order; stable is fast on sorted input
-            order = np.argsort(_row_keys(packed), kind="stable")
+        else:  # rows in the caller's order; stable is fast on sorted input
+            keys = _row_keys(packed)
+            order = np.argsort(keys, kind="stable")
             # an increasing permutation is the identity: the rows are in key order
             if np.any(order[1:] < order[:-1]):
                 packed, weights = np.take(packed, order, axis=0), weights[order]
+                keys = _row_keys(packed)
+            if np.any(keys[1:] == keys[:-1]):
+                raise ValidationError("counts table keys must be distinct, but one repeats")
         packed.setflags(write=False)
         weights.setflags(write=False)
         self.n = n
@@ -179,7 +183,7 @@ class CountsTable:
 
 class _Rows(NamedTuple):
     """Packed rows handed to ``CountsTable`` unchecked: the simulator's shot
-    record (no weights), or checked distinct rows with their counts."""
+    record (no weights), or checked rows with their counts, in any order."""
 
     rows: np.ndarray
     weights: np.ndarray | None

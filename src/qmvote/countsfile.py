@@ -14,8 +14,9 @@ strict: unknown fields are rejected so golden files stay stable. Documents
 produced by stacks that order bits right-to-left can be ingested with
 ``bit_order="right"``, which reverses every key on the way in.
 
-A document in the layout ``serialize_counts`` writes is read straight from
-its bytes; any other layout goes through ``json``, which gives every error.
+A document in the layout ``serialize_counts`` writes, with its entries in
+any order, is read straight from its bytes; any other layout, or a key that
+repeats, goes through ``json``, which gives every error.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .errors import CountsFormatError, ValidationError
 SCHEMA_VERSION = "1"
 
 # The canonical layout, the bytes of ``json.dumps(doc, indent=2,
-# sort_keys=True) + "\n"``: the head, then one line per entry in key order,
+# sort_keys=True) + "\n"``: the head, then one line per entry,
 # ``    "<key>": <count>``, the lines joined by ",\n", then the tail with n
 # and shots after its first and second piece. ``serialize_counts`` writes
-# it, and ``parse_counts`` reads it without ``json``.
+# it with the entries in key order, and ``parse_counts`` reads it without
+# ``json`` with the entries in any order.
 _HEAD = b'{\n  "counts": {\n'
 _LEAD = b'    "'
 _SEP = b'": '
@@ -164,12 +166,13 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
     """The table of a document in the canonical layout, or None for any
     other input; never raises.
 
-    Every byte is checked at its offset in its line, the keys must be
-    strictly increasing (so none repeats), every count is 1..2**53 written
-    without a leading zero, their sum is ``shots``, and ``n`` is at most
-    ``MAX_QUBITS``. A document that passes is one the ``json`` path reads to
-    the same table, so that path, run for every other input, is the one
-    source of errors.
+    Every byte is checked at its offset in its line, every count is
+    1..2**53 written without a leading zero, their sum is ``shots``, and
+    ``n`` is at most ``MAX_QUBITS``. Keys may come in any order, as the
+    table sorts them; a key that repeats, which ``json`` would read as its
+    last entry, gives None. A document that passes is one the ``json`` path
+    reads to the same table, so that path, run for every other input, is the
+    one source of errors.
 
     Lines are read a block of about ``_READ_BLOCK_BYTES`` bytes at a time,
     so no temporary grows with the file. The first newline of a block gives
@@ -197,7 +200,7 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
     key_mask[-1] >>= np.uint64(8 * (-n % 8))
     final = data.rfind(b"\n", 0, end) + 1  # where the last entry line starts
     step = max(_READ_BLOCK_BYTES, n + _LINE_EXTRA)
-    rows, counts, total, last = [], [], 0, None
+    rows, counts, total = [], [], 0
     lo = len(_HEAD)
     while lo <= end:
         hi = min(lo + step, end + 1)
@@ -221,13 +224,6 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
         text *= _GATHER
         text >>= np.uint64(56)
         packed = text.astype(np.uint8)
-        # Packed rows read as big-endian words order as the keys do.
-        order = np.zeros((len(packed), (words + 7) // 8), ">u8")
-        order.view(np.uint8)[:, :words] = packed
-        order = order.astype(np.uint64)
-        if not _increasing(order if last is None else np.concatenate((last, order))):
-            return None
-        last = order[-1:]
         values = digits @ _PLACES[-digits.shape[1] :]
         # exact: each half sums to well under 2**63. Counts are positive, so
         # a total of at most shots <= 2**53 bounds every count as well.
@@ -240,17 +236,10 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
         counts.append(values)
     if total != shots:
         return None
-    return CountsTable(_Rows(np.concatenate(rows), np.concatenate(counts)), n=n)
-
-
-def _increasing(rows: np.ndarray) -> bool:
-    """Whether rows of words, the first word the most significant, are
-    strictly increasing."""
-    later, earlier = rows[1:], rows[:-1]
-    ok = later[:, -1] > earlier[:, -1]
-    for j in range(rows.shape[1] - 2, -1, -1):
-        ok = (later[:, j] > earlier[:, j]) | ((later[:, j] == earlier[:, j]) & ok)
-    return bool(ok.all())
+    try:  # the table refuses a repeated key, of which json keeps the last
+        return CountsTable(_Rows(np.concatenate(rows), np.concatenate(counts)), n=n)
+    except ValidationError:
+        return None
 
 
 def _column(data: bytes, offset: int, stride: int, lines: int, dtype: str) -> np.ndarray:

@@ -129,11 +129,9 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ValidationError("experiment config must be a JSON object")
-        known = {"ground_truth", "noise", "shots", "estimators", "seeds", "ams"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValidationError(f"unknown config fields {sorted(unknown)}")
-        missing = [f for f in ("ground_truth", "noise", "shots", "estimators", "seeds") if f not in doc]
+        required = ("ground_truth", "noise", "shots", "estimators", "seeds")
+        _refuse_unknown(doc, {*required, "ams"}, "config")
+        missing = [f for f in required if f not in doc]
         if missing:
             raise ValidationError(f"missing config fields {missing}")
 
@@ -142,6 +140,7 @@ class ExperimentConfig:
         if isinstance(truth_spec, str):
             truth = truth_spec
         elif isinstance(truth_spec, dict):
+            _refuse_unknown(truth_spec, {"pattern", "n"}, "'ground_truth'")
             pattern = truth_spec.get("pattern")
             n = truth_spec.get("n")
             if pattern is None or not isinstance(n, int) or isinstance(n, bool):
@@ -174,6 +173,7 @@ class ExperimentConfig:
             ams = doc["ams"]
             if not isinstance(ams, dict) or "tau" not in ams or "factor" not in ams:
                 raise ValidationError("field 'ams' must be an object with 'tau' and 'factor'")
+            _refuse_unknown(ams, {"tau", "factor"}, "'ams'")
             ams_tau = _number(ams["tau"], "ams.tau")
             ams_factor = _number(ams["factor"], "ams.factor")
 
@@ -195,6 +195,12 @@ class ExperimentConfig:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError(f"experiment config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
+
+
+def _refuse_unknown(doc: dict, known: set, where: str) -> None:
+    unknown = set(doc) - known
+    if unknown:
+        raise ValidationError(f"unknown {where} fields {sorted(unknown)}")
 
 
 def _number(value: Any, name: str) -> float:

@@ -542,6 +542,33 @@ class TestExperiment:
         assert err.startswith("error:") and err.count("\n") == 1
         assert field in err
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            (
+                {"estimators": ["ams"], "ams": {"tau": 0.1, "factor": 0.5, "merge": "replace"}},
+                "'merge'",
+            ),
+            ({"ground_truth": {"pattern": "alternating", "n": 4, "seed": 1}}, "'seed'"),
+        ],
+    )
+    def test_unknown_nested_config_field_exit_one(self, capsys, tmp_path, overrides, field):
+        config = {
+            "ground_truth": "1010",
+            "noise": {"p": 0.1},
+            "shots": [32],
+            "estimators": ["qmv"],
+            "seeds": [0],
+        }
+        config.update(overrides)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "experiment", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "unknown" in err and field in err
+
     def test_seed_flag_overrides_config_seeds(self, capsys, tmp_path):
         config = {
             "ground_truth": "1010",

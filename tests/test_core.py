@@ -16,6 +16,7 @@ from qmvote import (
     simulate_shots,
     tally,
 )
+from qmvote import core
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=64)
 
@@ -171,6 +172,20 @@ class TestCountsTable:
         for x, y in zip(a.as_arrays(), b.as_arrays()):
             assert x.dtype == y.dtype and np.array_equal(x, y)
         assert list(a.items()) == list(b.items()) == list(ordered.items())
+
+    @pytest.mark.parametrize("n", [3, 8, 127])
+    def test_repeated_row_refused(self, n):
+        values = np.random.default_rng(n).choice(2 ** min(n, 16), size=6, replace=False)
+        keys = [format(int(v), f"0{n}b") for v in values]
+        rows = np.packbits(np.array([list(k) for k in keys], dtype=np.uint8), axis=1)
+        weights = np.arange(1, 7, dtype=np.int64)
+        table = CountsTable(core._Rows(rows.copy(), weights.copy()), n=n)
+        assert table == CountsTable(dict(zip(keys, range(1, 7))))
+        rows[4] = rows[1]  # adjacent to its twin only once the rows are sorted
+        with pytest.raises(ValidationError, match="repeats"):
+            CountsTable(core._Rows(rows, weights), n=n)
+        # one row per shot: a repeat is counted, not refused
+        assert CountsTable._from_shots(rows, n)[keys[1]] == 2
 
 
 class TestTally:

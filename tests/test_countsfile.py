@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmvote import (
     CountsFormatError,
@@ -628,6 +630,7 @@ class TestCanonicalReader:
             "17-digit count": (reference_serialize({"010": 10**16, "011": 1}, 3, 5), "SCHEMA"),
             # json keeps the last of two equal keys, so the counts no longer add up
             "duplicate key": (data.replace(b'"011"', b'"010"'), "SUM_MISMATCH"),
+            # read from its bytes: the table sorts its keys
             "unsorted keys": (
                 data.replace(b'"010": 3,\n    "011": 12', b'"011": 12,\n    "010": 3'),
                 table,
@@ -639,7 +642,7 @@ class TestCanonicalReader:
         }
         for name, (document, expected) in cases.items():
             raw = document.encode() if isinstance(document, str) else document
-            assert raw != data and not reads_canonical(raw), name
+            assert raw != data and reads_canonical(raw) == (name == "unsorted keys"), name
             got = outcome(parse_counts, document)
             assert got == outcome(json_path, document), name
             if isinstance(expected, CountsTable):
@@ -647,6 +650,43 @@ class TestCanonicalReader:
             else:
                 assert got[:2] == (CountsFormatError, expected), (name, got)
         assert "more than 2**53" in outcome(parse_counts, cases["count 2**53 + 1"][0])[2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_entry_lines_in_any_order_read_as_json_reads_them(self, draw):
+        n = draw.draw(st.integers(1, 70), label="n")
+        values = draw.draw(st.sets(st.integers(0, 2**n - 1), min_size=1, max_size=min(40, 2**n)))
+        # counts of every width from 1 to 8 digits
+        count = st.integers(0, 7).flatmap(lambda e: st.integers(10**e, min(10 ** (e + 1) - 1, 10**7)))
+        entries = {format(v, f"0{n}b"): draw.draw(count) for v in sorted(values)}
+        data = serialize_counts(CountsTable(entries, n=n)).encode()
+        end = data.rindex(countsfile._TAIL[0])
+        lines = data[len(countsfile._HEAD) : end].split(b",\n")
+        lines = draw.draw(st.permutations(lines), label="lines")
+        shots = sum(entries.values())
+        repeat = draw.draw(st.booleans(), label="repeat")
+        if repeat:  # one key again, anywhere, with a count of its own
+            key = lines[draw.draw(st.integers(0, len(lines) - 1))].split(b'": ')[0]
+            extra = draw.draw(count)
+            lines.insert(draw.draw(st.integers(0, len(lines))), b'%s": %d' % (key, extra))
+            # the sum of every line, which the bytes reader checks, or the sum
+            # of json's entries, the last of the two equal keys kept
+            last = int([line for line in lines if line.startswith(key + b'"')][-1].split(b": ")[1])
+            shots += draw.draw(st.sampled_from([extra, last - entries[key[5:].decode()]]))
+        document = b"%s%s%s%d%s%d%s" % (
+            countsfile._HEAD, b",\n".join(lines), countsfile._TAIL[0], n, countsfile._TAIL[1],
+            shots, countsfile._TAIL[2],
+        )
+        block = draw.draw(st.sampled_from([20, 64, 600]), label="block bytes")
+        with mock.patch.object(countsfile, "_READ_BLOCK_BYTES", block):
+            for bit_order in ["left", "right"]:
+                got = outcome(parse_counts, document, bit_order=bit_order)
+                assert got == outcome(json_path, document, bit_order)
+                assert got == outcome(parse_counts, document.decode(), bit_order=bit_order)
+                assert reads_canonical(document, bit_order) == (not repeat)
+                if not repeat:
+                    flip = (lambda k: k[::-1]) if bit_order == "right" else (lambda k: k)
+                    assert got == CountsTable({flip(k): c for k, c in entries.items()}, n=n)
 
     def test_no_temporary_grows_with_the_file(self):
         n = 127

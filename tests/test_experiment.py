@@ -171,6 +171,23 @@ class TestConfig:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "overrides,where,field",
+        [
+            ({"ams": {"tau": 0.1, "factor": 0.5, "merge": "replace"}}, "'ams'", "merge"),
+            (
+                {"ground_truth": {"pattern": "alternating", "n": 6, "seed": 1}},
+                "'ground_truth'",
+                "seed",
+            ),
+        ],
+    )
+    def test_unknown_nested_field_rejected(self, overrides, where, field):
+        with pytest.raises(ValidationError, match=f"unknown {where} fields \\['{field}'\\]"):
+            make_config(**overrides)
+        # the same objects without the extra field are accepted
+        make_config(**{k: {f: v for f, v in obj.items() if f != field} for k, obj in overrides.items()})
+
 
 class TestRunExperiment:
     def test_noiseless_runs_recover_truth_everywhere(self):
