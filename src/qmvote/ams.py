@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VoteTally, tally, validate_bitstring
+from .core import VoteTally, _is_int, _is_real, tally, validate_bitstring
 from .errors import DimensionError, ValidationError
 from .estimators import Estimate, _bitstring, _loglikelihoods
 from .noise import NoiseModel, _subset_ones, derive_seed, simulate_shots
@@ -75,13 +75,13 @@ def ams_plan(vote_tally: VoteTally, tau: float, total_shots: int) -> AmsPlan:
     """
     if not isinstance(vote_tally, VoteTally):
         raise ValidationError(f"expected a VoteTally, got {type(vote_tally).__name__}")
-    if not 0.0 < tau < 1.0:
+    if not _is_real(tau) or not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must lie strictly inside (0, 1), got {tau}")
-    if not isinstance(total_shots, int) or isinstance(total_shots, bool) or total_shots < 2:
+    if not _is_int(total_shots) or total_shots < 2:
         raise ValidationError(f"total_shots must be an integer >= 2, got {total_shots!r}")
     if total_shots % 2:
         raise ValidationError(f"total_shots must be even to split in half, got {total_shots}")
-    k = total_shots // 2
+    k = int(total_shots) // 2
     if vote_tally.shots != k:
         raise ValidationError(
             f"phase-1 tally covers {vote_tally.shots} shots, expected half the budget ({k})"
@@ -91,8 +91,8 @@ def ams_plan(vote_tally: VoteTally, tau: float, total_shots: int) -> AmsPlan:
     per_subset = k // m if m else 0
     return AmsPlan(
         n=vote_tally.n,
-        tau=tau,
-        total_shots=total_shots,
+        tau=float(tau),
+        total_shots=int(total_shots),
         phase1_shots=k,
         close_qubits=close,
         per_subset_shots=per_subset,
@@ -134,10 +134,6 @@ def merge_votes(
     return _bitstring(ll0 <= ll1)
 
 
-def _scaled_noise(noise: NoiseModel, factor: float) -> NoiseModel:
-    return NoiseModel(p01=noise.p01 * factor, p10=noise.p10 * factor)
-
-
 def ams_execute(
     x0: str,
     noise: NoiseModel,
@@ -171,14 +167,17 @@ def _execute(
     validate_bitstring(x0, plan.n)
     if noise.n != plan.n:
         raise DimensionError(f"noise model covers {noise.n} qubits, plan has {plan.n}")
-    if not 0.0 < subset_noise_factor <= 1.0:
-        raise ValidationError(
-            f"subset_noise_factor must lie in (0, 1], got {subset_noise_factor}"
-        )
+    if not _is_real(subset_noise_factor) or not 0.0 < subset_noise_factor <= 1.0:
+        raise ValidationError(f"subset_noise_factor must lie in (0, 1], got {subset_noise_factor}")
     if merge not in MERGE_MODES:
         raise ValidationError(f"merge must be one of {MERGE_MODES}, got {merge!r}")
+    if plan.close_qubits and plan.per_subset_shots < 1:
+        raise ValidationError(
+            f"{plan.phase1_shots} phase-1 shots leave per_subset_shots = {plan.per_subset_shots} "
+            f"for {plan.subset_count} close qubits; raise the shot budget or lower tau"
+        )
 
-    subset_noise = _scaled_noise(noise, subset_noise_factor)
+    subset_noise = NoiseModel(noise.p01 * subset_noise_factor, noise.p10 * subset_noise_factor)
     close = list(plan.close_qubits)
     if phase1 is None or not close:
         # a degenerate plan spends the full budget on one all-qubit measurement
@@ -217,7 +216,7 @@ def adaptive_vote(
     tally, the one :func:`ams_execute` would draw from the same seed, so
     the whole procedure consumes exactly one budget of ``total_shots``.
     """
-    if total_shots < 2 or total_shots % 2:
+    if not _is_int(total_shots) or total_shots < 2 or total_shots % 2:
         raise ValidationError(f"total_shots must be even and >= 2, got {total_shots}")
     k = total_shots // 2
     phase1 = tally(simulate_shots(x0, noise, k, derive_seed(seed, "phase1")))

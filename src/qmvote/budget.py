@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _is_int, _is_real
 from .errors import InfeasibleError, InvalidRegimeError, ValidationError
 
 
@@ -45,15 +46,15 @@ def _check_float_range(value: int, name: str) -> int:
 
 
 def _check_even_shots(shots: int) -> int:
-    if not isinstance(shots, int) or isinstance(shots, bool):
+    if not _is_int(shots):
         raise ValidationError(f"shots must be an integer, got {shots!r}")
     if shots < 2 or shots % 2:
         raise ValidationError(f"the bound is derived for even shots >= 2, got {shots}")
-    return _check_float_range(shots, "shots")
+    return _check_float_range(int(shots), "shots")
 
 
 def _check_sub_half_p(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
+    if not _is_real(p) or not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     if p >= 0.5:
         raise InvalidRegimeError(f"the bound diverges for p >= 0.5, got {p}")
@@ -72,9 +73,9 @@ def tail_term(shots: int, zeros: int, p: float) -> float:
     of ``shots`` when the flip probability is p.
     """
     _check_even_shots(shots)
-    if not 0 <= zeros <= shots:
+    if not _is_int(zeros) or not 0 <= zeros <= shots:
         raise ValidationError(f"zeros must lie in 0..{shots}, got {zeros}")
-    if not 0.0 <= p <= 1.0:
+    if not _is_real(p) or not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     if p == 0.0:
         return 0.0 if zeros < shots else 1.0
@@ -121,9 +122,9 @@ def shot_error_probability_exact(shots: int, p: float, ties: str = "error") -> f
     counts ties as correct. Computed in log space, stable up to shots
     around 10**6.
     """
-    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
+    if not _is_int(shots) or shots < 1:
         raise ValidationError(f"shots must be a positive integer, got {shots!r}")
-    if not 0.0 <= p <= 1.0:
+    if not _is_real(p) or not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     if ties not in ("error", "success"):
         raise ValidationError(f"ties must be 'error' or 'success', got {ties!r}")
@@ -159,9 +160,9 @@ def shot_error_probability_exact(shots: int, p: float, ties: str = "error") -> f
 
 def required_shots(n: float, epsilon: float) -> int:
     """Shots needed by the 0.5 ln(n) / epsilon^2 rule, rounded up to even."""
-    if n < 2:
+    if not _is_real(n) or not n >= 2:
         raise ValidationError(f"the shot rule needs at least 2 qubits, got {n}")
-    if not 0.0 < epsilon <= 0.5:
+    if not _is_real(epsilon) or not 0.0 < epsilon <= 0.5:
         raise ValidationError(f"epsilon must lie in (0, 0.5], got {epsilon}")
     try:
         shots = math.ceil(0.5 * math.log(n) / epsilon**2)
@@ -175,9 +176,9 @@ def required_shots(n: float, epsilon: float) -> int:
 def per_qubit_target_bound(n: float, epsilon: float) -> float:
     """Per-qubit error level reached at the recommended shot count:
     (0.5 + epsilon) / sqrt(pi ln n) / n."""
-    if n < 2:
+    if not _is_real(n) or not n >= 2:
         raise ValidationError(f"the target bound needs at least 2 qubits, got {n}")
-    if not 0.0 < epsilon <= 0.5:
+    if not _is_real(epsilon) or not 0.0 < epsilon <= 0.5:
         raise ValidationError(f"epsilon must lie in (0, 0.5], got {epsilon}")
     return (0.5 + epsilon) / math.sqrt(math.pi * math.log(n)) / n
 
@@ -186,9 +187,9 @@ def m3_shot_requirement(n: float, p: float) -> float:
     """Shots at which a measured-strings-only mitigator expects to see the
     correct output once: (1-p)^(-n), constant factor 1; ``math.inf`` past
     float range."""
-    if n < 1:
+    if not _is_real(n) or not n >= 1:
         raise ValidationError(f"qubit count must be at least 1, got {n}")
-    if not 0.0 <= p < 1.0:
+    if not _is_real(p) or not 0.0 <= p < 1.0:
         raise ValidationError(f"p must lie in [0, 1), got {p}")
     try:
         return (1.0 - p) ** (-n)
@@ -215,11 +216,11 @@ class BudgetQuery:
     shots: int
 
     def __post_init__(self):
-        if self.n < 2:
+        if not _is_real(self.n) or not self.n >= 2:
             raise ValidationError(f"budget queries need at least 2 qubits, got {self.n}")
-        _check_float_range(self.n, "qubit count")
-        _check_sub_half_p(self.p)
-        _check_even_shots(self.shots)
+        # kept as Python numbers, so that a report on numpy inputs still dumps to JSON
+        n = _check_float_range(int(self.n) if _is_int(self.n) else float(self.n), "qubit count")
+        self.__dict__.update(n=n, p=_check_sub_half_p(self.p), shots=_check_even_shots(self.shots))
 
     @property
     def epsilon(self) -> float:
@@ -227,7 +228,7 @@ class BudgetQuery:
 
     @classmethod
     def from_epsilon(cls, n: int, epsilon: float, shots: int | None = None) -> "BudgetQuery":
-        if not 0.0 < epsilon <= 0.5:
+        if not _is_real(epsilon) or not 0.0 < epsilon <= 0.5:
             raise ValidationError(f"epsilon must lie in (0, 0.5], got {epsilon}")
         if shots is None:
             shots = required_shots(n, epsilon)

@@ -23,6 +23,7 @@ from .estimators import AntipodalPair, Prior, qmv, weighted_vote
 from .experiment import (
     ESTIMATORS,
     GROUND_TRUTH_PATTERNS,
+    _refuse_unknown,
     ground_truth_pattern,
     load_config,
     run_experiment,
@@ -131,7 +132,7 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             flat.update(_flatten(value, f"{name}."))
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             flat[name] = "|".join(str(v) for v in value)
         else:
             flat[name] = value
@@ -139,12 +140,9 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    if args.pattern:
-        if args.n is None:
-            raise ValidationError("--pattern requires --n")
-        truth = ground_truth_pattern(args.pattern, args.n)
-    else:
-        truth = args.truth
+    if (args.pattern is None) != (args.n is None):
+        raise ValidationError("--pattern requires --n" if args.pattern else "--n goes with --pattern")
+    truth = ground_truth_pattern(args.pattern, args.n) if args.pattern else args.truth
     noise = _noise_from_args(args, len(truth), required=True)
     seed = args.seed if args.seed is not None else 0
     simulate = simulate_antipodal_shots if args.pattern == "ghz-antipodal" else simulate_shots
@@ -185,9 +183,8 @@ def _load_prior(args, n: int) -> Prior:
         raise ValidationError(f"prior file {args.prior_file} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or ("per_qubit" in doc) == ("table" in doc):
         raise ValidationError("prior file must carry exactly one of 'per_qubit' or 'table'")
-    if "per_qubit" in doc:
-        return Prior(per_qubit=doc["per_qubit"])
-    return Prior(table=doc["table"])
+    _refuse_unknown(doc, {"per_qubit", "table"}, "prior file")
+    return Prior(**doc)
 
 
 def _cmd_bound(args) -> int:
@@ -204,16 +201,7 @@ def _cmd_ams(args) -> int:
     total = args.total_shots if args.total_shots is not None else 2 * counts.shots
     phase1 = tally(counts)
     plan = ams_plan(phase1, args.tau, total)
-    payload = {
-        "plan": {
-            "tau": plan.tau,
-            "total_shots": plan.total_shots,
-            "phase1_shots": plan.phase1_shots,
-            "close_qubits": list(plan.close_qubits),
-            "per_subset_shots": plan.per_subset_shots,
-            "insufficient": plan.insufficient,
-        }
-    }
+    payload = {"plan": {k: v for k, v in dataclasses.asdict(plan).items() if k != "n"}}
     noise = _noise_from_args(args, counts.n, required=args.truth is not None)
     if args.truth is not None:
         seed = args.seed if args.seed is not None else 0

@@ -9,6 +9,7 @@ is built only when it is asked for.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
@@ -36,6 +37,33 @@ def validate_bitstring(bits: str, n: int | None = None) -> str:
     if n is not None and len(bits) != n:
         raise DimensionError(f"bitstring {bits!r} has length {len(bits)}, expected {n}")
     return bits
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer that is not a boolean, which would pass as 0 or 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a boolean, which would pass as 0 or 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+def _probabilities(values, what: str) -> np.ndarray:
+    """``values`` as a float64 copy of the same shape, for the caller to check: real
+    numbers in [0, 1], never strings or booleans (a numeric ndarray is not walked)."""
+    try:
+        arr = np.array(values, dtype=np.float64, copy=True)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} entries must be numbers: {exc}") from None
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for value in np.array(values, dtype=object).ravel():
+            if not _is_real(value):
+                raise ValidationError(f"{what} entries must be numbers, got {value!r}")
+    # written so that NaN, which fails every comparison, is refused
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValidationError(f"{what} entries must lie in [0, 1]")
+    return arr
 
 
 def complement(bits: str) -> str:
@@ -82,15 +110,12 @@ class CountsTable:
                 if not isinstance(first, str):
                     raise ValidationError("counts keys must be bitstrings")
                 n = len(first)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            if not _is_int(n):
                 raise ValidationError(f"n must be an integer, got {n!r}")
             n = int(n)
             if not 1 <= n <= MAX_QUBITS:
                 _check_entry(first, mapping[first], n)  # raises: no key can have this length
-            keys, values = list(mapping), list(mapping.values())
-            packed, weights, total = _pack_entries(keys, values, n, _check_entry)
-            if total > MAX_SHOTS:
-                raise ValidationError(f"counts sum to {total}, more than 2**53")
+            packed, weights = _pack_entries(mapping, n, _check_entry)
         if weights is None:  # one row per shot: deduplicate, which sorts by key
             uniq, weights = np.unique(_row_keys(packed), return_counts=True)
             packed = uniq.view(np.uint8).reshape(-1, packed.shape[1])
@@ -104,10 +129,12 @@ class CountsTable:
                 keys = _row_keys(packed)
             if np.any(keys[1:] == keys[:-1]):
                 raise ValidationError("counts table keys must be distinct, but one repeats")
+        self.shots = _exact_sum(weights)
+        if self.shots > MAX_SHOTS:
+            raise ValidationError(f"counts sum to {self.shots}, more than 2**53")
         packed.setflags(write=False)
         weights.setflags(write=False)
         self.n = n
-        self.shots = int(weights.sum())
         self._counts = None
         self._packed = packed
         self._weights = weights
@@ -200,21 +227,22 @@ def _check_entry(key, count, n: int) -> None:
     validate_bitstring(key)
     if len(key) != n:
         raise ValidationError(f"inconsistent key length: {key!r} has {len(key)} bits, expected {n}")
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+    if not _is_int(count) or count < 1:
         raise ValidationError(f"count for {key!r} must be a positive integer, got {count!r}")
     if count > MAX_SHOTS:
         raise ValidationError(f"count for {key!r} is {count}, more than 2**53")
 
 
-def _pack_entries(keys: list, counts: list, n: int, check, reverse: bool = False):
+def _pack_entries(entries: dict, n: int, check, reverse: bool = False):
     """Check a table's entries a block at a time and pack their keys as the
     simulator packs shots, each reversed first when ``reverse``. A block
     with a key that is not ``n`` characters over '0'/'1' or a count that is
-    not an int in 1..2**53 is walked with ``check(key, count, n)``, which
-    raises the caller's error for the first bad entry.
+    not an integer in 1..2**53 is walked with ``check(key, count, n)``,
+    which raises the caller's error for the first bad entry.
 
-    Returns the packed rows, the counts as int64 and their sum.
+    Returns the packed rows and the counts as int64.
     """
+    keys, counts = list(entries), list(entries.values())
     packed = np.empty((len(keys), (n + 7) // 8), dtype=np.uint8)
     step = max(1, _PACK_BLOCK_CHARS // n)
     for lo in range(0, len(keys), step):
@@ -224,7 +252,8 @@ def _pack_entries(keys: list, counts: list, n: int, check, reverse: bool = False
             ok = (
                 set(map(len, block)) == {n}
                 and ord("0") <= text.min() <= text.max() <= ord("1")
-                and all(issubclass(t, int) and t is not bool for t in set(map(type, block_counts)))
+                # one count of each type stands for all counts of that type
+                and all(map(_is_int, dict(zip(map(type, block_counts), block_counts)).values()))
                 and 1 <= min(block_counts) <= max(block_counts) <= MAX_SHOTS
             )
         except (TypeError, UnicodeEncodeError):
@@ -235,7 +264,13 @@ def _pack_entries(keys: list, counts: list, n: int, check, reverse: bool = False
             raise AssertionError("a block of entries failed its test, but none of its entries")
         bits = (text & 1).reshape(len(block), n)
         packed[lo : lo + step] = np.packbits(bits[:, ::-1] if reverse else bits, axis=1)
-    return packed, np.array(counts, dtype=np.int64), sum(counts)
+    return packed, np.array(counts, dtype=np.int64)
+
+
+def _exact_sum(weights: np.ndarray) -> int:
+    """The exact sum of nonnegative int64 counts: their high and low 32-bit
+    halves are summed apart, and neither sum wraps for fewer than 2**31 counts."""
+    return (int((weights >> 32).sum()) << 32) + int((weights & 0xFFFFFFFF).sum())
 
 
 def _row_keys(packed: np.ndarray) -> np.ndarray:

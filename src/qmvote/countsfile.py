@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import core
-from .core import MAX_QUBITS, MAX_SHOTS, CountsTable, _pack_entries, _Rows
+from .core import MAX_QUBITS, MAX_SHOTS, CountsTable, _exact_sum, _is_int, _pack_entries, _Rows
 from .errors import CountsFormatError, ValidationError
 
 SCHEMA_VERSION = "1"
@@ -89,7 +89,7 @@ def _check_entry(key, count, n: int) -> None:
             f"counts key {key!r} has {len(key)} bits, field 'n' declares {n}",
             code="LENGTH_MISMATCH",
         )
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+    if not _is_int(count) or count < 1:
         raise _schema_error(f"count for {key!r} must be a positive integer, got {count!r}")
     if count > MAX_SHOTS:
         raise _schema_error(f"count for {key!r} is {count}, more than 2**53")
@@ -133,27 +133,24 @@ def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
         raise _schema_error(
             f"field 'schema_version' must be {SCHEMA_VERSION!r}, got {doc['schema_version']!r}"
         )
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise _schema_error(f"field 'n' must be a positive integer, got {n!r}")
-    shots = doc["shots"]
-    if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
-        raise _schema_error(f"field 'shots' must be a positive integer, got {shots!r}")
+    n, shots = doc["n"], doc["shots"]
+    for name, value in (("n", n), ("shots", shots)):
+        if not _is_int(value) or value < 1:
+            raise _schema_error(f"field {name!r} must be a positive integer, got {value!r}")
     if shots > MAX_SHOTS:
         raise _schema_error(f"field 'shots' is {shots}, more than 2**53")
     raw = doc["counts"]
     if not isinstance(raw, dict) or not raw:
         raise _schema_error("field 'counts' must be a non-empty object")
-    keys, values = list(raw), list(raw.values())
     if n > MAX_QUBITS:
         # Too wide for a table: reported after any fault in the entries or their
         # sum. Checking the keys first keeps the packing below smaller than them.
-        for key, count in zip(keys, values):
+        for key, count in raw.items():
             _check_entry(key, count, n)
-        if sum(values) == shots:
+        if sum(raw.values()) == shots:
             raise ValidationError(f"bitstring has {n} qubits, maximum is {MAX_QUBITS}")
-    right = bit_order == "right"
-    packed, weights, total = _pack_entries(keys, values, n, _check_entry, reverse=right)
+    packed, weights = _pack_entries(raw, n, _check_entry, reverse=bit_order == "right")
+    total = _exact_sum(weights)
     if total != shots:
         raise CountsFormatError(
             f"field 'shots' declares {shots} but counts sum to {total}",
@@ -225,9 +222,9 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
         text >>= np.uint64(56)
         packed = text.astype(np.uint8)
         values = digits @ _PLACES[-digits.shape[1] :]
-        # exact: each half sums to well under 2**63. Counts are positive, so
-        # a total of at most shots <= 2**53 bounds every count as well.
-        total += (int((values >> 32).sum()) << 32) + int((values & 0xFFFFFFFF).sum())
+        # Counts are positive, so a total of at most shots <= 2**53 bounds
+        # every count as well.
+        total += _exact_sum(values)
         if total > shots:
             return None
         if reverse:

@@ -27,13 +27,13 @@ explicit -inf log-likelihood, never clamped.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .core import CountsTable, VoteTally, _column_sums, complement, tally, validate_bitstring
+from .core import CountsTable, VoteTally, _column_sums, _is_real, _probabilities, complement
+from .core import tally, validate_bitstring
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .noise import NoiseModel
 
@@ -114,11 +114,6 @@ class AntipodalPair:
         return frozenset((self.x, self.x_complement))
 
 
-def _is_real(value) -> bool:
-    """A real number that is not a boolean, which would pass as 0 or 1."""
-    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-
-
 class Prior:
     """Prior belief over the correct output.
 
@@ -140,19 +135,9 @@ class Prior:
         if (per_qubit is None) == (table is None):
             raise ValidationError("exactly one of per_qubit or table must be given")
         if per_qubit is not None:
-            try:
-                arr = np.array(per_qubit, dtype=np.float64, copy=True)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"per-qubit prior entries must be numbers: {exc}") from None
+            arr = _probabilities(per_qubit, "per-qubit prior")
             if arr.ndim != 1 or arr.size == 0:
                 raise ValidationError("per-qubit prior must be a non-empty 1-d array")
-            # a real numeric ndarray holds no strings or booleans to reject
-            if not (isinstance(per_qubit, np.ndarray) and per_qubit.dtype.kind in "iuf"):
-                for value in per_qubit:
-                    if not _is_real(value):
-                        raise ValidationError(f"per-qubit prior entries must be numbers, got {value!r}")
-            if not np.all((arr >= 0.0) & (arr <= 1.0)):
-                raise ValidationError("per-qubit prior entries must lie in [0, 1]")
             arr.setflags(write=False)
             self.n = arr.size
             self.per_qubit = arr

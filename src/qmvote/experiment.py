@@ -23,13 +23,12 @@ from typing import Any
 
 from .ams import adaptive_vote
 from .budget import BudgetQuery, evaluate, qmv_error_bound
-from .core import MAX_QUBITS, CountsTable, hamming_distance, tally
+from .core import MAX_QUBITS, CountsTable, _is_int, _is_real, hamming_distance, tally
 from .errors import InfeasibleError, ValidationError
 from .estimators import (
     AntipodalPair,
     Prior,
     _check_scan_work,
-    _is_real,
     map_estimate,
     ml_bruteforce,
     mode_estimate,
@@ -82,6 +81,10 @@ class ExperimentConfig:
     ams_factor: float | None = None
 
     def __post_init__(self):
+        for name in ("shots", "seeds"):  # kept as Python ints: they name streams and go in reports
+            if not all(map(_is_int, getattr(self, name))):
+                raise ValidationError(f"field {name!r} must be a list of integers")
+            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
         n = len(self.ground_truth)
         if self.noise.n != n:
             raise ValidationError(
@@ -143,7 +146,7 @@ class ExperimentConfig:
             _refuse_unknown(truth_spec, {"pattern", "n"}, "'ground_truth'")
             pattern = truth_spec.get("pattern")
             n = truth_spec.get("n")
-            if pattern is None or not isinstance(n, int) or isinstance(n, bool):
+            if pattern is None or not _is_int(n):
                 raise ValidationError(
                     "field 'ground_truth' object form needs 'pattern' and integer 'n'"
                 )
@@ -154,16 +157,9 @@ class ExperimentConfig:
 
         noise = _noise_from_dict(doc["noise"], len(truth))
 
-        shots = doc["shots"]
-        if not isinstance(shots, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in shots
-        ):
-            raise ValidationError("field 'shots' must be a list of integers")
-        seeds = doc["seeds"]
-        if not isinstance(seeds, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds
-        ):
-            raise ValidationError("field 'seeds' must be a list of integers")
+        for name in ("shots", "seeds"):
+            if not isinstance(doc[name], list):
+                raise ValidationError(f"field {name!r} must be a list of integers")
         estimators = doc["estimators"]
         if not isinstance(estimators, list):
             raise ValidationError("field 'estimators' must be a list")
@@ -180,9 +176,9 @@ class ExperimentConfig:
         return cls(
             ground_truth=truth,
             noise=noise,
-            shots=tuple(shots),
+            shots=tuple(doc["shots"]),
             estimators=tuple(estimators),
-            seeds=tuple(seeds),
+            seeds=tuple(doc["seeds"]),
             antipodal=antipodal,
             ams_tau=ams_tau,
             ams_factor=ams_factor,

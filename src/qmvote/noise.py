@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_QUBITS, CountsTable, validate_bitstring
+from .core import MAX_QUBITS, CountsTable, _is_int, _probabilities, validate_bitstring
 from .errors import DimensionError, InfeasibleError, ValidationError
 
 MAX_SEED = 2**64
@@ -44,24 +44,21 @@ class NoiseModel:
     p10: np.ndarray
 
     def __post_init__(self):
-        p01 = np.atleast_1d(np.array(self.p01, dtype=np.float64, copy=True))
-        p10 = np.atleast_1d(np.array(self.p10, dtype=np.float64, copy=True))
+        p01 = np.atleast_1d(_probabilities(self.p01, "p01"))
+        p10 = np.atleast_1d(_probabilities(self.p10, "p10"))
         if p01.shape != p10.shape or p01.ndim != 1:
             raise DimensionError("p01 and p10 must be 1-d arrays of equal length")
         if p01.size == 0 or p01.size > MAX_QUBITS:
             raise ValidationError(f"qubit count must be in 1..{MAX_QUBITS}, got {p01.size}")
         for name, arr in (("p01", p01), ("p10", p10)):
-            # written so that NaN, which fails every comparison, is rejected
-            if not np.all((arr >= 0.0) & (arr <= 1.0)):
-                raise ValidationError(f"{name} entries must lie in [0, 1]")
-        p01.setflags(write=False)
-        p10.setflags(write=False)
-        object.__setattr__(self, "p01", p01)
-        object.__setattr__(self, "p10", p10)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def uniform(cls, n: int, p01: float, p10: float | None = None) -> "NoiseModel":
         """All qubits share (p01, p10); symmetric when p10 is omitted."""
+        if not _is_int(n) or not 1 <= n <= MAX_QUBITS:
+            raise ValidationError(f"qubit count must be in 1..{MAX_QUBITS}, got {n!r}")
         if p10 is None:
             p10 = p01
         return cls(p01=np.full(n, p01), p10=np.full(n, p10))
@@ -86,7 +83,7 @@ class NoiseModel:
 
 
 def _check_seed(seed: int) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+    if not _is_int(seed):
         raise ValidationError(f"seed must be an integer, got {type(seed).__name__}")
     seed = int(seed)
     if not 0 <= seed < MAX_SEED:
@@ -177,8 +174,9 @@ def _check_record_memory(n: int, shots: int) -> None:
     to a byte, that would pass ``MAX_RECORD_BYTES``."""
     need = shots * ((n + 7) // 8)
     if need > MAX_RECORD_BYTES:
+        from decimal import Decimal  # exact at any size; a float overflows past 1.8e308
         raise InfeasibleError(
-            f"{shots} shots of {n} qubits need {need / 2**30:.1f} GiB as a packed shot "
+            f"{shots} shots of {n} qubits need {Decimal(need) / 2**30:.1f} GiB as a packed shot "
             f"record, more than the {MAX_RECORD_BYTES / 2**30:.0f} GiB allowed"
         )
 
@@ -189,7 +187,7 @@ def _prepare(x0: str, noise: NoiseModel, shots: int):
         raise DimensionError(
             f"ground truth has {len(x0)} qubits but the noise model has {noise.n}"
         )
-    if not isinstance(shots, (int, np.integer)) or isinstance(shots, bool) or shots < 1:
+    if not _is_int(shots) or shots < 1:
         raise ValidationError(f"shots must be a positive integer, got {shots!r}")
     shots = int(shots)
     _check_record_memory(noise.n, shots)

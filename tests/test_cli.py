@@ -145,6 +145,48 @@ def test_bound_fuzz_answers_or_fails_cleanly(n, flag, value, shots):
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=9), inner, max_size=4),
+    max_leaves=12,
+)
+_PRIOR_VALUES = st.one_of(
+    st.floats(0, 1), st.floats(), st.integers(-2, 2), st.booleans(), st.text(max_size=3), st.none()
+)
+_KEYS = ["00", "01", "10", "11"]
+_PRIOR_DOCS = st.one_of(
+    _JSON,
+    st.fixed_dictionaries({"per_qubit": st.lists(_PRIOR_VALUES, max_size=3)}),
+    st.fixed_dictionaries({"table": st.dictionaries(st.sampled_from([*_KEYS, "0", "2x"]), _PRIOR_VALUES)}),
+    # tables that sum to 1
+    st.lists(st.floats(0, 1), min_size=1, max_size=4)
+    .filter(lambda weights: sum(weights) > 0)
+    .map(lambda weights: {"table": {k: w / sum(weights) for k, w in zip(_KEYS, weights)}}),
+    st.fixed_dictionaries({"per_qubit": st.just([0.5, 0.5]), "table": _JSON}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_PRIOR_DOCS)
+def test_prior_file_fuzz_answers_or_fails_cleanly(tmp_path_factory, doc):
+    """``mitigate --prior-file`` with any JSON document prints strict JSON,
+    or exits 1 or 2 with one error line."""
+    folder = tmp_path_factory.mktemp("prior")
+    counts = write_counts_file(folder, {"01": 8, "11": 2}, 2)
+    prior = folder / "prior.json"
+    prior.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["mitigate", counts, "--method", "map", "--p", "0.2", "--prior-file", str(prior)])
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=reject_constant)
+    else:
+        assert code in (1, 2)
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
 class TestMitigate:
     def test_qmv_majority_with_margin(self, capsys, tmp_path):
         path = write_counts_file(tmp_path, {"0": 7, "1": 3}, 1)
@@ -183,6 +225,7 @@ class TestMitigate:
             '{"table": {"01": "x", "11": 0.5}}',
             '{"table": [1]}',
             '{"table": 5}',
+            '{"per_qubit": [0.5, 0.5], "x": 1}',
         ],
     )
     def test_malformed_prior_file_exit_one(self, capsys, tmp_path, text):
@@ -437,6 +480,15 @@ class TestSimulate:
         assert code == 1
         assert "--n" in err
 
+    def test_n_with_truth_exit_one(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--truth", "0101", "--n", "7", "--p", "0.1", "--shots", "4"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--n" in err and "--pattern" in err
+
 
 class TestAms:
     def test_plan_only(self, capsys, tmp_path):
@@ -568,6 +620,25 @@ class TestExperiment:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "unknown" in err and field in err
+
+    def test_ams_budget_too_small_for_subset_circuits_exit_one(self, capsys, tmp_path):
+        # 2 phase-1 shots of 50 qubits: every qubit's vote is close, and each
+        # subset circuit would get no shots
+        config = {
+            "ground_truth": {"pattern": "alternating", "n": 50},
+            "noise": {"p": 0.3},
+            "shots": [4],
+            "estimators": ["qmv", "ams"],
+            "seeds": [1, 2],
+            "ams": {"tau": 0.1, "factor": 0.5},
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "experiment", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "2 phase-1 shots" in err and "per_subset_shots = 0" in err
 
     def test_seed_flag_overrides_config_seeds(self, capsys, tmp_path):
         config = {

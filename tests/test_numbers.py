@@ -1,0 +1,193 @@
+"""One number rule at every public numeric entry point: a numpy integer is
+taken as the equal Python int and stored as one, and a string or boolean is
+refused with ValidationError rather than read as a number."""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qmvote import (
+    AmsPlan,
+    BudgetQuery,
+    CountsTable,
+    Estimate,
+    ExperimentConfig,
+    MitigationError,
+    NoiseModel,
+    Prior,
+    ValidationError,
+    VoteTally,
+    adaptive_vote,
+    ams_execute,
+    ams_plan,
+    evaluate,
+    qmv_error_bound,
+    required_shots,
+    run_experiment,
+    shot_error_probability_exact,
+    simulate_shots,
+)
+from qmvote.core import _is_int
+
+TALLY = VoteTally(zeros=[3, 1, 2, 0], ones=[1, 3, 2, 4])
+NOISE = NoiseModel.uniform(4, 0.2)
+PLAN = ams_plan(TALLY, 0.6, 8)
+
+# entry point -> (call with the value under test in one argument, a valid
+# Python value for that argument)
+CASES = {
+    "NoiseModel p01 entry": (lambda v: NoiseModel(p01=[v, 0.1], p10=[0.1, 0.1]), 0),
+    "NoiseModel p10 entry": (lambda v: NoiseModel(p01=[0.1, 0.1], p10=[0.1, v]), 1),
+    "NoiseModel.uniform n": (lambda v: NoiseModel.uniform(v, 0.1), 3),
+    "NoiseModel.uniform p01": (lambda v: NoiseModel.uniform(3, v), 0.25),
+    "NoiseModel.uniform p10": (lambda v: NoiseModel.uniform(3, 0.1, v), 1),
+    "Prior per_qubit entry": (lambda v: Prior(per_qubit=[v, 0.5]), 1),
+    "ams_plan tau": (lambda v: ams_plan(TALLY, v, 8), 0.6),
+    "ams_plan total_shots": (lambda v: ams_plan(TALLY, 0.6, v), 8),
+    "adaptive_vote tau": (lambda v: adaptive_vote("0101", NOISE, v, 400, seed=1), 0.3),
+    "adaptive_vote total_shots": (lambda v: adaptive_vote("0101", NOISE, 0.3, v, seed=1), 400),
+    "ams_execute subset_noise_factor": (lambda v: ams_execute("0101", NOISE, PLAN, v, 1), 1),
+    "qmv_error_bound shots": (lambda v: qmv_error_bound(v, 0.1), 10),
+    "qmv_error_bound p": (lambda v: qmv_error_bound(10, v), 0.25),
+    "shot_error_probability_exact shots": (lambda v: shot_error_probability_exact(v, 0.2), 9),
+    "shot_error_probability_exact p": (lambda v: shot_error_probability_exact(9, v), 1),
+    "required_shots n": (lambda v: required_shots(v, 0.1), 10),
+    "required_shots epsilon": (lambda v: required_shots(10, v), 0.25),
+    "BudgetQuery.from_p n": (lambda v: BudgetQuery.from_p(v, 0.1), 10),
+    "BudgetQuery.from_p p": (lambda v: BudgetQuery.from_p(10, v), 0),
+    "BudgetQuery.from_p shots": (lambda v: BudgetQuery.from_p(10, 0.1, v), 20),
+    "BudgetQuery.from_epsilon n": (lambda v: BudgetQuery.from_epsilon(v, 0.25), 10),
+    "BudgetQuery.from_epsilon epsilon": (lambda v: BudgetQuery.from_epsilon(10, v), 0.25),
+    "BudgetQuery.from_epsilon shots": (lambda v: BudgetQuery.from_epsilon(10, 0.25, v), 20),
+    "CountsTable count": (lambda v: CountsTable({"01": v, "11": 1}), 2),
+    "CountsTable n": (lambda v: CountsTable({"01": 2}, n=v), 2),
+    "simulate_shots shots": (lambda v: simulate_shots("0101", NOISE, v, 3), 50),
+    "simulate_shots seed": (lambda v: simulate_shots("0101", NOISE, 50, v), 7),
+}
+
+
+def portable(result):
+    """A result as plain JSON: numpy scalars left in it fail to dump."""
+    if isinstance(result, tuple):
+        return [portable(r) for r in result]
+    if isinstance(result, AmsPlan):
+        return dataclasses.asdict(result)
+    if isinstance(result, BudgetQuery):
+        return evaluate(result).to_dict()
+    if isinstance(result, Estimate):
+        return [result.value, result.method, result.margins.tolist(), result.gap]
+    if isinstance(result, NoiseModel):
+        return [result.p01.tolist(), result.p10.tolist()]
+    if isinstance(result, Prior):
+        return result.per_qubit.tolist()
+    if isinstance(result, CountsTable):
+        return [result.n, result.shots, dict(result.counts)]
+    return result
+
+
+def numpy_twins(value):
+    if isinstance(value, int):
+        types = (np.int64, np.uint16, np.int8)
+        return [t(value) for t in types if np.iinfo(t).min <= value <= np.iinfo(t).max]
+    return [np.float64(value)]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_numpy_number_gives_the_python_result(case):
+    call, good = CASES[case]
+    want = json.dumps(portable(call(good)))
+    for twin in numpy_twins(good):
+        assert json.dumps(portable(call(twin))) == want, twin
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("bad", ["str", True, False, np.True_])
+def test_string_or_boolean_refused(case, bad):
+    call, good = CASES[case]
+    with pytest.raises(ValidationError):
+        call(str(good) if bad == "str" else bad)
+
+
+def test_numpy_counts_total_does_not_wrap():
+    # 1024 counts of 2**53 sum to 2**63, one past the int64 range
+    counts = {format(i, "010b"): np.int64(2**53) for i in range(1024)}
+    with pytest.raises(ValidationError, match="more than 2\\*\\*53"):
+        CountsTable(counts)
+    fine = {format(i, "010b"): np.uint64(2**43) for i in range(1024)}
+    assert CountsTable(fine).shots == 2**53
+
+
+def test_counts_from_numpy_unique():
+    shots = np.array(["01", "11", "01", "00", "01"])
+    keys, counts = np.unique(shots, return_counts=True)
+    table = CountsTable(dict(zip(keys.tolist(), counts)))
+    assert table == CountsTable({"00": 1, "01": 3, "11": 1})
+    assert json.dumps(dict(table.counts)) == '{"00": 1, "01": 3, "11": 1}'
+
+
+def test_numpy_integers_in_a_config_give_the_same_report():
+    doc = {
+        "ground_truth": {"pattern": "alternating", "n": 12},
+        "noise": {"p": 0.2},
+        "shots": [40, 80],
+        "estimators": ["qmv", "ams"],
+        "seeds": [0, 5],
+        "ams": {"tau": 0.3, "factor": 0.5},
+    }
+    want = run_experiment(ExperimentConfig.from_dict(doc)).to_json()
+    doc["ground_truth"]["n"] = np.int64(12)
+    doc["shots"] = [np.int64(40), np.uint32(80)]
+    doc["seeds"] = [np.int16(0), np.int64(5)]
+    assert run_experiment(ExperimentConfig.from_dict(doc)).to_json() == want
+    # built directly, too: shots and seeds name the simulated streams
+    config = ExperimentConfig.from_dict(doc)
+    config = dataclasses.replace(config, shots=(np.int64(40), 80), seeds=(0, np.uint8(5)))
+    assert run_experiment(config).to_json() == want
+    for field in ("shots", "seeds"):
+        with pytest.raises(ValidationError, match=field):
+            dataclasses.replace(config, **{field: (40, "80")})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: NoiseModel(p01=["0.1", True], p10=[0.1, 0.1]),
+        lambda: NoiseModel(p01=np.array(["0.1", "0.2"]), p10=[0.1, 0.1]),
+        lambda: NoiseModel(p01=[10**400, 0.1], p10=[0.1, 0.1]),
+        lambda: Prior(per_qubit=[10**400, 0.5]),
+    ],
+)
+def test_probability_vectors_refuse_what_would_convert(make):
+    with pytest.raises(ValidationError, match="entries must be numbers"):
+        make()
+
+
+_ints = st.integers(-3, 10**5)
+_anything = st.one_of(
+    _ints,
+    _ints.map(np.int64),
+    st.integers(10**5, 10**400),
+    st.floats(),
+    st.floats(width=32).map(np.float32),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(max_size=4),
+    st.none(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(sorted(CASES)), value=_anything)
+def test_numeric_entry_points_answer_or_refuse(case, value):
+    """Any value gives a result or a MitigationError, never another error."""
+    call, _ = CASES[case]
+    # the exact tail allocates arrays of about `shots` floats, with no cap
+    assume(case != "shot_error_probability_exact shots" or not _is_int(value) or value <= 10**5)
+    try:
+        call(value)
+    except MitigationError:
+        pass
