@@ -5,7 +5,7 @@ adaptive measurement subsetting."""
 
 __version__ = "0.1.0"
 
-from .ams import AmsPlan, SubsetResult, adaptive_vote, ams_execute, ams_plan, merge_votes
+from .ams import AmsPlan, adaptive_vote, ams_execute, ams_plan, merge_votes
 from .budget import (
     BudgetQuery,
     BudgetReport,
@@ -68,7 +68,6 @@ __all__ = [
     "NoiseModel",
     "Prior",
     "Report",
-    "SubsetResult",
     "ValidationError",
     "VoteTally",
     "adaptive_vote",

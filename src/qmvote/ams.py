@@ -14,6 +14,7 @@ its own noise parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +26,6 @@ from .noise import NoiseModel, _subset_ones, derive_seed, simulate_shots
 # Below this many shots per subset circuit the second phase is too thin to
 # trust; the plan still executes but is flagged.
 MIN_SUBSET_SHOTS = 100
-
-MERGE_MODES = ("pool", "replace")
 
 
 @dataclass(frozen=True)
@@ -50,19 +49,6 @@ class AmsPlan:
     @property
     def subset_count(self) -> int:
         return len(self.close_qubits)
-
-
-@dataclass(frozen=True)
-class SubsetResult:
-    """Zero/one counts from one single-qubit subset circuit."""
-
-    qubit: int
-    zeros: int
-    ones: int
-
-    @property
-    def shots(self) -> int:
-        return self.zeros + self.ones
 
 
 def ams_plan(vote_tally: VoteTally, tau: float, total_shots: int) -> AmsPlan:
@@ -103,33 +89,36 @@ def ams_plan(vote_tally: VoteTally, tau: float, total_shots: int) -> AmsPlan:
 def merge_votes(
     phase1_tally: VoteTally,
     noise: NoiseModel,
-    subsets: list[SubsetResult],
+    qubits: Sequence[int],
+    subsets: VoteTally | None,
     subset_noise: NoiseModel,
-    merge: str = "pool",
 ) -> str:
     """Combine phase-1 and subset evidence into a final bitstring.
 
-    Qubits without a subset run are decided by a weighted vote on the
-    phase-1 tally alone. ``merge="pool"`` adds both phases' log-likelihood
-    contributions for subset qubits; ``merge="replace"`` lets the subset
-    evidence alone decide them.
+    Entry i of ``subsets`` holds the counts of the circuit that measured
+    ``qubits[i]`` alone; ``subsets`` is None when no subset circuit ran.
+    For those qubits both phases' log-likelihood contributions are added,
+    each under its own noise model. Every other qubit is decided by a
+    weighted vote on the phase-1 tally alone.
     """
-    if merge not in MERGE_MODES:
-        raise ValidationError(f"merge must be one of {MERGE_MODES}, got {merge!r}")
     n = phase1_tally.n
     if noise.n != n or subset_noise.n != n:
         raise DimensionError("noise models must cover the same qubits as the tally")
+    if subsets is not None and not isinstance(subsets, VoteTally):
+        raise ValidationError(f"subsets must be a VoteTally, got {type(subsets).__name__}")
+    if not all(map(_is_int, qubits)):
+        raise ValidationError("subset qubits must be integers")
+    q = np.array(qubits, dtype=np.int64)
+    circuits = 0 if subsets is None else subsets.n
+    if q.size != circuits:
+        raise DimensionError(f"{q.size} subset qubits for {circuits} subset circuits")
+    if np.any((q < 0) | (q >= n)) or len(set(q.tolist())) != q.size:
+        raise DimensionError(f"subset qubits must be distinct and lie in 0..{n - 1}")
     ll0, ll1 = _loglikelihoods(phase1_tally.zeros, phase1_tally.ones, noise.p01, noise.p10)
-    if subsets:
-        # with a qubit listed twice, its last subset counts, in either mode
-        last = {s.qubit: s for s in subsets}.values()
-        q, zeros, ones = np.array([(s.qubit, s.zeros, s.ones) for s in last], dtype=np.int64).T
-        if np.any((q < 0) | (q >= n)):
-            raise DimensionError(f"subset qubits must lie in 0..{n - 1}")
-        c0, c1 = _loglikelihoods(zeros, ones, subset_noise.p01[q], subset_noise.p10[q])
-        if merge == "pool":
-            c0, c1 = ll0[q] + c0, ll1[q] + c1
-        ll0[q], ll1[q] = c0, c1
+    if subsets is not None:
+        p01, p10 = subset_noise.p01[q], subset_noise.p10[q]
+        c0, c1 = _loglikelihoods(subsets.zeros, subsets.ones, p01, p10)
+        ll0[q], ll1[q] = ll0[q] + c0, ll1[q] + c1
     # tie resolves to 1
     return _bitstring(ll0 <= ll1)
 
@@ -140,7 +129,6 @@ def ams_execute(
     plan: AmsPlan,
     subset_noise_factor: float = 0.5,
     seed: int = 0,
-    merge: str = "pool",
 ) -> Estimate:
     """Simulate the two-phase run described by ``plan`` and estimate x0.
 
@@ -150,7 +138,7 @@ def ams_execute(
     Streams derive deterministically from the seed, the phase, and the
     qubit index, so subset circuits may run in any order or in parallel.
     """
-    return _execute(x0, noise, plan, None, subset_noise_factor, seed, merge)
+    return _execute(x0, noise, plan, None, subset_noise_factor, seed)
 
 
 def _execute(
@@ -160,7 +148,6 @@ def _execute(
     phase1: VoteTally | None,
     subset_noise_factor: float,
     seed: int,
-    merge: str,
 ) -> Estimate:
     """:func:`ams_execute`, given the phase-1 tally when the caller already
     simulated it (it is the same stream either way)."""
@@ -169,8 +156,6 @@ def _execute(
         raise DimensionError(f"noise model covers {noise.n} qubits, plan has {plan.n}")
     if not _is_real(subset_noise_factor) or not 0.0 < subset_noise_factor <= 1.0:
         raise ValidationError(f"subset_noise_factor must lie in (0, 1], got {subset_noise_factor}")
-    if merge not in MERGE_MODES:
-        raise ValidationError(f"merge must be one of {MERGE_MODES}, got {merge!r}")
     if plan.close_qubits and plan.per_subset_shots < 1:
         raise ValidationError(
             f"{plan.phase1_shots} phase-1 shots leave per_subset_shots = {plan.per_subset_shots} "
@@ -183,20 +168,18 @@ def _execute(
         # a degenerate plan spends the full budget on one all-qubit measurement
         phase1_shots = plan.phase1_shots if close else plan.total_shots
         phase1 = tally(simulate_shots(x0, noise, phase1_shots, derive_seed(seed, "phase1")))
-    shots = plan.per_subset_shots
-    sub_ones = np.zeros(0, dtype=np.int64)
+    subsets = None
     if close:
         seeds = [derive_seed(seed, "subset", q) for q in close]
-        sub_ones = _subset_ones(x0, subset_noise, close, shots, seeds)
-    subsets = [SubsetResult(q, shots - one, one) for q, one in zip(close, sub_ones.tolist())]
-    value = merge_votes(phase1, noise, subsets, subset_noise, merge)
+        ones = _subset_ones(x0, subset_noise, close, plan.per_subset_shots, seeds)
+        subsets = VoteTally(zeros=plan.per_subset_shots - ones, ones=ones)
+    value = merge_votes(phase1, noise, close, subsets, subset_noise)
 
-    # Informational margins: pooled counts where a subset ran, phase 1 alone
-    # elsewhere.
-    zeros = phase1.zeros.copy()
-    ones = phase1.ones.copy()
-    zeros[close] += shots - sub_ones
-    ones[close] += sub_ones
+    # informational margins: pooled counts where a subset ran, phase 1 alone elsewhere
+    zeros, ones = phase1.zeros.copy(), phase1.ones.copy()
+    if subsets is not None:
+        zeros[close] += subsets.zeros
+        ones[close] += subsets.ones
     margins = np.abs(zeros - ones) / (zeros + ones)
     return Estimate(value=value, method="ams", margins=margins)
 
@@ -208,7 +191,6 @@ def adaptive_vote(
     total_shots: int,
     subset_noise_factor: float = 0.5,
     seed: int = 0,
-    merge: str = "pool",
 ) -> tuple[AmsPlan, Estimate]:
     """Full adaptive run: simulate phase 1, plan the subsets, execute.
 
@@ -221,5 +203,5 @@ def adaptive_vote(
     k = total_shots // 2
     phase1 = tally(simulate_shots(x0, noise, k, derive_seed(seed, "phase1")))
     plan = ams_plan(phase1, tau, total_shots)
-    estimate = _execute(x0, noise, plan, phase1, subset_noise_factor, seed, merge)
+    estimate = _execute(x0, noise, plan, phase1, subset_noise_factor, seed)
     return plan, estimate

@@ -34,6 +34,10 @@ import numpy as np
 from .core import _is_int, _is_real
 from .errors import InfeasibleError, InvalidRegimeError, ValidationError
 
+# The exact tail holds two float64 arrays of one entry per losing flip count;
+# a shot count that would take them past this size is refused.
+_TAIL_MAX_BYTES = 1 << 30
+
 
 def _check_float_range(value: int, name: str) -> int:
     """Refuse an integer beyond float range, which the float formulas below
@@ -120,7 +124,8 @@ def shot_error_probability_exact(shots: int, p: float, ties: str = "error") -> f
     (f = shots/2, even shots) counts against the vote, matching the
     tie-to-1 vote rule when the ground truth is 0; ``ties="success"``
     counts ties as correct. Computed in log space, stable up to shots
-    around 10**6.
+    around 10**6. Shot counts whose tail arrays would pass 1 GiB, about
+    1.3e8 shots, raise InfeasibleError before anything is allocated.
     """
     if not _is_int(shots) or shots < 1:
         raise ValidationError(f"shots must be a positive integer, got {shots!r}")
@@ -128,10 +133,17 @@ def shot_error_probability_exact(shots: int, p: float, ties: str = "error") -> f
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     if ties not in ("error", "success"):
         raise ValidationError(f"ties must be 'error' or 'success', got {ties!r}")
+    shots = int(shots)
     if ties == "error":
         lo = (shots + 1) // 2  # ceil(S/2); includes the tie term for even S
     else:
         lo = shots // 2 + 1
+    tail_bytes = 2 * 8 * (shots - lo + 1)
+    if tail_bytes > _TAIL_MAX_BYTES:
+        raise InfeasibleError(
+            f"the exact tail over {shots} shots needs {tail_bytes} bytes of arrays, "
+            f"more than the {_TAIL_MAX_BYTES} allowed"
+        )
     if p == 0.0:
         return 0.0
     if p == 1.0:
@@ -180,6 +192,7 @@ def per_qubit_target_bound(n: float, epsilon: float) -> float:
         raise ValidationError(f"the target bound needs at least 2 qubits, got {n}")
     if not _is_real(epsilon) or not 0.0 < epsilon <= 0.5:
         raise ValidationError(f"epsilon must lie in (0, 0.5], got {epsilon}")
+    n = _check_float_range(n, "qubit count")
     return (0.5 + epsilon) / math.sqrt(math.pi * math.log(n)) / n
 
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .ams import MERGE_MODES, ams_execute, ams_plan
+from .ams import ams_execute, ams_plan
 from .budget import BudgetQuery, _finite_or_none, evaluate
 from .core import hamming_distance, tally
 from .countsfile import BIT_ORDERS, load_counts, serialize_counts, write_counts
@@ -81,7 +81,6 @@ def _build_parser() -> _Parser:
     ams.add_argument("--factor", type=float, default=0.5, help="subset noise scale in (0, 1]")
     ams.add_argument("--total-shots", type=int, help="full budget (default: twice the counts)")
     ams.add_argument("--truth", help="ground truth; enables simulated execution")
-    ams.add_argument("--merge", choices=MERGE_MODES, default="pool")
     _noise_flags(ams)
 
     exp = sub.add_parser("experiment", help="run a configured estimator comparison")
@@ -205,7 +204,7 @@ def _cmd_ams(args) -> int:
     noise = _noise_from_args(args, counts.n, required=args.truth is not None)
     if args.truth is not None:
         seed = args.seed if args.seed is not None else 0
-        est = ams_execute(args.truth, noise, plan, args.factor, seed, merge=args.merge)
+        est = ams_execute(args.truth, noise, plan, args.factor, seed)
         payload["estimate"] = est.value
         payload["margins"] = [round(m, 12) for m in est.margins.tolist()]
     else:

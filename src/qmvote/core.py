@@ -233,12 +233,12 @@ def _check_entry(key, count, n: int) -> None:
         raise ValidationError(f"count for {key!r} is {count}, more than 2**53")
 
 
-def _pack_entries(entries: dict, n: int, check, reverse: bool = False):
+def _pack_entries(entries: dict, n: int, check):
     """Check a table's entries a block at a time and pack their keys as the
-    simulator packs shots, each reversed first when ``reverse``. A block
-    with a key that is not ``n`` characters over '0'/'1' or a count that is
-    not an integer in 1..2**53 is walked with ``check(key, count, n)``,
-    which raises the caller's error for the first bad entry.
+    simulator packs shots. A block with a key that is not ``n`` characters
+    over '0'/'1' or a count that is not an integer in 1..2**53 is walked
+    with ``check(key, count, n)``, which raises the caller's error for the
+    first bad entry.
 
     Returns the packed rows and the counts as int64.
     """
@@ -263,7 +263,7 @@ def _pack_entries(entries: dict, n: int, check, reverse: bool = False):
                 check(key, count, n)
             raise AssertionError("a block of entries failed its test, but none of its entries")
         bits = (text & 1).reshape(len(block), n)
-        packed[lo : lo + step] = np.packbits(bits[:, ::-1] if reverse else bits, axis=1)
+        packed[lo : lo + step] = np.packbits(bits, axis=1)
     return packed, np.array(counts, dtype=np.int64)
 
 

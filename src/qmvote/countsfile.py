@@ -149,7 +149,9 @@ def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
             _check_entry(key, count, n)
         if sum(raw.values()) == shots:
             raise ValidationError(f"bitstring has {n} qubits, maximum is {MAX_QUBITS}")
-    packed, weights = _pack_entries(raw, n, _check_entry, reverse=bit_order == "right")
+    packed, weights = _pack_entries(raw, n, _check_entry)
+    if bit_order == "right":
+        packed = _reverse_keys(packed, n)
     total = _exact_sum(weights)
     if total != shots:
         raise CountsFormatError(
@@ -157,6 +159,12 @@ def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
             code="SUM_MISMATCH",
         )
     return CountsTable(_Rows(packed, weights), n=n)
+
+
+def _reverse_keys(packed: np.ndarray, n: int) -> np.ndarray:
+    """Packed rows of ``n``-bit keys with the bits of every key reversed:
+    the keys of a right-to-left document in this format's order."""
+    return np.packbits(np.unpackbits(packed, axis=1, count=n)[:, ::-1], axis=1)
 
 
 def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
@@ -228,7 +236,7 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
         if total > shots:
             return None
         if reverse:
-            packed = np.packbits(np.unpackbits(packed, axis=1, count=n)[:, ::-1], axis=1)
+            packed = _reverse_keys(packed, n)
         rows.append(packed)
         counts.append(values)
     if total != shots:

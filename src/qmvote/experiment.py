@@ -123,6 +123,12 @@ class ExperimentConfig:
                 )
             if any(s % 2 for s in self.shots):
                 raise InfeasibleError("estimator 'ams' splits the budget in half; shots must be even")
+            if self.antipodal:
+                # an equal mixture of x0 and its complement reads 0 and 1 equally on every qubit
+                raise InfeasibleError(
+                    "estimator 'ams' votes qubit by qubit, which has no answer on the "
+                    "ghz-antipodal pattern"
+                )
 
     @property
     def n(self) -> int:

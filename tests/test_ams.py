@@ -8,7 +8,6 @@ import pytest
 from qmvote import (
     DimensionError,
     NoiseModel,
-    SubsetResult,
     ValidationError,
     VoteTally,
     adaptive_vote,
@@ -126,7 +125,7 @@ class TestMergeVotes:
             noise = NoiseModel.uniform(1, p)
             sub_noise = NoiseModel.uniform(1, p * factor)
             t = VoteTally(zeros=np.array([k - ones1]), ones=np.array([ones1]))
-            subset = SubsetResult(qubit=0, zeros=sub_shots - ones2, ones=ones2)
+            subset = VoteTally(zeros=[sub_shots - ones2], ones=[ones2])
 
             def loglik(bit, zeros, ones, q):
                 flip = ones if bit == 0 else zeros
@@ -136,40 +135,57 @@ class TestMergeVotes:
             ll0 = loglik(0, k - ones1, ones1, p) + loglik(0, sub_shots - ones2, ones2, p * factor)
             ll1 = loglik(1, k - ones1, ones1, p) + loglik(1, sub_shots - ones2, ones2, p * factor)
             expected = "0" if ll0 > ll1 else "1"
-            got = merge_votes(t, noise, [subset], sub_noise, merge="pool")
+            got = merge_votes(t, noise, [0], subset, sub_noise)
             assert got == expected
 
     def test_phase1_tie_decided_by_subset(self):
         noise = NoiseModel.uniform(1, 0.3)
         sub_noise = NoiseModel.uniform(1, 0.15)
         t = VoteTally(zeros=np.array([50]), ones=np.array([50]))
-        strong_zero = SubsetResult(qubit=0, zeros=150, ones=50)
-        assert merge_votes(t, noise, [strong_zero], sub_noise) == "0"
-        strong_one = SubsetResult(qubit=0, zeros=50, ones=150)
-        assert merge_votes(t, noise, [strong_one], sub_noise) == "1"
-
-    def test_replace_mode_ignores_phase1(self):
-        # phase 1 carries 100 net votes for 0 (0.847 nats each); the subset
-        # carries only 10 net votes for 1 (1.73 nats each), so pooling keeps
-        # 0 while replacing flips to 1
-        noise = NoiseModel.uniform(1, 0.3)
-        sub_noise = NoiseModel.uniform(1, 0.15)
-        t = VoteTally(zeros=np.array([100]), ones=np.array([0]))
-        subset = SubsetResult(qubit=0, zeros=10, ones=20)
-        assert merge_votes(t, noise, [subset], sub_noise, merge="replace") == "1"
-        assert merge_votes(t, noise, [subset], sub_noise, merge="pool") == "0"
+        strong_zero = VoteTally(zeros=[150], ones=[50])
+        assert merge_votes(t, noise, [0], strong_zero, sub_noise) == "0"
+        strong_one = VoteTally(zeros=[50], ones=[150])
+        assert merge_votes(t, noise, [0], strong_one, sub_noise) == "1"
 
     @pytest.mark.parametrize("qubit", [-1, 2])
     def test_subset_qubit_out_of_range_rejected(self, qubit):
         noise = NoiseModel.uniform(2, 0.2)
         t = VoteTally(zeros=np.array([70, 30]), ones=np.array([30, 70]))
         with pytest.raises(DimensionError):
-            merge_votes(t, noise, [SubsetResult(qubit, zeros=0, ones=10)], noise)
+            merge_votes(t, noise, [qubit], VoteTally(zeros=[0], ones=[10]), noise)
+
+    def test_repeated_subset_qubit_rejected(self):
+        noise = NoiseModel.uniform(2, 0.2)
+        t = VoteTally(zeros=np.array([70, 30]), ones=np.array([30, 70]))
+        subsets = VoteTally(zeros=[0, 10], ones=[10, 0])
+        with pytest.raises(DimensionError):
+            merge_votes(t, noise, [1, 1], subsets, noise)
+
+    @pytest.mark.parametrize("qubits,circuits", [([0], 0), ([], 1), ([0, 1], 1)])
+    def test_qubit_count_must_match_subset_counts(self, qubits, circuits):
+        noise = NoiseModel.uniform(2, 0.2)
+        t = VoteTally(zeros=np.array([70, 30]), ones=np.array([30, 70]))
+        subsets = VoteTally(zeros=[0] * circuits, ones=[10] * circuits) if circuits else None
+        with pytest.raises(DimensionError):
+            merge_votes(t, noise, qubits, subsets, noise)
+
+    @pytest.mark.parametrize("qubits", [[0.0], [True], ["0"]])
+    def test_non_integer_subset_qubit_rejected(self, qubits):
+        noise = NoiseModel.uniform(2, 0.2)
+        t = VoteTally(zeros=np.array([70, 30]), ones=np.array([30, 70]))
+        with pytest.raises(ValidationError):
+            merge_votes(t, noise, qubits, VoteTally(zeros=[0], ones=[10]), noise)
+
+    def test_subsets_must_be_a_tally(self):
+        noise = NoiseModel.uniform(2, 0.2)
+        t = VoteTally(zeros=np.array([70, 30]), ones=np.array([30, 70]))
+        with pytest.raises(ValidationError):
+            merge_votes(t, noise, [0], [(0, 10)], noise)
 
     def test_qubits_without_subset_use_phase1_weighted_vote(self):
         noise = NoiseModel.uniform(2, 0.2)
         t = VoteTally(zeros=np.array([70, 30]), ones=np.array([30, 70]))
-        assert merge_votes(t, noise, [], noise) == weighted_vote(t, noise).value == "01"
+        assert merge_votes(t, noise, [], None, noise) == weighted_vote(t, noise).value == "01"
 
     def test_factor_one_pooling_equals_weighted_vote_on_pooled_tally(self):
         rng = np.random.default_rng(16)
@@ -184,20 +200,20 @@ class TestMergeVotes:
             pooled = VoteTally(
                 zeros=np.array([k - ones1 + sub - ones2]), ones=np.array([ones1 + ones2])
             )
-            got = merge_votes(t, noise, [SubsetResult(0, sub - ones2, ones2)], noise)
+            got = merge_votes(t, noise, [0], VoteTally(zeros=[sub - ones2], ones=[ones2]), noise)
             assert got == weighted_vote(pooled, noise).value
 
 
-def reference_execute(x0, noise, plan, factor, seed, merge):
+def reference_execute(x0, noise, plan, factor, seed):
     """The two-phase execution with every stream drawn through the public
     simulator: phase 1 as a full table, each subset circuit as a one-qubit
     table."""
     scaled = NoiseModel(p01=noise.p01 * factor, p10=noise.p10 * factor)
     if plan.subset_count == 0:
         pooled = tally(simulate_shots(x0, noise, plan.total_shots, derive_seed(seed, "phase1")))
-        return merge_votes(pooled, noise, [], scaled, merge), pooled.margins
+        return merge_votes(pooled, noise, [], None, scaled), pooled.margins
     phase1 = tally(simulate_shots(x0, noise, plan.phase1_shots, derive_seed(seed, "phase1")))
-    subsets = []
+    sub_zeros, sub_ones = [], []
     zeros, ones = phase1.zeros.copy(), phase1.ones.copy()
     shots = np.full(plan.n, phase1.shots)
     for q in plan.close_qubits:
@@ -205,37 +221,37 @@ def reference_execute(x0, noise, plan, factor, seed, merge):
         stream = derive_seed(seed, "subset", q)
         counts = simulate_shots(x0[q], circuit, plan.per_subset_shots, stream)
         one = counts.counts.get("1", 0)
-        subsets.append(SubsetResult(qubit=q, zeros=counts.shots - one, ones=one))
+        sub_zeros.append(counts.shots - one)
+        sub_ones.append(one)
         zeros[q] += counts.shots - one
         ones[q] += one
         shots[q] += counts.shots
-    return merge_votes(phase1, noise, subsets, scaled, merge), np.abs(zeros - ones) / shots
+    subsets = VoteTally(zeros=sub_zeros, ones=sub_ones)
+    value = merge_votes(phase1, noise, plan.close_qubits, subsets, scaled)
+    return value, np.abs(zeros - ones) / shots
 
 
 class TestAmsExecute:
     @pytest.mark.parametrize(
-        "truth,p01,p10,tau,total,factor,merge",
+        "truth,p01,p10,tau,total,factor",
         [
-            ("1010101", 0.4, 0.4, 0.2, 400, 0.5, "pool"),
-            ("1010101", 0.4, 0.4, 0.2, 400, 0.5, "replace"),
-            ("110010111010", 0.3, 0.15, 0.25, 1000, 0.3, "pool"),
-            ("0" * 40, 0.45, 0.45, 0.1, 2000, 1.0, "pool"),
-            ("10110", 0.05, 0.05, 0.01, 200, 0.5, "pool"),  # no close qubit
+            ("1010101", 0.4, 0.4, 0.2, 400, 0.5),
+            ("110010111010", 0.3, 0.15, 0.25, 1000, 0.3),
+            ("0" * 40, 0.45, 0.45, 0.1, 2000, 1.0),
+            ("10110", 0.05, 0.05, 0.01, 200, 0.5),  # no close qubit
         ],
     )
-    def test_adaptive_vote_matches_plan_then_execute(
-        self, truth, p01, p10, tau, total, factor, merge
-    ):
+    def test_adaptive_vote_matches_plan_then_execute(self, truth, p01, p10, tau, total, factor):
         noise = NoiseModel.uniform(len(truth), p01, p10)
         for seed in range(4):
-            plan, est = adaptive_vote(truth, noise, tau, total, factor, seed=seed, merge=merge)
+            plan, est = adaptive_vote(truth, noise, tau, total, factor, seed=seed)
             phase1 = simulate_shots(truth, noise, total // 2, derive_seed(seed, "phase1"))
             ref_plan = ams_plan(tally(phase1), tau, total)
-            ref = ams_execute(truth, noise, ref_plan, factor, seed, merge)
+            ref = ams_execute(truth, noise, ref_plan, factor, seed)
             assert plan == ref_plan
             assert est.value == ref.value
             assert np.array_equal(est.margins, ref.margins)
-            value, margins = reference_execute(truth, noise, plan, factor, seed, merge)
+            value, margins = reference_execute(truth, noise, plan, factor, seed)
             assert est.value == value
             assert np.array_equal(est.margins, margins)
 
@@ -270,8 +286,6 @@ class TestAmsExecute:
             ams_execute("101", noise, plan, subset_noise_factor=0.0)
         with pytest.raises(ValidationError):
             ams_execute("101", noise, plan, subset_noise_factor=1.5)
-        with pytest.raises(ValidationError):
-            ams_execute("101", noise, plan, merge="average")
         with pytest.raises(DimensionError):
             ams_execute("101", NoiseModel.uniform(4, 0.2), plan)
         with pytest.raises(ValidationError):

@@ -517,6 +517,14 @@ class TestAms:
         assert code == 1
         assert "tau" in err
 
+    def test_merge_flag_is_gone(self, capsys, tmp_path):
+        path = write_counts_file(tmp_path, {"00": 26, "01": 25, "10": 26, "11": 25}, 2)
+        code, out, err = run(capsys, "ams", path, "--tau", "0.5", "--merge", "replace")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--merge" in err
+
 
 class TestExperiment:
     def test_end_to_end_files(self, capsys, tmp_path):
@@ -673,6 +681,26 @@ class TestExperiment:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_ams_on_antipodal_pattern_exit_two(self, capsys, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "ground_truth": {"pattern": "ghz-antipodal", "n": 20},
+                    "noise": {"p": 0.2},
+                    "shots": [400],
+                    "estimators": ["qmv", "ams"],
+                    "seeds": [1, 2, 3],
+                    "ams": {"tau": 0.1, "factor": 0.5},
+                }
+            )
+        )
+        code, out, err = run(capsys, "experiment", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'ams'" in err and "ghz-antipodal" in err
 
     def test_ml_over_work_limit_exit_two_before_simulating(self, capsys, tmp_path, monkeypatch):
         import qmvote.experiment as experiment_mod

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qmvote import (
     AntipodalPair,
-    SubsetResult,
     CountsTable,
     InfeasibleError,
     NoiseModel,
@@ -642,24 +641,23 @@ class TestEvidenceArraysMatchScalarReference:
         )
         sub_shots = data.draw(st.integers(1, 20), label="sub shots")
         ones = st.sampled_from([0, sub_shots]) | st.integers(0, sub_shots)
-        # qubits may repeat; the last subset of a qubit counts
-        subsets = [
-            SubsetResult(q, sub_shots - one, one)
-            for q, one in data.draw(st.lists(st.tuples(st.integers(0, n - 1), ones), max_size=n + 2))
-        ]
+        qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="qubits")
+        sub_ones = data.draw(st.lists(ones, min_size=len(qubits), max_size=len(qubits)))
+        subsets = None
+        if qubits:
+            subsets = VoteTally(zeros=[sub_shots - one for one in sub_ones], ones=sub_ones)
+        by_qubit = dict(zip(qubits, sub_ones))
         t = tally(counts)
-        by_qubit = {s.qubit: s for s in subsets}
-        for merge in ("pool", "replace"):
-            want = []
-            for i, (ll0, ll1) in enumerate(reference_evidence(t, nm)):
-                sub = by_qubit.get(i)
-                if sub is not None:
-                    c0, c1 = reference_loglikelihoods(
-                        sub.zeros, sub.ones, float(sub_nm.p01[i]), float(sub_nm.p10[i])
-                    )
-                    ll0, ll1 = (ll0 + c0, ll1 + c1) if merge == "pool" else (c0, c1)
-                want.append("0" if ll0 > ll1 else "1")
-            assert merge_votes(t, nm, subsets, sub_nm, merge) == "".join(want)
+        want = []
+        for i, (ll0, ll1) in enumerate(reference_evidence(t, nm)):
+            if i in by_qubit:
+                one = by_qubit[i]
+                c0, c1 = reference_loglikelihoods(
+                    sub_shots - one, one, float(sub_nm.p01[i]), float(sub_nm.p10[i])
+                )
+                ll0, ll1 = ll0 + c0, ll1 + c1
+            want.append("0" if ll0 > ll1 else "1")
+        assert merge_votes(t, nm, qubits, subsets, sub_nm) == "".join(want)
 
     @settings(max_examples=300, deadline=None)
     @given(evidence_cases(), st.data())
@@ -698,15 +696,14 @@ class TestEvidenceArraysMatchScalarReference:
         t = VoteTally(zeros=np.array([0, 3, 7, 10]), ones=np.array([10, 7, 3, 0]))
         nm = NoiseModel(p01=[0.1, 0.0, 0.3, 1.0], p10=[0.2, 0.5, 0.0, 0.1])
         prior = Prior(per_qubit=[0.3, 0.0, 0.5, 0.9])
-        subsets = [SubsetResult(1, 4, 6), SubsetResult(2, 9, 1)]
+        subsets = VoteTally(zeros=[4, 9], ones=[6, 1])
 
         def decisions():
             counts = CountsTable({"1000": 3, "0110": 7}, n=4)
             return (
                 weighted_vote(t, nm).value,
                 map_estimate(counts, nm, prior).value,
-                merge_votes(t, nm, subsets, nm, "pool"),
-                merge_votes(t, nm, subsets, nm, "replace"),
+                merge_votes(t, nm, [1, 2], subsets, nm),
             )
 
         want = decisions()

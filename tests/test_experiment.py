@@ -6,6 +6,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmvote.experiment as experiment_mod
 from qmvote import (
@@ -99,6 +101,17 @@ class TestConfig:
         assert cfg.ams_tau == 0.05
         assert make_config(ams={"tau": 0.99, "factor": 1.0}).ams_factor == 1.0
 
+    def test_ams_refused_on_antipodal_pattern(self):
+        """Every qubit of an equal x0/complement mixture reads 0 and 1
+        equally often, so a per-qubit vote has no answer there."""
+        ghz = {"pattern": "ghz-antipodal", "n": 20}
+        ams = {"tau": 0.1, "factor": 0.5}
+        with pytest.raises(InfeasibleError, match="'ams'.*ghz-antipodal"):
+            make_config(ground_truth=ghz, estimators=["qmv", "ams"], ams=ams)
+        # the same truth as a plain bitstring is an ordinary all-zeros run
+        make_config(ground_truth="0" * 20, estimators=["qmv", "ams"], ams=ams)
+        assert make_config(ground_truth=ghz, estimators=["qmv", "window"]).antipodal
+
     def test_noise_forms(self):
         asym = make_config(noise={"p01": 0.1, "p10": 0.3})
         assert not asym.noise.is_symmetric
@@ -187,6 +200,97 @@ class TestConfig:
             make_config(**overrides)
         # the same objects without the extra field are accepted
         make_config(**{k: {f: v for f, v in obj.items() if f != field} for k, obj in overrides.items()})
+
+
+# Any JSON value, for a field that holds the wrong kind of thing.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mostly(good, bad=_json):
+    """``good``, now and then ``bad`` (Hypothesis favours the ends of a
+    range, so the middle value picks it)."""
+    return st.integers(0, 10).flatmap(lambda i: bad if i == 5 else good)
+
+
+_probability = _mostly(st.floats(0.0, 0.5), st.floats(-0.5, 1.5) | _json)
+_truth = _mostly(
+    st.text("01", min_size=1, max_size=12)
+    | st.fixed_dictionaries(
+        {
+            "pattern": _mostly(
+                st.sampled_from(experiment_mod.GROUND_TRUTH_PATTERNS), st.just("ghz")
+            ),
+            "n": _mostly(st.integers(1, 64), st.integers(-2, 5000) | _json),
+        }
+    )
+)
+
+
+def _noise(n):
+    per_qubit = _mostly(
+        st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n), st.lists(_probability)
+    )
+    return _mostly(
+        st.fixed_dictionaries({"p": _probability})
+        | st.fixed_dictionaries({"p01": _probability, "p10": _probability})
+        | st.fixed_dictionaries({"p01": per_qubit, "p10": per_qubit})
+    )
+
+
+def _distinct(values):
+    return _mostly(
+        st.lists(values, min_size=1, max_size=3, unique=True), st.lists(values, max_size=3)
+    )
+
+
+_fields = {
+    "shots": _mostly(
+        _distinct(_mostly(st.integers(1, 200).map(lambda s: 2 * s), st.integers(-2, 2**40)))
+    ),
+    "estimators": _mostly(_distinct(st.sampled_from([*experiment_mod.ESTIMATOR_NAMES, "x"]))),
+    "seeds": _mostly(_distinct(_mostly(st.integers(0, 9), st.integers(-5, 2**70)))),
+    "ams": _mostly(st.fixed_dictionaries({"tau": _probability, "factor": _probability})),
+    "extra": _json,
+}
+
+
+@st.composite
+def config_documents(draw):
+    """Experiment config documents: mostly every field present and of its
+    kind, with wrong kinds, wrong values and missing or extra fields mixed in."""
+    truth = draw(_truth)
+    n = len(truth) if isinstance(truth, str) else truth.get("n") if isinstance(truth, dict) else 1
+    n = n if isinstance(n, int) and 1 <= n <= 64 else 1
+    doc = {"ground_truth": truth, "noise": draw(_noise(n))}
+    doc |= {name: draw(values) for name, values in _fields.items()}
+    # 'ams' is mostly given just when the ams estimator is, 'extra' mostly not;
+    # a required field is left out now and then
+    for name in ("ams", "extra"):
+        estimators = doc["estimators"]
+        wanted = name == "ams" and isinstance(estimators, list) and "ams" in estimators
+        if wanted == (draw(st.integers(0, 10)) == 5):
+            del doc[name]
+    if draw(st.integers(0, 10)) == 5:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return draw(_mostly(st.just(doc)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(config_documents())
+def test_from_dict_gives_a_config_or_refuses(doc):
+    """Nothing is run: a document is taken or refused with ValidationError
+    or InfeasibleError, never another error."""
+    try:
+        config = ExperimentConfig.from_dict(doc)
+    except (ValidationError, InfeasibleError):
+        return
+    assert config.noise.n == config.n >= 1
+    assert not ("ams" in config.estimators and config.antipodal)
 
 
 class TestRunExperiment:

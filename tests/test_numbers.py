@@ -16,6 +16,7 @@ from qmvote import (
     CountsTable,
     Estimate,
     ExperimentConfig,
+    InfeasibleError,
     MitigationError,
     NoiseModel,
     Prior,
@@ -25,6 +26,7 @@ from qmvote import (
     ams_execute,
     ams_plan,
     evaluate,
+    per_qubit_target_bound,
     qmv_error_bound,
     required_shots,
     run_experiment,
@@ -55,6 +57,8 @@ CASES = {
     "qmv_error_bound p": (lambda v: qmv_error_bound(10, v), 0.25),
     "shot_error_probability_exact shots": (lambda v: shot_error_probability_exact(v, 0.2), 9),
     "shot_error_probability_exact p": (lambda v: shot_error_probability_exact(9, v), 1),
+    "per_qubit_target_bound n": (lambda v: per_qubit_target_bound(v, 0.1), 10),
+    "per_qubit_target_bound epsilon": (lambda v: per_qubit_target_bound(10, v), 0.25),
     "required_shots n": (lambda v: required_shots(v, 0.1), 10),
     "required_shots epsilon": (lambda v: required_shots(10, v), 0.25),
     "BudgetQuery.from_p n": (lambda v: BudgetQuery.from_p(v, 0.1), 10),
@@ -166,6 +170,35 @@ def test_probability_vectors_refuse_what_would_convert(make):
         make()
 
 
+# the exact tail's two float64 arrays of about shots / 2 entries reach 1 GiB here
+TAIL_SHOT_CAP = 2**27
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: per_qubit_target_bound(10**400, 0.1), ValidationError, "float range"),
+        (lambda: shot_error_probability_exact(10**400, 0.2), InfeasibleError, "1073741824 allowed"),
+        (lambda: shot_error_probability_exact(np.int64(2**62), 0.2), InfeasibleError, "allowed"),
+        (lambda: shot_error_probability_exact(TAIL_SHOT_CAP, 0.0), InfeasibleError, "allowed"),
+        (
+            lambda: shot_error_probability_exact(2 * TAIL_SHOT_CAP, 0.3, "success"),
+            InfeasibleError,
+            "allowed",
+        ),
+    ],
+)
+def test_numbers_past_a_formula_range_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_tail_cap_admits_the_shot_count_below_it():
+    # p of 0 or 1 answers before any array is built
+    assert shot_error_probability_exact(TAIL_SHOT_CAP - 1, 0.0) == 0.0
+    assert shot_error_probability_exact(TAIL_SHOT_CAP - 1, 1.0) == 1.0
+
+
 _ints = st.integers(-3, 10**5)
 _anything = st.one_of(
     _ints,
@@ -185,8 +218,9 @@ _anything = st.one_of(
 def test_numeric_entry_points_answer_or_refuse(case, value):
     """Any value gives a result or a MitigationError, never another error."""
     call, _ = CASES[case]
-    # the exact tail allocates arrays of about `shots` floats, with no cap
-    assume(case != "shot_error_probability_exact shots" or not _is_int(value) or value <= 10**5)
+    # below its cap the exact tail allocates arrays of about `shots` floats
+    tail_shots = case == "shot_error_probability_exact shots" and _is_int(value)
+    assume(not tail_shots or value <= 10**5 or value >= TAIL_SHOT_CAP)
     try:
         call(value)
     except MitigationError:
