@@ -7,9 +7,6 @@ __version__ = "0.1.0"
 
 from .ams import AmsPlan, adaptive_vote, ams_execute, ams_plan, merge_votes
 from .budget import (
-    BudgetQuery,
-    BudgetReport,
-    evaluate,
     m3_shot_requirement,
     per_qubit_target_bound,
     qmv_error_bound,
@@ -55,8 +52,6 @@ from .noise import (
 __all__ = [
     "AmsPlan",
     "AntipodalPair",
-    "BudgetQuery",
-    "BudgetReport",
     "CountsFormatError",
     "CountsTable",
     "DimensionError",
@@ -75,7 +70,6 @@ __all__ = [
     "ams_plan",
     "complement",
     "derive_seed",
-    "evaluate",
     "ground_truth_pattern",
     "hamming_distance",
     "load_counts",

@@ -22,12 +22,15 @@ margin epsilon = 0.5 - p:
   count a measured-strings-only mitigator needs before the correct string
   shows up at all. Exponential in the qubit count; reported for
   comparison only.
+
+Each figure is a Python number, whatever numpy type came in. One function,
+``_figures(n, p)``, computes them for both ``qmvote bound`` and the
+``budget`` section of an experiment report, so the two print the same figures.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +68,11 @@ def _check_sub_half_p(p: float) -> float:
     return float(p)
 
 
+def _python_number(value: float) -> int | float:
+    """A checked real number as the equal Python int or float, for the formulas below."""
+    return int(value) if _is_int(value) else float(value)
+
+
 def _log_binomial(shots: int, k: int) -> float:
     """log C(shots, k)."""
     return math.lgamma(shots + 1) - math.lgamma(k + 1) - math.lgamma(shots - k + 1)
@@ -95,8 +103,7 @@ def geometric_ratio(shots: int, p: float) -> float:
     Strictly below p / (1-p) < 1 for p < 0.5, which is what lets the tail
     be bounded by its largest term times a geometric series.
     """
-    _check_even_shots(shots)
-    _check_sub_half_p(p)
+    shots, p = _check_even_shots(shots), _check_sub_half_p(p)
     return (shots / (shots + 2)) * p / (1.0 - p)
 
 
@@ -176,6 +183,7 @@ def required_shots(n: float, epsilon: float) -> int:
         raise ValidationError(f"the shot rule needs at least 2 qubits, got {n}")
     if not _is_real(epsilon) or not 0.0 < epsilon <= 0.5:
         raise ValidationError(f"epsilon must lie in (0, 0.5], got {epsilon}")
+    n, epsilon = _python_number(n), float(epsilon)
     try:
         shots = math.ceil(0.5 * math.log(n) / epsilon**2)
     except (ZeroDivisionError, OverflowError):  # epsilon**2 underflows to zero or near it
@@ -192,7 +200,7 @@ def per_qubit_target_bound(n: float, epsilon: float) -> float:
         raise ValidationError(f"the target bound needs at least 2 qubits, got {n}")
     if not _is_real(epsilon) or not 0.0 < epsilon <= 0.5:
         raise ValidationError(f"epsilon must lie in (0, 0.5], got {epsilon}")
-    n = _check_float_range(n, "qubit count")
+    n, epsilon = _check_float_range(_python_number(n), "qubit count"), float(epsilon)
     return (0.5 + epsilon) / math.sqrt(math.pi * math.log(n)) / n
 
 
@@ -204,6 +212,7 @@ def m3_shot_requirement(n: float, p: float) -> float:
         raise ValidationError(f"qubit count must be at least 1, got {n}")
     if not _is_real(p) or not 0.0 <= p < 1.0:
         raise ValidationError(f"p must lie in [0, 1), got {p}")
+    n, p = _python_number(n), float(p)
     try:
         return (1.0 - p) ** (-n)
     except OverflowError:
@@ -216,86 +225,27 @@ def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-@dataclass(frozen=True)
-class BudgetQuery:
-    """Inputs to a budget evaluation.
-
-    ``epsilon`` is derived as exactly 0.5 - p, so the two can never drift
-    apart. Construct via :meth:`from_p` or :meth:`from_epsilon`.
-    """
-
-    n: int
-    p: float
-    shots: int
-
-    def __post_init__(self):
-        if not _is_real(self.n) or not self.n >= 2:
-            raise ValidationError(f"budget queries need at least 2 qubits, got {self.n}")
-        # kept as Python numbers, so that a report on numpy inputs still dumps to JSON
-        n = _check_float_range(int(self.n) if _is_int(self.n) else float(self.n), "qubit count")
-        self.__dict__.update(n=n, p=_check_sub_half_p(self.p), shots=_check_even_shots(self.shots))
-
-    @property
-    def epsilon(self) -> float:
-        return 0.5 - self.p
-
-    @classmethod
-    def from_epsilon(cls, n: int, epsilon: float, shots: int | None = None) -> "BudgetQuery":
-        if not _is_real(epsilon) or not 0.0 < epsilon <= 0.5:
-            raise ValidationError(f"epsilon must lie in (0, 0.5], got {epsilon}")
-        if shots is None:
-            shots = required_shots(n, epsilon)
-        if 0.5 - epsilon == 0.5:
-            raise ValidationError(
-                f"epsilon={epsilon} is too small to tell p = 0.5 - epsilon from 0.5 in float64"
-            )
-        return cls(n=n, p=0.5 - epsilon, shots=shots)
-
-    @classmethod
-    def from_p(cls, n: int, p: float, shots: int | None = None) -> "BudgetQuery":
-        _check_sub_half_p(p)
-        if shots is None:
-            shots = required_shots(n, 0.5 - p)
-        return cls(n=n, p=p, shots=shots)
-
-
-@dataclass(frozen=True)
-class BudgetReport:
-    """Evaluated budget figures for one query.
-
-    ``bound_any_qubit`` is the union bound n times the per-qubit figure,
-    capped at 1; callers pick whichever target suits them.
-    """
-
-    query: BudgetQuery
-    required_shots: int
-    bound_per_qubit: float
-    bound_any_qubit: float
-    per_qubit_target: float
-    m3_shots_estimate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.query.n,
-            "p": self.query.p,
-            "epsilon": self.query.epsilon,
-            "shots": self.query.shots,
-            "required_shots": self.required_shots,
-            "bound_per_qubit": self.bound_per_qubit,
-            "bound_any_qubit": self.bound_any_qubit,
-            "per_qubit_target": self.per_qubit_target,
-            "m3_shots_estimate": _finite_or_none(self.m3_shots_estimate),
-        }
-
-
-def evaluate(query: BudgetQuery) -> BudgetReport:
-    """Evaluate every budget figure for one query."""
-    per_qubit = qmv_error_bound(query.shots, query.p)
-    return BudgetReport(
-        query=query,
-        required_shots=required_shots(query.n, query.epsilon),
-        bound_per_qubit=per_qubit,
-        bound_any_qubit=min(1.0, query.n * per_qubit),
-        per_qubit_target=per_qubit_target_bound(query.n, query.epsilon),
-        m3_shots_estimate=m3_shot_requirement(query.n, query.p),
-    )
+def _figures(n: int | float, p: float, shots: int | None = None) -> dict:
+    """Every budget figure for n qubits at flip probability p; ``shots``
+    defaults to the shot rule's count. ``bound_any_qubit`` is the union bound
+    n times the per-qubit figure, capped at 1."""
+    p = _check_sub_half_p(p)
+    epsilon = 0.5 - p
+    if shots is None:
+        shots = required_shots(n, epsilon)
+    if not _is_real(n) or not n >= 2:
+        raise ValidationError(f"budget queries need at least 2 qubits, got {n}")
+    n = _check_float_range(_python_number(n), "qubit count")
+    shots = _check_even_shots(shots)
+    per_qubit = qmv_error_bound(shots, p)
+    return {
+        "n": n,
+        "p": p,
+        "epsilon": epsilon,
+        "shots": shots,
+        "required_shots": required_shots(n, epsilon),
+        "bound_per_qubit": per_qubit,
+        "bound_any_qubit": min(1.0, n * per_qubit),
+        "per_qubit_target": per_qubit_target_bound(n, epsilon),
+        "m3_shots_estimate": _finite_or_none(m3_shot_requirement(n, p)),
+    }

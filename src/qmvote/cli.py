@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .ams import ams_execute, ams_plan
-from .budget import BudgetQuery, _finite_or_none, evaluate
+from .budget import _figures, _finite_or_none, required_shots
 from .core import hamming_distance, tally
 from .countsfile import BIT_ORDERS, load_counts, serialize_counts, write_counts
 from .errors import InfeasibleError, MitigationError, ValidationError
@@ -187,11 +187,18 @@ def _load_prior(args, n: int) -> Prior:
 
 
 def _cmd_bound(args) -> int:
-    if args.epsilon is not None:
-        query = BudgetQuery.from_epsilon(args.n, args.epsilon, args.shots)
-    else:
-        query = BudgetQuery.from_p(args.n, args.p, args.shots)
-    _emit(args, evaluate(query).to_dict())
+    p, shots, epsilon = args.p, args.shots, args.epsilon
+    if epsilon is not None:
+        if not 0.0 < epsilon <= 0.5:  # NaN fails too
+            raise ValidationError(f"epsilon must lie in (0, 0.5], got {epsilon}")
+        if shots is None:  # before the next check: a margin too small for float range exits 2
+            shots = required_shots(args.n, epsilon)
+        if 0.5 - epsilon == 0.5:
+            raise ValidationError(
+                f"epsilon={epsilon} is too small to tell p = 0.5 - epsilon from 0.5 in float64"
+            )
+        p = 0.5 - epsilon
+    _emit(args, _figures(args.n, p, shots))
     return 0
 
 

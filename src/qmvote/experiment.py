@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from .ams import adaptive_vote
-from .budget import BudgetQuery, evaluate, qmv_error_bound
+from .budget import _figures, qmv_error_bound
 from .core import MAX_QUBITS, CountsTable, _is_int, _is_real, hamming_distance, tally
 from .errors import InfeasibleError, ValidationError
 from .estimators import (
@@ -81,6 +81,10 @@ class ExperimentConfig:
     ams_factor: float | None = None
 
     def __post_init__(self):
+        for name in ("ams_tau", "ams_factor"):  # kept as Python floats: they go in reports
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _number(value, name.replace("_", ".")))
         for name in ("shots", "seeds"):  # kept as Python ints: they name streams and go in reports
             if not all(map(_is_int, getattr(self, name))):
                 raise ValidationError(f"field {name!r} must be a list of integers")
@@ -176,8 +180,7 @@ class ExperimentConfig:
             if not isinstance(ams, dict) or "tau" not in ams or "factor" not in ams:
                 raise ValidationError("field 'ams' must be an object with 'tau' and 'factor'")
             _refuse_unknown(ams, {"tau", "factor"}, "'ams'")
-            ams_tau = _number(ams["tau"], "ams.tau")
-            ams_factor = _number(ams["factor"], "ams.factor")
+            ams_tau, ams_factor = ams["tau"], ams["factor"]
 
         return cls(
             ground_truth=truth,
@@ -306,7 +309,7 @@ def _budget_section(config: ExperimentConfig) -> dict | None:
     p = float(noise.p01[0])
     if not bool((noise.p01 == p).all()) or not p < 0.5:
         return None
-    figures = evaluate(BudgetQuery.from_p(config.n, p)).to_dict()
+    figures = _figures(config.n, p)
     keep = ("p", "epsilon", "required_shots", "per_qubit_target", "m3_shots_estimate")
     return {key: figures[key] for key in keep} | {
         "qmv_error_bound": {

@@ -1,22 +1,27 @@
 """Tests for the shot-budget bounds and the shot-count rule."""
 
+import contextlib
+import io
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qmvote import (
-    BudgetQuery,
+    ExperimentConfig,
     InvalidRegimeError,
     ValidationError,
-    evaluate,
     m3_shot_requirement,
     per_qubit_target_bound,
     qmv_error_bound,
     required_shots,
+    run_experiment,
     shot_error_probability_exact,
 )
-from qmvote.budget import geometric_ratio, tail_term
+from qmvote.budget import _figures, geometric_ratio, tail_term
+from qmvote.cli import main
 
 P_GRID = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
 
@@ -120,6 +125,13 @@ class TestRequiredShots:
         with pytest.raises(ValidationError):
             required_shots(10, 0.6)
 
+    def test_float32_margin_computes_in_python_floats(self):
+        # in float32, epsilon**2 underflows and the quotient overflows with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert required_shots(10, np.float32(1e-20)) == required_shots(10, float(np.float32(1e-20)))
+        assert required_shots(10, 1e-20) == 11512925464970230224810542075664427646976
+
 
 class TestPerQubitTargetBound:
     def test_reference_value(self):
@@ -157,9 +169,8 @@ class TestM3ShotRequirement:
         assert m3_shot_requirement(n, p) == math.inf
 
     def test_infinite_estimate_reported_as_none(self):
-        report = evaluate(BudgetQuery.from_epsilon(100_000, 0.1))
-        assert report.m3_shots_estimate == math.inf
-        assert report.to_dict()["m3_shots_estimate"] is None
+        assert m3_shot_requirement(100_000, 0.4) == math.inf
+        assert _figures(100_000, 0.4)["m3_shots_estimate"] is None
 
     def test_largest_finite_value_kept(self):
         # 0.5^-1023 = 2^1023 is in range, 2^1024 is not
@@ -197,28 +208,64 @@ class TestEndToEndShotRule:
                 assert observed <= union_target + 5 * sigma
 
 
-class TestBudgetQueryReport:
+FIGURE_KEYS = {
+    "n", "p", "epsilon", "shots", "required_shots", "bound_per_qubit",
+    "bound_any_qubit", "per_qubit_target", "m3_shots_estimate",
+}
+
+
+def bound(*argv):
+    """``qmvote bound`` output as a dict, for a query it answers."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bound", *argv]) == 0
+    return json.loads(out.getvalue())
+
+
+class TestFigures:
     def test_epsilon_derived_exactly(self):
-        q = BudgetQuery.from_p(100, 0.3)
-        assert q.epsilon == 0.5 - q.p
-        q2 = BudgetQuery.from_epsilon(100, 0.2)
-        assert q2.epsilon == 0.5 - q2.p
+        figures = _figures(100, 0.3)
+        assert figures["epsilon"] == 0.5 - 0.3
+        printed = bound("--n", "100", "--epsilon", "0.2")
+        assert printed["p"] == 0.5 - 0.2
+        assert printed["epsilon"] == 0.5 - printed["p"]
 
     def test_default_shots_follow_rule(self):
-        q = BudgetQuery.from_epsilon(1000, 0.1)
-        assert q.shots == 346
+        assert _figures(1000, 0.4)["shots"] == 346
+        assert bound("--n", "1000", "--epsilon", "0.1")["shots"] == 346
 
     def test_report_fields(self):
-        report = evaluate(BudgetQuery.from_epsilon(64, 0.2))
-        assert report.required_shots == required_shots(64, 0.2)
-        assert 0.0 <= report.bound_per_qubit <= 1.0
-        assert report.bound_any_qubit == pytest.approx(
-            min(1.0, 64 * report.bound_per_qubit)
-        )
-        d = report.to_dict()
-        assert d["n"] == 64
-        assert d["m3_shots_estimate"] == pytest.approx(m3_shot_requirement(64, 0.3))
+        figures = _figures(64, 0.3)
+        assert set(figures) == FIGURE_KEYS
+        assert figures["n"] == 64
+        assert figures["required_shots"] == required_shots(64, 0.5 - 0.3)
+        assert figures["shots"] == figures["required_shots"]
+        assert 0.0 <= figures["bound_per_qubit"] <= 1.0
+        assert figures["bound_any_qubit"] == pytest.approx(min(1.0, 64 * figures["bound_per_qubit"]))
+        assert figures["per_qubit_target"] == per_qubit_target_bound(64, 0.5 - 0.3)
+        assert figures["m3_shots_estimate"] == pytest.approx(m3_shot_requirement(64, 0.3))
+        assert bound("--n", "64", "--p", "0.3") == figures
+
+    @pytest.mark.parametrize("n, p, shots", [(10, 0.2, None), (np.int64(10), np.float32(0.25), np.int64(40))])
+    def test_values_are_python_numbers(self, n, p, shots):
+        for key, value in _figures(n, p, shots).items():
+            assert type(value) in (int, float), (key, type(value))
 
     def test_rejects_odd_shots(self):
         with pytest.raises(ValidationError):
-            BudgetQuery.from_p(10, 0.2, shots=11)
+            _figures(10, 0.2, shots=11)
+
+    def test_experiment_budget_matches_bound(self):
+        config = ExperimentConfig.from_dict(
+            {
+                "ground_truth": {"pattern": "alternating", "n": 12},
+                "noise": {"p": 0.2},
+                "shots": [40],
+                "estimators": ["qmv"],
+                "seeds": [0],
+            }
+        )
+        budget = run_experiment(config).budget
+        printed = bound("--n", "12", "--p", "0.2")
+        for key in ("p", "epsilon", "required_shots", "per_qubit_target", "m3_shots_estimate"):
+            assert budget[key] == printed[key], key

@@ -1,6 +1,6 @@
-"""One number rule at every public numeric entry point: a numpy integer is
-taken as the equal Python int and stored as one, and a string or boolean is
-refused with ValidationError rather than read as a number."""
+"""One number rule at every public numeric entry point: a numpy number is
+taken as the equal Python number and stored or returned as one, and a string
+or boolean is refused with ValidationError rather than read as a number."""
 
 import dataclasses
 import json
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from qmvote import (
     AmsPlan,
-    BudgetQuery,
     CountsTable,
     Estimate,
     ExperimentConfig,
@@ -20,12 +19,13 @@ from qmvote import (
     MitigationError,
     NoiseModel,
     Prior,
+    Report,
     ValidationError,
     VoteTally,
     adaptive_vote,
     ams_execute,
     ams_plan,
-    evaluate,
+    m3_shot_requirement,
     per_qubit_target_bound,
     qmv_error_bound,
     required_shots,
@@ -33,11 +33,22 @@ from qmvote import (
     shot_error_probability_exact,
     simulate_shots,
 )
+from qmvote.budget import _figures
 from qmvote.core import _is_int
 
 TALLY = VoteTally(zeros=[3, 1, 2, 0], ones=[1, 3, 2, 4])
 NOISE = NoiseModel.uniform(4, 0.2)
 PLAN = ams_plan(TALLY, 0.6, 8)
+CONFIG = ExperimentConfig.from_dict(
+    {
+        "ground_truth": "0110",
+        "noise": {"p": 0.2},
+        "shots": [40],
+        "estimators": ["qmv", "ams"],
+        "seeds": [3],
+        "ams": {"tau": 0.25, "factor": 0.5},
+    }
+)
 
 # entry point -> (call with the value under test in one argument, a valid
 # Python value for that argument)
@@ -61,12 +72,17 @@ CASES = {
     "per_qubit_target_bound epsilon": (lambda v: per_qubit_target_bound(10, v), 0.25),
     "required_shots n": (lambda v: required_shots(v, 0.1), 10),
     "required_shots epsilon": (lambda v: required_shots(10, v), 0.25),
-    "BudgetQuery.from_p n": (lambda v: BudgetQuery.from_p(v, 0.1), 10),
-    "BudgetQuery.from_p p": (lambda v: BudgetQuery.from_p(10, v), 0),
-    "BudgetQuery.from_p shots": (lambda v: BudgetQuery.from_p(10, 0.1, v), 20),
-    "BudgetQuery.from_epsilon n": (lambda v: BudgetQuery.from_epsilon(v, 0.25), 10),
-    "BudgetQuery.from_epsilon epsilon": (lambda v: BudgetQuery.from_epsilon(10, v), 0.25),
-    "BudgetQuery.from_epsilon shots": (lambda v: BudgetQuery.from_epsilon(10, 0.25, v), 20),
+    "m3_shot_requirement n": (lambda v: m3_shot_requirement(v, 0.45), 3000),
+    "m3_shot_requirement p": (lambda v: m3_shot_requirement(3000, v), 0.5),
+    "budget figures n": (lambda v: _figures(v, 0.1), 10),
+    "budget figures p": (lambda v: _figures(10, v), 0.25),
+    "budget figures p as an integer": (lambda v: _figures(10, v), 0),
+    "budget figures shots": (lambda v: _figures(10, 0.1, v), 20),
+    "ExperimentConfig ams tau": (lambda v: run_experiment(dataclasses.replace(CONFIG, ams_tau=v)), 0.25),
+    "ExperimentConfig ams factor": (
+        lambda v: run_experiment(dataclasses.replace(CONFIG, ams_factor=v)),
+        0.5,
+    ),
     "CountsTable count": (lambda v: CountsTable({"01": v, "11": 1}), 2),
     "CountsTable n": (lambda v: CountsTable({"01": 2}, n=v), 2),
     "simulate_shots shots": (lambda v: simulate_shots("0101", NOISE, v, 3), 50),
@@ -80,8 +96,8 @@ def portable(result):
         return [portable(r) for r in result]
     if isinstance(result, AmsPlan):
         return dataclasses.asdict(result)
-    if isinstance(result, BudgetQuery):
-        return evaluate(result).to_dict()
+    if isinstance(result, Report):
+        return json.loads(result.to_json())
     if isinstance(result, Estimate):
         return [result.value, result.method, result.margins.tolist(), result.gap]
     if isinstance(result, NoiseModel):
@@ -97,10 +113,12 @@ def numpy_twins(value):
     if isinstance(value, int):
         types = (np.int64, np.uint16, np.int8)
         return [t(value) for t in types if np.iinfo(t).min <= value <= np.iinfo(t).max]
-    return [np.float64(value)]
+    twins = [np.float64(value)]
+    return twins + [np.float32(value)] if float(np.float32(value)) == value else twins
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numpy_number_gives_the_python_result(case):
     call, good = CASES[case]
     want = json.dumps(portable(call(good)))
