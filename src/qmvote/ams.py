@@ -51,34 +51,26 @@ class AmsPlan:
         return len(self.close_qubits)
 
 
-def ams_plan(vote_tally: VoteTally, tau: float, total_shots: int) -> AmsPlan:
+def ams_plan(vote_tally: VoteTally, tau: float) -> AmsPlan:
     """Build the phase-2 allocation from a phase-1 tally.
 
-    The tally must come from a half-budget run (total_shots / 2 shots).
-    Close qubits are those with |N0 - N1| / k strictly below ``tau``; each
-    gets one subset circuit with k // m shots, any remainder staying
+    Phase 1 spends half the budget, so a tally of k shots plans a budget of
+    2k. Close qubits are those with |N0 - N1| / k strictly below ``tau``;
+    each gets one subset circuit with k // m shots, any remainder staying
     unspent so the total budget is never exceeded.
     """
     if not isinstance(vote_tally, VoteTally):
         raise ValidationError(f"expected a VoteTally, got {type(vote_tally).__name__}")
     if not _is_real(tau) or not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must lie strictly inside (0, 1), got {tau}")
-    if not _is_int(total_shots) or total_shots < 2:
-        raise ValidationError(f"total_shots must be an integer >= 2, got {total_shots!r}")
-    if total_shots % 2:
-        raise ValidationError(f"total_shots must be even to split in half, got {total_shots}")
-    k = int(total_shots) // 2
-    if vote_tally.shots != k:
-        raise ValidationError(
-            f"phase-1 tally covers {vote_tally.shots} shots, expected half the budget ({k})"
-        )
+    k = vote_tally.shots
     close = tuple(int(i) for i in np.flatnonzero(vote_tally.margins < tau))
     m = len(close)
     per_subset = k // m if m else 0
     return AmsPlan(
         n=vote_tally.n,
         tau=float(tau),
-        total_shots=int(total_shots),
+        total_shots=2 * k,
         phase1_shots=k,
         close_qubits=close,
         per_subset_shots=per_subset,
@@ -202,6 +194,6 @@ def adaptive_vote(
         raise ValidationError(f"total_shots must be even and >= 2, got {total_shots}")
     k = total_shots // 2
     phase1 = tally(simulate_shots(x0, noise, k, derive_seed(seed, "phase1")))
-    plan = ams_plan(phase1, tau, total_shots)
+    plan = ams_plan(phase1, tau)
     estimate = _execute(x0, noise, plan, phase1, subset_noise_factor, seed)
     return plan, estimate

@@ -8,10 +8,7 @@ margin epsilon = 0.5 - p:
 
       (4 p (1-p))^(S/2) * sqrt(2 / (pi S)) * (1-p) / (1-2p)
 
-  It dominates the exact binomial tail; the two inequality steps behind it
-  (geometric tail bound, then a Stirling estimate of the central binomial
-  coefficient) are exposed as ``tail_term`` and ``geometric_ratio`` so a
-  dominance failure can be localized.
+  It dominates the exact binomial tail.
 * ``shot_error_probability_exact(S, p)`` -- the exact binomial tail that
   bound is checked against, for any S >= 1 and p in [0, 1].
 * ``required_shots(n, epsilon)`` -- the rule S = 0.5 ln(n) / epsilon^2,
@@ -73,40 +70,6 @@ def _python_number(value: float) -> int | float:
     return int(value) if _is_int(value) else float(value)
 
 
-def _log_binomial(shots: int, k: int) -> float:
-    """log C(shots, k)."""
-    return math.lgamma(shots + 1) - math.lgamma(k + 1) - math.lgamma(shots - k + 1)
-
-
-def tail_term(shots: int, zeros: int, p: float) -> float:
-    """One term of the error tail: C(shots, zeros) (1-p)^zeros p^(shots-zeros).
-
-    The probability of reading the true value exactly ``zeros`` times out
-    of ``shots`` when the flip probability is p.
-    """
-    _check_even_shots(shots)
-    if not _is_int(zeros) or not 0 <= zeros <= shots:
-        raise ValidationError(f"zeros must lie in 0..{shots}, got {zeros}")
-    if not _is_real(p) or not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return 0.0 if zeros < shots else 1.0
-    if p == 1.0:
-        return 1.0 if zeros == 0 else 0.0
-    log_c = _log_binomial(shots, zeros)
-    return math.exp(log_c + zeros * math.log1p(-p) + (shots - zeros) * math.log(p))
-
-
-def geometric_ratio(shots: int, p: float) -> float:
-    """Ratio bounding successive tail terms: (S / (S + 2)) * p / (1 - p).
-
-    Strictly below p / (1-p) < 1 for p < 0.5, which is what lets the tail
-    be bounded by its largest term times a geometric series.
-    """
-    shots, p = _check_even_shots(shots), _check_sub_half_p(p)
-    return (shots / (shots + 2)) * p / (1.0 - p)
-
-
 def qmv_error_bound(shots: int, p: float) -> float:
     """Closed-form upper bound on the per-qubit majority-vote error."""
     shots = _check_even_shots(shots)
@@ -122,29 +85,23 @@ def qmv_error_bound(shots: int, p: float) -> float:
     return math.exp(log_bound)
 
 
-def shot_error_probability_exact(shots: int, p: float, ties: str = "error") -> float:
+def shot_error_probability_exact(shots: int, p: float) -> float:
     """Exact probability that a per-qubit majority over ``shots`` i.i.d.
     measurements with symmetric flip probability ``p`` comes out wrong.
 
     Sums the binomial tail sum_{f} C(shots, f) p^f (1-p)^(shots-f) over all
-    flip counts f that defeat the vote. With ``ties="error"`` an exact tie
-    (f = shots/2, even shots) counts against the vote, matching the
-    tie-to-1 vote rule when the ground truth is 0; ``ties="success"``
-    counts ties as correct. Computed in log space, stable up to shots
-    around 10**6. Shot counts whose tail arrays would pass 1 GiB, about
-    1.3e8 shots, raise InfeasibleError before anything is allocated.
+    flip counts f that defeat the vote. An exact tie (f = shots/2, even
+    shots) counts as an error, since the vote sends ties to 1 and so loses
+    them when the ground truth is 0. Computed in log space, stable up to
+    shots around 10**6. Shot counts whose tail arrays would pass 1 GiB,
+    about 1.3e8 shots, raise InfeasibleError before anything is allocated.
     """
     if not _is_int(shots) or shots < 1:
         raise ValidationError(f"shots must be a positive integer, got {shots!r}")
     if not _is_real(p) or not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
-    if ties not in ("error", "success"):
-        raise ValidationError(f"ties must be 'error' or 'success', got {ties!r}")
     shots = int(shots)
-    if ties == "error":
-        lo = (shots + 1) // 2  # ceil(S/2); includes the tie term for even S
-    else:
-        lo = shots // 2 + 1
+    lo = (shots + 1) // 2  # ceil(S/2); includes the tie term for even S
     tail_bytes = 2 * 8 * (shots - lo + 1)
     if tail_bytes > _TAIL_MAX_BYTES:
         raise InfeasibleError(
@@ -154,13 +111,13 @@ def shot_error_probability_exact(shots: int, p: float, ties: str = "error") -> f
     if p == 0.0:
         return 0.0
     if p == 1.0:
-        return 1.0 if lo <= shots else 0.0
+        return 1.0
     f = np.arange(lo, shots + 1, dtype=np.float64)
     # log C(S, f) is log C(S, lo) plus the summed logs of the exact step
     # ratios C(S, f + 1) / C(S, f) = (S - f) / (f + 1), so lgamma runs once.
     # Every step works in place: at S = 10**6 a temporary is a fresh 4 MB.
     log_terms = np.empty_like(f)
-    log_terms[0] = _log_binomial(shots, lo)
+    log_terms[0] = math.lgamma(shots + 1) - math.lgamma(lo + 1) - math.lgamma(shots - lo + 1)
     steps = log_terms[1:]
     np.subtract(shots, f[:-1], out=steps)
     steps /= f[1:]
@@ -213,6 +170,8 @@ def m3_shot_requirement(n: float, p: float) -> float:
     if not _is_real(p) or not 0.0 <= p < 1.0:
         raise ValidationError(f"p must lie in [0, 1), got {p}")
     n, p = _python_number(n), float(p)
+    if p == 0.0:  # 1 for any n, even one too large for the float power below
+        return 1.0
     try:
         return (1.0 - p) ** (-n)
     except OverflowError:

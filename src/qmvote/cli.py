@@ -79,7 +79,6 @@ def _build_parser() -> _Parser:
     ams.add_argument("counts", help="phase-1 counts file (half the budget)")
     ams.add_argument("--tau", type=float, required=True, help="close-vote margin threshold")
     ams.add_argument("--factor", type=float, default=0.5, help="subset noise scale in (0, 1]")
-    ams.add_argument("--total-shots", type=int, help="full budget (default: twice the counts)")
     ams.add_argument("--truth", help="ground truth; enables simulated execution")
     _noise_flags(ams)
 
@@ -204,9 +203,8 @@ def _cmd_bound(args) -> int:
 
 def _cmd_ams(args) -> int:
     counts = load_counts(args.counts, bit_order=args.bit_order)
-    total = args.total_shots if args.total_shots is not None else 2 * counts.shots
     phase1 = tally(counts)
-    plan = ams_plan(phase1, args.tau, total)
+    plan = ams_plan(phase1, args.tau)
     payload = {"plan": {k: v for k, v in dataclasses.asdict(plan).items() if k != "n"}}
     noise = _noise_from_args(args, counts.n, required=args.truth is not None)
     if args.truth is not None:

@@ -66,6 +66,20 @@ def _probabilities(values, what: str) -> np.ndarray:
     return arr
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _counts(values, what: str) -> np.ndarray:
+    """``values`` as an int64 copy of the same shape, for the caller to check:
+    integers within int64, never floats, strings or booleans (a signed
+    integer ndarray is not walked)."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "i"):
+        for value in np.array(values, dtype=object).ravel():
+            if not _is_int(value) or not -_INT64_MAX - 1 <= value <= _INT64_MAX:
+                raise ValidationError(f"{what} entries must be int64 integers, got {value!r}")
+    return np.array(values, dtype=np.int64, copy=True)
+
+
 def complement(bits: str) -> str:
     """Bitwise complement of a bitstring."""
     return bits.translate(_COMPLEMENT_TABLE)
@@ -289,20 +303,19 @@ class VoteTally:
 
     zeros: np.ndarray
     ones: np.ndarray
-    shots: int = field(default=0)
+    shots: int = field(init=False)
 
     def __post_init__(self):
-        zeros = np.array(self.zeros, dtype=np.int64, copy=True)
-        ones = np.array(self.ones, dtype=np.int64, copy=True)
+        zeros, ones = _counts(self.zeros, "zeros"), _counts(self.ones, "ones")
         if zeros.ndim != 1 or zeros.shape != ones.shape:
             raise DimensionError("zeros and ones must be 1-d arrays of equal length")
         if zeros.size == 0 or zeros.size > MAX_QUBITS:
             raise ValidationError(f"qubit count must be in 1..{MAX_QUBITS}, got {zeros.size}")
         if np.any(zeros < 0) or np.any(ones < 0):
             raise ValidationError("per-qubit counts must be nonnegative")
-        shots = self.shots if self.shots else int(zeros[0] + ones[0])
-        if shots < 1:
-            raise ValidationError("tally must cover at least one shot")
+        shots = int(zeros[0]) + int(ones[0])
+        if not 1 <= shots <= _INT64_MAX:
+            raise ValidationError(f"tally must cover 1 to 2**63 - 1 shots, got {shots}")
         if np.any(zeros + ones != shots):
             raise ValidationError("zeros[i] + ones[i] must equal the shot total for every qubit")
         zeros.setflags(write=False)
@@ -357,4 +370,4 @@ def tally(counts: CountsTable) -> VoteTally:
     """
     bits, weights = counts.as_arrays()
     ones = _column_sums(weights, bits)
-    return VoteTally(zeros=counts.shots - ones, ones=ones, shots=counts.shots)
+    return VoteTally(zeros=counts.shots - ones, ones=ones)

@@ -58,8 +58,8 @@ GROUND_TRUTH_PATTERNS = ("alternating", "all-zeros", "ghz-antipodal")
 
 def ground_truth_pattern(name: str, n: int) -> str:
     """Expand a named ground-truth pattern to n qubits."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValidationError(f"pattern length must be in 1..{MAX_QUBITS}, got {n}")
+    if not _is_int(n) or not 1 <= n <= MAX_QUBITS:
+        raise ValidationError(f"pattern length must be an integer in 1..{MAX_QUBITS}, got {n!r}")
     if name == "alternating":
         return ("10" * ((n + 1) // 2))[:n]
     if name in ("all-zeros", "ghz-antipodal"):

@@ -225,17 +225,15 @@ def test_criterion_07_ams_plan_arithmetic_and_distance():
         return VoteTally(zeros=zeros, ones=shots - zeros)
 
     # 1536-shot budget: half to phase 1, then k/m shots per close qubit
-    plan = ams_plan(margins_tally([0.001] * 12 + [0.9] * 13, 768), 0.05, 1536)
+    plan = ams_plan(margins_tally([0.001] * 12 + [0.9] * 13, 768), 0.05)
     assert plan.phase1_shots == 768
     assert plan.per_subset_shots == 64
     assert plan.insufficient
-    plan = ams_plan(margins_tally([0.001] + [0.9] * 24, 768), 0.01, 1536)
+    plan = ams_plan(margins_tally([0.001] + [0.9] * 24, 768), 0.01)
     assert plan.per_subset_shots == 768
     assert not plan.insufficient
     for total, close, per_circuit in ((2048, 3, 341), (6144, 2, 1536), (24576, 2, 6144)):
-        plan = ams_plan(
-            margins_tally([0.0] * close + [0.9] * (25 - close), total // 2), 0.01, total
-        )
+        plan = ams_plan(margins_tally([0.0] * close + [0.9] * (25 - close), total // 2), 0.01)
         assert plan.per_subset_shots == per_circuit
 
     # Monte Carlo comparison: three near-coin-flip qubits dominate the error

@@ -36,8 +36,9 @@ def tally_with_margins(margins, shots):
 class TestAmsPlan:
     def test_single_close_qubit(self):
         t = tally_with_margins([0.4, 0.004, 0.3], 1024)
-        plan = ams_plan(t, 0.01, 2048)
+        plan = ams_plan(t, 0.01)
         assert plan.phase1_shots == 1024
+        assert plan.total_shots == 2048
         assert plan.close_qubits == (1,)
         assert plan.per_subset_shots == 1024
         assert plan.subset_count == 1
@@ -45,7 +46,7 @@ class TestAmsPlan:
 
     def test_no_close_votes_degenerates(self):
         t = tally_with_margins([0.4, 0.2, 0.3], 512)
-        plan = ams_plan(t, 0.01, 1024)
+        plan = ams_plan(t, 0.01)
         assert plan.close_qubits == ()
         assert plan.per_subset_shots == 0
         assert not plan.insufficient
@@ -53,7 +54,7 @@ class TestAmsPlan:
     def test_twelve_close_qubits_insufficient(self):
         # 1536-shot budget: 768 phase-1 shots, 12 close qubits -> 64 each
         margins = [0.001] * 12 + [0.5] * 13
-        plan = ams_plan(tally_with_margins(margins, 768), 0.05, 1536)
+        plan = ams_plan(tally_with_margins(margins, 768), 0.05)
         assert plan.phase1_shots == 768
         assert len(plan.close_qubits) == 12
         assert plan.per_subset_shots == 64
@@ -65,15 +66,15 @@ class TestAmsPlan:
     )
     def test_per_circuit_shot_arithmetic(self, total, close, expected_per_circuit):
         margins = [0.0] * close + [0.9] * (25 - close)
-        plan = ams_plan(tally_with_margins(margins, total // 2), 0.01, total)
+        plan = ams_plan(tally_with_margins(margins, total // 2), 0.01)
         assert plan.per_subset_shots == expected_per_circuit
 
     def test_insufficient_fires_exactly_below_hundred(self):
         margins = [0.0] * 5 + [0.9] * 5
-        plan = ams_plan(tally_with_margins(margins, 500), 0.01, 1000)
+        plan = ams_plan(tally_with_margins(margins, 500), 0.01)
         assert plan.per_subset_shots == 100
         assert not plan.insufficient
-        plan = ams_plan(tally_with_margins(margins, 498), 0.01, 996)
+        plan = ams_plan(tally_with_margins(margins, 498), 0.01)
         assert plan.per_subset_shots == 99
         assert plan.insufficient
 
@@ -84,8 +85,8 @@ class TestAmsPlan:
             ones = rng.integers(0, shots + 1, 10)
             t = VoteTally(zeros=shots - ones, ones=ones)
             tau1, tau2 = sorted(rng.uniform(0.01, 0.99, 2))
-            small = ams_plan(t, tau1, 2 * shots).close_qubits
-            large = ams_plan(t, tau2, 2 * shots).close_qubits
+            small = ams_plan(t, tau1).close_qubits
+            large = ams_plan(t, tau2).close_qubits
             assert set(small) <= set(large)
 
     def test_budget_conservation(self):
@@ -94,20 +95,16 @@ class TestAmsPlan:
             shots = int(rng.integers(1, 300)) * 2
             ones = rng.integers(0, shots + 1, 12)
             t = VoteTally(zeros=shots - ones, ones=ones)
-            plan = ams_plan(t, float(rng.uniform(0.01, 0.99)), 2 * shots)
+            plan = ams_plan(t, float(rng.uniform(0.01, 0.99)))
             used = plan.phase1_shots + len(plan.close_qubits) * plan.per_subset_shots
             assert used <= plan.total_shots
 
     def test_validation(self):
         t = tally_with_margins([0.1], 8)
         with pytest.raises(ValidationError):
-            ams_plan(t, 0.0, 16)
+            ams_plan(t, 0.0)
         with pytest.raises(ValidationError):
-            ams_plan(t, 1.0, 16)
-        with pytest.raises(ValidationError):
-            ams_plan(t, 0.1, 15)
-        with pytest.raises(ValidationError):
-            ams_plan(t, 0.1, 18)  # tally does not cover half the budget
+            ams_plan(t, 1.0)
 
 
 class TestMergeVotes:
@@ -246,7 +243,7 @@ class TestAmsExecute:
         for seed in range(4):
             plan, est = adaptive_vote(truth, noise, tau, total, factor, seed=seed)
             phase1 = simulate_shots(truth, noise, total // 2, derive_seed(seed, "phase1"))
-            ref_plan = ams_plan(tally(phase1), tau, total)
+            ref_plan = ams_plan(tally(phase1), tau)
             ref = ams_execute(truth, noise, ref_plan, factor, seed)
             assert plan == ref_plan
             assert est.value == ref.value
@@ -256,7 +253,7 @@ class TestAmsExecute:
             assert np.array_equal(est.margins, margins)
 
     def test_budget_too_small_for_subset_circuits(self):
-        plan = ams_plan(tally_with_margins([0.0] * 5, 2), 0.5, 4)
+        plan = ams_plan(tally_with_margins([0.0] * 5, 2), 0.5)
         assert plan.subset_count == 5 and plan.per_subset_shots == 0
         with pytest.raises(ValidationError):
             ams_execute("10101", NoiseModel.uniform(5, 0.2), plan)
@@ -265,7 +262,7 @@ class TestAmsExecute:
         truth = "10110"
         noise = NoiseModel.uniform(5, 0.2)
         t = tally_with_margins([0.5] * 5, 100)
-        plan = ams_plan(t, 0.01, 200)
+        plan = ams_plan(t, 0.01)
         assert plan.close_qubits == ()
         est = ams_execute(truth, noise, plan, subset_noise_factor=1.0, seed=9)
         single = qmv(tally(simulate_shots(truth, noise, 200, derive_seed(9, "phase1"))))
@@ -281,7 +278,7 @@ class TestAmsExecute:
 
     def test_validation(self):
         noise = NoiseModel.uniform(3, 0.2)
-        plan = ams_plan(tally_with_margins([0.5, 0.5, 0.5], 50), 0.1, 100)
+        plan = ams_plan(tally_with_margins([0.5, 0.5, 0.5], 50), 0.1)
         with pytest.raises(ValidationError):
             ams_execute("101", noise, plan, subset_noise_factor=0.0)
         with pytest.raises(ValidationError):

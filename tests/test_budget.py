@@ -20,7 +20,7 @@ from qmvote import (
     run_experiment,
     shot_error_probability_exact,
 )
-from qmvote.budget import _figures, geometric_ratio, tail_term
+from qmvote.budget import _figures
 from qmvote.cli import main
 
 P_GRID = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45]
@@ -67,26 +67,10 @@ class TestQmvErrorBound:
         for shots in range(10, 201, 10):
             for p in P_GRID:
                 exact = shot_error_probability_exact(shots, p)
-                geometric_step = tail_term(shots, shots // 2, p) * (1 - p) / (1 - 2 * p)
+                largest = math.comb(shots, shots // 2) * (p * (1 - p)) ** (shots // 2)
+                geometric_step = largest * (1 - p) / (1 - 2 * p)
                 assert exact <= geometric_step * (1 + 1e-12)
                 assert geometric_step <= qmv_error_bound(shots, p) * (1 + 1e-12)
-
-
-class TestHelpers:
-    def test_tail_terms_sum_to_one(self):
-        shots, p = 30, 0.3
-        total = sum(tail_term(shots, a, p) for a in range(shots + 1))
-        assert total == pytest.approx(1.0, rel=1e-10)
-
-    def test_tail_term_matches_comb(self):
-        shots, a, p = 12, 4, 0.25
-        expected = math.comb(shots, a) * (1 - p) ** a * p ** (shots - a)
-        assert tail_term(shots, a, p) == pytest.approx(expected, rel=1e-12)
-
-    def test_geometric_ratio_below_odds(self):
-        for shots in (2, 10, 100):
-            for p in (0.05, 0.25, 0.45):
-                assert geometric_ratio(shots, p) < p / (1 - p)
 
 
 class TestRequiredShots:
@@ -159,6 +143,11 @@ class TestM3ShotRequirement:
 
     def test_trivial_case(self):
         assert m3_shot_requirement(1, 0.0) == 1.0
+
+    @pytest.mark.parametrize("n", [10**400, 2**1100, math.inf], ids=["10**400", "2**1100", "inf"])
+    def test_noiseless_is_one_past_float_range(self, n):
+        # (1 - 0)^(-n) is 1 for every n, even one the float power cannot take
+        assert m3_shot_requirement(n, 0.0) == 1.0
 
     def test_rejects_certain_flip(self):
         with pytest.raises(ValidationError):

@@ -517,13 +517,14 @@ class TestAms:
         assert code == 1
         assert "tau" in err
 
-    def test_merge_flag_is_gone(self, capsys, tmp_path):
+    # one fusion rule, and a budget of twice the counts' shots: no flag for either
+    @pytest.mark.parametrize("flag,value", [("--merge", "replace"), ("--total-shots", "204")])
+    def test_removed_flags_are_refused(self, capsys, tmp_path, flag, value):
         path = write_counts_file(tmp_path, {"00": 26, "01": 25, "10": 26, "11": 25}, 2)
-        code, out, err = run(capsys, "ams", path, "--tau", "0.5", "--merge", "replace")
+        code, out, err = run(capsys, "ams", path, "--tau", "0.5", flag, value)
         assert code == 1
         assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "--merge" in err
+        assert err == f"error: unrecognized arguments: {flag} {value}\n"
 
 
 class TestExperiment:

@@ -242,7 +242,7 @@ class TestTally:
         first = {w: 1 for w in counts}
         rest = {w: c - 1 for w, c in counts.items() if c > 1}
         a, b = tally(CountsTable(first)), tally(CountsTable(rest))
-        merged = VoteTally(zeros=a.zeros + b.zeros, ones=a.ones + b.ones, shots=a.shots + b.shots)
+        merged = VoteTally(zeros=a.zeros + b.zeros, ones=a.ones + b.ones)
         assert merged == whole
 
 

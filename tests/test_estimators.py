@@ -22,9 +22,11 @@ from qmvote import (
     merge_votes,
     ml_bruteforce,
     mode_estimate,
+    parse_counts,
     qmv,
     simulate_antipodal_shots,
     simulate_shots,
+    serialize_counts,
     sliding_window_antipodal,
     tally,
     weighted_vote,
@@ -1022,6 +1024,45 @@ class TestSharedInvariances:
             assert weighted_vote(tally(permuted), nm_perm).value == "".join(
                 basew[perm[i]] for i in range(n)
             )
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 200])
+    def test_relations_at_packed_widths(self, n):
+        """At widths on either side of a byte boundary of the packed rows:
+        permuting every key's qubits permutes the tally and the vote;
+        complementing every key swaps zeros and ones and keeps the window
+        pair; and the table rebuilt from its own entries, from its document,
+        or from the key-reversed document read right to left is the same
+        table with the same tally."""
+        rng = np.random.default_rng(n)
+        truth = "".join(rng.choice(["0", "1"], size=n))
+        noise = NoiseModel(p01=rng.uniform(0.05, 0.45, n), p10=rng.uniform(0.05, 0.45, n))
+        table = simulate_shots(truth, noise, 300, seed=n)
+        t = tally(table)
+
+        perm = rng.permutation(n)
+        permuted = tally(
+            CountsTable({"".join(k[i] for i in perm): c for k, c in table.items()}, n=n)
+        )
+        assert permuted.zeros.tolist() == t.zeros[perm].tolist()
+        assert permuted.ones.tolist() == t.ones[perm].tolist()
+        vote = qmv(t).value
+        assert qmv(permuted).value == "".join(vote[i] for i in perm)
+
+        flipped = CountsTable({complement(k): c for k, c in table.items()}, n=n)
+        assert tally(flipped) == VoteTally(zeros=t.ones, ones=t.zeros)
+        if n >= 2:
+            pair = sliding_window_antipodal(table)
+            assert sliding_window_antipodal(flipped) == pair
+
+        reversed_keys = CountsTable({k[::-1]: c for k, c in table.items()}, n=n)
+        rebuilt = [
+            CountsTable(dict(table.items())),
+            parse_counts(serialize_counts(table)),
+            parse_counts(serialize_counts(reversed_keys), bit_order="right"),
+        ]
+        for other in rebuilt:
+            assert other == table
+            assert tally(other) == t
 
     def test_count_scaling_invariance(self):
         rng = np.random.default_rng(10)

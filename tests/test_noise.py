@@ -387,36 +387,26 @@ class TestShotErrorProbabilityExact:
         # S=4, p=0.5: (C(4,2)+C(4,3)+C(4,4)) / 16 = 11/16
         assert shot_error_probability_exact(4, 0.5) == pytest.approx(11 / 16, rel=1e-12)
 
-    def test_tie_counted_as_success_variant(self):
-        # S=4, p=0.5 excluding the tie term: (C(4,3)+C(4,4)) / 16 = 5/16
-        value = shot_error_probability_exact(4, 0.5, ties="success")
-        assert value == pytest.approx(5 / 16, rel=1e-12)
-
-    def test_odd_shots_have_no_tie(self):
-        a = shot_error_probability_exact(9, 0.3)
-        b = shot_error_probability_exact(9, 0.3, ties="success")
-        assert a == b
-
     def test_certain_flip(self):
         assert shot_error_probability_exact(10, 1.0) == 1.0
 
     def test_matches_direct_summation(self):
         """Within 1e-12 of the tail summed term by term in 60-digit decimal
-        arithmetic, for every S up to 200 under both tie rules. Far out in p
-        the float sum drifts further (about 1.2e-11 at p = 1e-9, as does a
-        sum of scipy's gammaln terms), so the grid stops at p = 0.01."""
+        arithmetic, an exact tie counted as an error, for every S up to 200.
+        Far out in p the float sum drifts further (about 1.2e-11 at p = 1e-9,
+        as does a sum of scipy's gammaln terms), so the grid stops at p = 0.01."""
         with decimal.localcontext() as ctx:
             ctx.prec = 60
             for shots in range(1, 201):
-                for ties, lo in (("error", (shots + 1) // 2), ("success", shots // 2 + 1)):
-                    for p in (0.01, 0.1, 0.2, 0.3, 0.45, 0.5, 0.7, 0.99):
-                        q = decimal.Decimal(p)
-                        direct = sum(
-                            math.comb(shots, f) * q**f * (1 - q) ** (shots - f)
-                            for f in range(lo, shots + 1)
-                        )
-                        got = shot_error_probability_exact(shots, p, ties)
-                        assert got == pytest.approx(float(direct), rel=1e-12), (shots, ties, p)
+                lo = (shots + 1) // 2  # ceil(S/2): the tie term too, for even S
+                for p in (0.01, 0.1, 0.2, 0.3, 0.45, 0.5, 0.7, 0.99):
+                    q = decimal.Decimal(p)
+                    direct = sum(
+                        math.comb(shots, f) * q**f * (1 - q) ** (shots - f)
+                        for f in range(lo, shots + 1)
+                    )
+                    got = shot_error_probability_exact(shots, p)
+                    assert got == pytest.approx(float(direct), rel=1e-12), (shots, p)
 
     def test_large_shot_count_is_stable(self):
         value = shot_error_probability_exact(10**6, 0.49)
@@ -431,5 +421,3 @@ class TestShotErrorProbabilityExact:
             shot_error_probability_exact(0, 0.2)
         with pytest.raises(ValidationError):
             shot_error_probability_exact(10, 1.2)
-        with pytest.raises(ValidationError):
-            shot_error_probability_exact(10, 0.2, ties="maybe")
