@@ -13,7 +13,7 @@ its own noise parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,21 +30,43 @@ MIN_SUBSET_SHOTS = 100
 
 @dataclass(frozen=True)
 class AmsPlan:
-    """Shot allocation for one two-phase run.
+    """Shot allocation for one two-phase run, made from its phase-1 tally.
 
-    ``close_qubits`` uses 0-based indices. With no close qubits the plan
-    degenerates: the full budget is pooled into one all-qubit measurement
-    and the vote runs on that. ``insufficient`` flags plans whose subset
-    circuits fall below ``MIN_SUBSET_SHOTS`` shots each.
+    Phase 1 spends half the budget, so a tally of k shots plans a budget of
+    2k. Close qubits, 0-based, are those with |N0 - N1| / k strictly below
+    ``tau``; each gets one subset circuit with k // m shots for m close
+    qubits, any remainder staying unspent so the total budget is never
+    exceeded. With no close qubits the plan degenerates: the full budget is
+    pooled into one all-qubit measurement and the vote runs on that.
+    ``insufficient`` flags plans whose subset circuits fall below
+    ``MIN_SUBSET_SHOTS`` shots each.
     """
 
-    n: int
+    phase1: VoteTally
     tau: float
-    total_shots: int
-    phase1_shots: int
-    close_qubits: tuple[int, ...]
-    per_subset_shots: int
-    insufficient: bool
+    n: int = field(init=False)
+    total_shots: int = field(init=False)
+    phase1_shots: int = field(init=False)
+    close_qubits: tuple[int, ...] = field(init=False)
+    per_subset_shots: int = field(init=False)
+    insufficient: bool = field(init=False)
+
+    def __post_init__(self):
+        if not isinstance(self.phase1, VoteTally):
+            raise ValidationError(f"expected a VoteTally, got {type(self.phase1).__name__}")
+        if not _is_real(self.tau) or not 0.0 < self.tau < 1.0:
+            raise ValidationError(f"tau must lie strictly inside (0, 1), got {self.tau}")
+        k = self.phase1.shots
+        close = tuple(int(i) for i in np.flatnonzero(self.phase1.margins < self.tau))
+        m = len(close)
+        per_subset = k // m if m else 0
+        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "n", self.phase1.n)
+        object.__setattr__(self, "total_shots", 2 * k)
+        object.__setattr__(self, "phase1_shots", k)
+        object.__setattr__(self, "close_qubits", close)
+        object.__setattr__(self, "per_subset_shots", per_subset)
+        object.__setattr__(self, "insufficient", m > 0 and per_subset < MIN_SUBSET_SHOTS)
 
     @property
     def subset_count(self) -> int:
@@ -52,30 +74,8 @@ class AmsPlan:
 
 
 def ams_plan(vote_tally: VoteTally, tau: float) -> AmsPlan:
-    """Build the phase-2 allocation from a phase-1 tally.
-
-    Phase 1 spends half the budget, so a tally of k shots plans a budget of
-    2k. Close qubits are those with |N0 - N1| / k strictly below ``tau``;
-    each gets one subset circuit with k // m shots, any remainder staying
-    unspent so the total budget is never exceeded.
-    """
-    if not isinstance(vote_tally, VoteTally):
-        raise ValidationError(f"expected a VoteTally, got {type(vote_tally).__name__}")
-    if not _is_real(tau) or not 0.0 < tau < 1.0:
-        raise ValidationError(f"tau must lie strictly inside (0, 1), got {tau}")
-    k = vote_tally.shots
-    close = tuple(int(i) for i in np.flatnonzero(vote_tally.margins < tau))
-    m = len(close)
-    per_subset = k // m if m else 0
-    return AmsPlan(
-        n=vote_tally.n,
-        tau=float(tau),
-        total_shots=2 * k,
-        phase1_shots=k,
-        close_qubits=close,
-        per_subset_shots=per_subset,
-        insufficient=m > 0 and per_subset < MIN_SUBSET_SHOTS,
-    )
+    """The phase-2 allocation for a phase-1 tally: ``AmsPlan(vote_tally, tau)``."""
+    return AmsPlan(vote_tally, tau)
 
 
 def merge_votes(
@@ -122,27 +122,16 @@ def ams_execute(
     subset_noise_factor: float = 0.5,
     seed: int = 0,
 ) -> Estimate:
-    """Simulate the two-phase run described by ``plan`` and estimate x0.
+    """Simulate the subset phase of ``plan`` and estimate x0.
 
-    Phase 1 draws ``plan.phase1_shots`` full-width shots under ``noise``;
-    each subset circuit draws ``plan.per_subset_shots`` single-qubit shots
-    with that qubit's flip probabilities scaled by ``subset_noise_factor``.
-    Streams derive deterministically from the seed, the phase, and the
-    qubit index, so subset circuits may run in any order or in parallel.
+    Each subset circuit draws ``plan.per_subset_shots`` single-qubit shots
+    with that qubit's flip probabilities scaled by ``subset_noise_factor``;
+    their evidence is fused with the plan's phase-1 tally. A plan with no
+    close qubit instead draws its whole budget, ``plan.total_shots``
+    full-width shots under ``noise``, and votes on those. Streams derive
+    deterministically from the seed, the phase, and the qubit index, so
+    subset circuits may run in any order or in parallel.
     """
-    return _execute(x0, noise, plan, None, subset_noise_factor, seed)
-
-
-def _execute(
-    x0: str,
-    noise: NoiseModel,
-    plan: AmsPlan,
-    phase1: VoteTally | None,
-    subset_noise_factor: float,
-    seed: int,
-) -> Estimate:
-    """:func:`ams_execute`, given the phase-1 tally when the caller already
-    simulated it (it is the same stream either way)."""
     validate_bitstring(x0, plan.n)
     if noise.n != plan.n:
         raise DimensionError(f"noise model covers {noise.n} qubits, plan has {plan.n}")
@@ -156,15 +145,14 @@ def _execute(
 
     subset_noise = NoiseModel(noise.p01 * subset_noise_factor, noise.p10 * subset_noise_factor)
     close = list(plan.close_qubits)
-    if phase1 is None or not close:
-        # a degenerate plan spends the full budget on one all-qubit measurement
-        phase1_shots = plan.phase1_shots if close else plan.total_shots
-        phase1 = tally(simulate_shots(x0, noise, phase1_shots, derive_seed(seed, "phase1")))
-    subsets = None
+    phase1, subsets = plan.phase1, None
     if close:
         seeds = [derive_seed(seed, "subset", q) for q in close]
         ones = _subset_ones(x0, subset_noise, close, plan.per_subset_shots, seeds)
         subsets = VoteTally(zeros=plan.per_subset_shots - ones, ones=ones)
+    else:
+        # a degenerate plan spends the full budget on one all-qubit measurement
+        phase1 = tally(simulate_shots(x0, noise, plan.total_shots, derive_seed(seed, "phase1")))
     value = merge_votes(phase1, noise, close, subsets, subset_noise)
 
     # informational margins: pooled counts where a subset ran, phase 1 alone elsewhere
@@ -186,14 +174,12 @@ def adaptive_vote(
 ) -> tuple[AmsPlan, Estimate]:
     """Full adaptive run: simulate phase 1, plan the subsets, execute.
 
-    Phase 1 is simulated once: the plan and the execution use the same
-    tally, the one :func:`ams_execute` would draw from the same seed, so
-    the whole procedure consumes exactly one budget of ``total_shots``.
+    Phase 1 draws ``total_shots // 2`` shots from the seed's "phase1"
+    stream, the plan keeps that tally, and :func:`ams_execute` fuses it with
+    the subset circuits.
     """
     if not _is_int(total_shots) or total_shots < 2 or total_shots % 2:
         raise ValidationError(f"total_shots must be even and >= 2, got {total_shots}")
-    k = total_shots // 2
-    phase1 = tally(simulate_shots(x0, noise, k, derive_seed(seed, "phase1")))
+    phase1 = tally(simulate_shots(x0, noise, total_shots // 2, derive_seed(seed, "phase1")))
     plan = ams_plan(phase1, tau)
-    estimate = _execute(x0, noise, plan, phase1, subset_noise_factor, seed)
-    return plan, estimate
+    return plan, ams_execute(x0, noise, plan, subset_noise_factor, seed)

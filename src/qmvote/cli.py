@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
     ams = sub.add_parser("ams", help="plan (and optionally execute) measurement subsetting")
     ams.add_argument("counts", help="phase-1 counts file (half the budget)")
     ams.add_argument("--tau", type=float, required=True, help="close-vote margin threshold")
-    ams.add_argument("--factor", type=float, default=0.5, help="subset noise scale in (0, 1]")
+    ams.add_argument("--factor", type=float, help="subset noise scale in (0, 1], default 0.5; needs --truth")
     ams.add_argument("--truth", help="ground truth; enables simulated execution")
     _noise_flags(ams)
 
@@ -202,14 +202,18 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_ams(args) -> int:
+    if args.factor is not None and args.truth is None:
+        raise ValidationError("--factor scales the simulated subset circuits; it needs --truth")
     counts = load_counts(args.counts, bit_order=args.bit_order)
     phase1 = tally(counts)
     plan = ams_plan(phase1, args.tau)
-    payload = {"plan": {k: v for k, v in dataclasses.asdict(plan).items() if k != "n"}}
+    fields = (f.name for f in dataclasses.fields(plan) if f.name not in ("n", "phase1"))
+    payload = {"plan": {name: getattr(plan, name) for name in fields}}
     noise = _noise_from_args(args, counts.n, required=args.truth is not None)
     if args.truth is not None:
         seed = args.seed if args.seed is not None else 0
-        est = ams_execute(args.truth, noise, plan, args.factor, seed)
+        factor = 0.5 if args.factor is None else args.factor
+        est = ams_execute(args.truth, noise, plan, factor, seed)
         payload["estimate"] = est.value
         payload["margins"] = [round(m, 12) for m in est.margins.tolist()]
     else:

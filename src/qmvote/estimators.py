@@ -403,8 +403,11 @@ def map_estimate(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estima
     ``ml_bruteforce`` does. Independent per-qubit priors decide each
     qubit by adding the prior log-odds to that qubit's likelihood ratio;
     hard priors pi in {0, 1} force the bit regardless of observations.
-    A uniform prior of either form reproduces the plain maximum-likelihood
-    output exactly, ties included.
+    Wherever ``ml_bruteforce`` answers, a uniform prior of either form
+    reproduces its output exactly, ties included. Where it refuses
+    contradictory hard evidence, a uniform table prior refuses too, but the
+    per-qubit form answers: on a qubit whose observations are impossible
+    under both bits the prior decides, and a uniform one picks 0.
     """
     if not isinstance(prior, Prior):
         raise ValidationError(f"expected a Prior, got {type(prior).__name__}")

@@ -36,7 +36,14 @@ from .estimators import (
     sliding_window_antipodal,
     weighted_vote,
 )
-from .noise import NoiseModel, _check_record_memory, derive_seed, simulate_antipodal_shots, simulate_shots
+from .noise import (
+    NoiseModel,
+    _check_record_memory,
+    _check_seed,
+    derive_seed,
+    simulate_antipodal_shots,
+    simulate_shots,
+)
 
 # name -> (needs noise, takes a prior, rule(counts, noise, prior)). Each rule
 # looks its estimator up by module-level name at call time, so a wrapper bound
@@ -106,6 +113,8 @@ class ExperimentConfig:
         _check_record_memory(n, max(self.shots))
         if not self.seeds:
             raise ValidationError("field 'seeds' must list at least one seed")
+        for seed in self.seeds:  # refused here, not when its cell runs after the others
+            _check_seed(seed)
         for name in ("shots", "seeds", "estimators"):
             values = getattr(self, name)
             if len(set(values)) != len(values):

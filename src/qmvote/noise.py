@@ -189,10 +189,8 @@ def _prepare(x0: str, noise: NoiseModel, shots: int):
         )
     if not _is_int(shots) or shots < 1:
         raise ValidationError(f"shots must be a positive integer, got {shots!r}")
-    shots = int(shots)
-    _check_record_memory(noise.n, shots)
     x0_bits = np.frombuffer(x0.encode("ascii"), dtype=np.uint8) - ord("0")
-    return x0_bits, shots
+    return x0_bits, int(shots)
 
 
 def simulate_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsTable:
@@ -201,6 +199,7 @@ def simulate_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsT
     Deterministic: identical arguments always yield a bit-identical table.
     """
     x0_bits, shots = _prepare(x0, noise, shots)
+    _check_record_memory(noise.n, shots)
     rows = _simulate_rows(_read1_thresholds(x0_bits[None], noise), shots, seed)
     return CountsTable._from_shots(rows, x0_bits.size)
 
@@ -214,6 +213,7 @@ def _subset_ones(
     :func:`simulate_shots` would draw from ``seeds[i]``, without building
     that table."""
     x0_bits, shots = _prepare(x0, noise, shots)
+    _check_record_memory(1, shots)  # one circuit's record at a time, one byte per shot
     thresholds = _read1_thresholds(x0_bits[None], noise)
     # one qubit per row: each packed row is one byte, nonzero when it read 1
     ones = [
@@ -231,5 +231,6 @@ def simulate_antipodal_shots(x0: str, noise: NoiseModel, shots: int, seed: int) 
     (GHZ-style), with equal weight on the two branches.
     """
     x0_bits, shots = _prepare(x0, noise, shots)
+    _check_record_memory(noise.n, shots)
     thresholds = _read1_thresholds(np.stack([x0_bits, x0_bits ^ 1]), noise)
     return CountsTable._from_shots(_simulate_rows(thresholds, shots, seed), x0_bits.size)

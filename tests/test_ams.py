@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import qmvote.noise as noise_mod
 from qmvote import (
+    AmsPlan,
     DimensionError,
+    InfeasibleError,
     NoiseModel,
     ValidationError,
     VoteTally,
@@ -105,6 +108,21 @@ class TestAmsPlan:
             ams_plan(t, 0.0)
         with pytest.raises(ValidationError):
             ams_plan(t, 1.0)
+        with pytest.raises(ValidationError, match="VoteTally"):
+            AmsPlan([[4, 4]], 0.5)
+
+    def test_plan_is_its_tally_and_tau(self):
+        t = tally_with_margins([0.4, 0.004, 0.3], 1024)
+        plan = AmsPlan(t, 0.01)
+        assert plan == ams_plan(t, 0.01)
+        assert plan.phase1 is t and plan.n == 3
+        # every other field is derived, so no plan can disagree with its tally
+        derived = (
+            "n", "total_shots", "phase1_shots", "close_qubits", "per_subset_shots", "insufficient"
+        )
+        for name in derived:
+            with pytest.raises(TypeError):
+                AmsPlan(t, 0.01, **{name: getattr(plan, name)})
 
 
 class TestMergeVotes:
@@ -267,6 +285,26 @@ class TestAmsExecute:
         est = ams_execute(truth, noise, plan, subset_noise_factor=1.0, seed=9)
         single = qmv(tally(simulate_shots(truth, noise, 200, derive_seed(9, "phase1"))))
         assert est.value == single.value
+
+    def test_phase1_evidence_is_the_plans_tally(self):
+        # qubit 0 read 1 on all 100 phase-1 shots; no fresh draw of the truth 00 overturns it
+        plan = ams_plan(VoteTally(zeros=[0, 50], ones=[100, 50]), 0.05)
+        assert plan.close_qubits == (1,)
+        for seed in range(5):
+            est = ams_execute("00", NoiseModel.uniform(2, 0.1), plan, seed=seed)
+            assert est.value[0] == "1"
+            assert est.margins[0] == 1.0
+
+    def test_subset_records_checked_at_one_byte_per_shot(self, monkeypatch):
+        # 16 qubits pack to 2 bytes a shot; a one-qubit subset record takes 1
+        plan = ams_plan(VoteTally(zeros=[300] + [0] * 15, ones=[300] + [600] * 15), 0.05)
+        assert plan.close_qubits == (0,) and plan.per_subset_shots == 600
+        noise = NoiseModel.uniform(16, 0.1)
+        monkeypatch.setattr(noise_mod, "MAX_RECORD_BYTES", 600)
+        assert ams_execute("0" * 16, noise, plan, seed=2).value == "0" + "1" * 15
+        monkeypatch.setattr(noise_mod, "MAX_RECORD_BYTES", 599)
+        with pytest.raises(InfeasibleError, match="600 shots of 1 qubits"):
+            ams_execute("0" * 16, noise, plan, seed=2)
 
     def test_deterministic(self):
         truth = "1010101"

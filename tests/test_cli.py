@@ -187,6 +187,90 @@ def test_prior_file_fuzz_answers_or_fails_cleanly(tmp_path_factory, doc):
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
+# (exit code, argv); "{dir}" names the folder of the fuzz_files fixture
+CLI_CASES = [
+    (0, "simulate --truth 0101 --p 0.1 --shots 20"),
+    (0, "--seed 5 simulate --pattern ghz-antipodal --n 6 --p 0.2 --shots 30"),
+    (1, "simulate --truth 01x --p 0.1 --shots 5"),
+    (1, "simulate --truth 01 --p 0.1 --shots 0"),
+    (1, "simulate --truth 01 --p nan --shots 5"),
+    (1, "--seed -1 simulate --truth 01 --p 0.1 --shots 5"),
+    (2, "simulate --truth 01 --p 0.1 --shots 10000000000000"),
+    (0, "mitigate {dir}/good.json --method qmv"),
+    (0, "mitigate {dir}/good.json --method ml --p 0.1"),
+    (0, "--format csv mitigate {dir}/good.json --method window"),
+    (1, "mitigate {dir}/bad-key.json --method qmv"),
+    (1, "mitigate {dir}/good.json --method weighted"),
+    (1, "mitigate {dir}/good.json --method qmv --prior-file {dir}/good.json"),
+    (1, "mitigate {dir}/missing.json --method qmv"),
+    (0, "bound --n 100 --p 0.1"),
+    (0, "--format csv bound --n 10 --epsilon 0.2 --shots 50"),
+    (1, "bound --n 10 --epsilon 0.7"),
+    (1, "bound --n 10 --p 0.1 --epsilon 0.2"),
+    (0, "ams {dir}/good.json --tau 0.5"),
+    (0, "--seed 3 ams {dir}/phase1.json --tau 0.05 --truth 00 --p 0.1"),
+    (0, "--format csv ams {dir}/phase1.json --tau 0.05 --truth 00 --p 0.1 --factor 0.3"),
+    (1, "ams {dir}/good.json --tau 0.5 --factor 0"),
+    (1, "ams {dir}/good.json --tau 0.5 --factor nan"),
+    (1, "ams {dir}/good.json --tau 0.5 --truth 01 --p 0.1 --factor nan"),
+    (1, "ams {dir}/good.json --tau 0.5 --truth 01 --p 0.1 --factor 0"),
+    (1, "ams {dir}/good.json --tau 1.5"),
+    (1, "ams {dir}/good.json --tau 0.5 --truth 011 --p 0.1"),
+    (1, "ams {dir}/good.json --tau 0.5 --truth 01"),
+    (0, "distance 0101 0110"),
+    (1, "distance 01 011"),
+    (0, "experiment {dir}/small.json"),
+    (0, "--format csv experiment {dir}/small.json"),
+    (1, "--seed -1 experiment {dir}/small.json"),
+    (1, "experiment {dir}/bad-seeds.json"),
+    (1, "experiment {dir}/thin-ams.json"),
+    (2, "experiment {dir}/ghz-ams.json"),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    write_counts_file(folder, {"01": 2, "11": 1}, 2)
+    (folder / "counts.json").rename(folder / "good.json")
+    write_counts_file(folder, {"10": 50, "11": 50}, 2)
+    (folder / "counts.json").rename(folder / "phase1.json")
+    (folder / "bad-key.json").write_text(
+        json.dumps({"schema_version": "1", "n": 2, "shots": 1, "counts": {"0x": 1}})
+    )
+    small = {
+        "ground_truth": {"pattern": "alternating", "n": 6},
+        "noise": {"p": 0.1},
+        "shots": [40],
+        "estimators": ["qmv", "ams"],
+        "seeds": [1, 2],
+        "ams": {"tau": 0.2, "factor": 0.5},
+    }
+    configs = {
+        "small": small,
+        "bad-seeds": {**small, "seeds": [1, -1, 2**64]},
+        # 2 phase-1 shots for 50 close qubits leave each subset circuit no shots
+        "thin-ams": {**small, "ground_truth": {"pattern": "alternating", "n": 50}, "shots": [4]},
+        "ghz-ams": {**small, "ground_truth": {"pattern": "ghz-antipodal", "n": 20}},
+    }
+    for name, doc in configs.items():
+        (folder / f"{name}.json").write_text(json.dumps(doc))
+    return folder
+
+
+@pytest.mark.parametrize("want,argv", CLI_CASES, ids=[argv for _, argv in CLI_CASES])
+def test_cli_answers_or_fails_cleanly(capsys, fuzz_files, want, argv):
+    """Every subcommand exits 0 with output, or exits 1 or 2 with nothing on
+    stdout and one error line on stderr."""
+    code, out, err = run(capsys, *argv.format(dir=fuzz_files).split())
+    assert code == want, err
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestMitigate:
     def test_qmv_majority_with_margin(self, capsys, tmp_path):
         path = write_counts_file(tmp_path, {"0": 7, "1": 3}, 1)
@@ -510,6 +594,36 @@ class TestAms:
         payload = json.loads(out)
         assert set(payload) >= {"plan", "estimate", "margins"}
         assert len(payload["estimate"]) == 2
+
+    def test_truth_run_fuses_the_files_phase1_counts(self, capsys, tmp_path):
+        # qubit 0 read 1 on all 100 phase-1 shots: the file decides it, whatever the truth
+        path = write_counts_file(tmp_path, {"10": 50, "11": 50}, 2)
+        code, out, _ = run(
+            capsys, "--seed", "3", "ams", path, "--tau", "0.05", "--truth", "00", "--p", "0.1"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["plan"]["close_qubits"] == [1]
+        assert payload["estimate"][0] == "1"
+        assert payload["margins"][0] == 1.0
+
+    def test_plan_keys(self, capsys, tmp_path):
+        path = write_counts_file(tmp_path, {"10": 50, "11": 50}, 2)
+        code, out, _ = run(capsys, "--format", "csv", "ams", path, "--tau", "0.05")
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "plan.tau,plan.total_shots,plan.phase1_shots,plan.close_qubits,"
+            "plan.per_subset_shots,plan.insufficient,estimate,note"
+        )
+
+    def test_factor_without_truth_refused(self, capsys, tmp_path):
+        # --factor scales only simulated subset circuits, which run only with --truth
+        path = write_counts_file(tmp_path, {"01": 2, "11": 1}, 2)
+        code, out, err = run(capsys, "ams", path, "--tau", "0.5", "--factor", "0.3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--truth" in err
 
     def test_bad_tau_exit_one(self, capsys, tmp_path):
         path = write_counts_file(tmp_path, {"0": 8}, 1)

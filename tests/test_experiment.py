@@ -171,6 +171,13 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"'{field}' must not repeat"):
             make_config(**overrides)
 
+    @pytest.mark.parametrize("seeds", [[1, -1, 2], [1, 2**64], [2**64 + 5]])
+    def test_out_of_range_seed_refused_when_built(self, seeds):
+        # not only when that seed's cell runs, after the other cells' work
+        with pytest.raises(ValidationError, match="64-bit unsigned"):
+            make_config(seeds=seeds)
+        assert make_config(seeds=[0, 2**64 - 1]).seeds == (0, 2**64 - 1)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict(
@@ -290,6 +297,7 @@ def test_from_dict_gives_a_config_or_refuses(doc):
     except (ValidationError, InfeasibleError):
         return
     assert config.noise.n == config.n >= 1
+    assert all(0 <= seed < 2**64 for seed in config.seeds)
     assert not ("ams" in config.estimators and config.antipodal)
 
 

@@ -98,7 +98,7 @@ def portable(result):
     if isinstance(result, tuple):
         return [portable(r) for r in result]
     if isinstance(result, AmsPlan):
-        return dataclasses.asdict(result)
+        return {**dataclasses.asdict(result), "phase1": portable(result.phase1)}
     if isinstance(result, Report):
         return json.loads(result.to_json())
     if isinstance(result, Estimate):
