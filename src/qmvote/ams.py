@@ -18,10 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import VoteTally, _is_int, _is_real, tally, validate_bitstring
-from .errors import DimensionError, ValidationError
+from .core import _INT64_MAX, VoteTally, _is_int, _is_real
+from .core import tally  # noqa: F401  perfbench's tracer wraps every module's binding of tally
+from .errors import DimensionError, InfeasibleError, ValidationError
 from .estimators import Estimate, _bitstring, _loglikelihoods
-from .noise import NoiseModel, _subset_ones, derive_seed, simulate_shots
+from .noise import NoiseModel, _binomial_ones, _prepare, _read1_probabilities, derive_seed
 
 # Below this many shots per subset circuit the second phase is too thin to
 # trust; the plan still executes but is flagged.
@@ -36,8 +37,8 @@ class AmsPlan:
     2k. Close qubits, 0-based, are those with |N0 - N1| / k strictly below
     ``tau``; each gets one subset circuit with k // m shots for m close
     qubits, any remainder staying unspent so the total budget is never
-    exceeded. With no close qubits the plan degenerates: the full budget is
-    pooled into one all-qubit measurement and the vote runs on that.
+    exceeded. With no close qubits the plan degenerates: the second half of
+    the budget measures every qubit again, and the vote runs on both halves.
     ``insufficient`` flags plans whose subset circuits fall below
     ``MIN_SUBSET_SHOTS`` shots each.
     """
@@ -122,19 +123,19 @@ def ams_execute(
     subset_noise_factor: float = 0.5,
     seed: int = 0,
 ) -> Estimate:
-    """Simulate the subset phase of ``plan`` and estimate x0.
+    """Simulate the second half of ``plan``'s budget and estimate x0.
 
-    Each subset circuit draws ``plan.per_subset_shots`` single-qubit shots
-    with that qubit's flip probabilities scaled by ``subset_noise_factor``;
-    their evidence is fused with the plan's phase-1 tally. A plan with no
-    close qubit instead draws its whole budget, ``plan.total_shots``
-    full-width shots under ``noise``, and votes on those. Streams derive
-    deterministically from the seed, the phase, and the qubit index, so
-    subset circuits may run in any order or in parallel.
+    Each subset circuit measures its close qubit ``plan.per_subset_shots``
+    times, with flip probabilities scaled by ``subset_noise_factor``, and is
+    fused with the plan's phase-1 tally. With no close qubit every qubit is
+    measured ``plan.phase1_shots`` more times under ``noise`` and the vote
+    runs on the phase-1 tally with those counts added. Bit flips are
+    independent, so each is a binomial draw of per-qubit ones counts, from
+    the seed's "subset" or "top-up" stream, in O(n) memory.
     """
-    validate_bitstring(x0, plan.n)
     if noise.n != plan.n:
         raise DimensionError(f"noise model covers {noise.n} qubits, plan has {plan.n}")
+    x0_bits, k = _prepare(x0, noise, plan.phase1_shots)
     if not _is_real(subset_noise_factor) or not 0.0 < subset_noise_factor <= 1.0:
         raise ValidationError(f"subset_noise_factor must lie in (0, 1], got {subset_noise_factor}")
     if plan.close_qubits and plan.per_subset_shots < 1:
@@ -142,17 +143,21 @@ def ams_execute(
             f"{plan.phase1_shots} phase-1 shots leave per_subset_shots = {plan.per_subset_shots} "
             f"for {plan.subset_count} close qubits; raise the shot budget or lower tau"
         )
+    if plan.total_shots > _INT64_MAX:  # the pooled per-qubit counts would wrap
+        raise InfeasibleError(
+            f"a budget of {plan.total_shots} shots is more than the 2**63 - 1 a count holds"
+        )
 
     subset_noise = NoiseModel(noise.p01 * subset_noise_factor, noise.p10 * subset_noise_factor)
     close = list(plan.close_qubits)
     phase1, subsets = plan.phase1, None
     if close:
-        seeds = [derive_seed(seed, "subset", q) for q in close]
-        ones = _subset_ones(x0, subset_noise, close, plan.per_subset_shots, seeds)
+        read1 = _read1_probabilities(x0_bits, subset_noise)[close]
+        ones = _binomial_ones(read1, plan.per_subset_shots, derive_seed(seed, "subset"))
         subsets = VoteTally(zeros=plan.per_subset_shots - ones, ones=ones)
     else:
-        # a degenerate plan spends the full budget on one all-qubit measurement
-        phase1 = tally(simulate_shots(x0, noise, plan.total_shots, derive_seed(seed, "phase1")))
+        ones = _binomial_ones(_read1_probabilities(x0_bits, noise), k, derive_seed(seed, "top-up"))
+        phase1 = VoteTally(zeros=phase1.zeros + (k - ones), ones=phase1.ones + ones)
     value = merge_votes(phase1, noise, close, subsets, subset_noise)
 
     # informational margins: pooled counts where a subset ran, phase 1 alone elsewhere
@@ -174,12 +179,13 @@ def adaptive_vote(
 ) -> tuple[AmsPlan, Estimate]:
     """Full adaptive run: simulate phase 1, plan the subsets, execute.
 
-    Phase 1 draws ``total_shots // 2`` shots from the seed's "phase1"
-    stream, the plan keeps that tally, and :func:`ams_execute` fuses it with
-    the subset circuits.
+    Phase 1 measures every qubit ``total_shots // 2`` times; its per-qubit
+    ones counts are binomial draws from the seed's "phase1" stream. The plan
+    keeps that tally, and :func:`ams_execute` spends the other half.
     """
-    if not _is_int(total_shots) or total_shots < 2 or total_shots % 2:
-        raise ValidationError(f"total_shots must be even and >= 2, got {total_shots}")
-    phase1 = tally(simulate_shots(x0, noise, total_shots // 2, derive_seed(seed, "phase1")))
-    plan = ams_plan(phase1, tau)
+    if not _is_int(total_shots) or not 2 <= total_shots <= _INT64_MAX or total_shots % 2:
+        raise ValidationError(f"total_shots must be even and in 2..2**63 - 1, got {total_shots}")
+    x0_bits, k = _prepare(x0, noise, int(total_shots) // 2)
+    ones = _binomial_ones(_read1_probabilities(x0_bits, noise), k, derive_seed(seed, "phase1"))
+    plan = ams_plan(VoteTally(zeros=k - ones, ones=ones), tau)
     return plan, ams_execute(x0, noise, plan, subset_noise_factor, seed)

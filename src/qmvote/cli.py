@@ -158,7 +158,8 @@ def _cmd_mitigate(args) -> int:
         raise ValidationError(f"--prior-file is not used by --method {args.method}")
     counts = load_counts(args.counts, bit_order=args.bit_order)
     noise = _noise_from_args(args, counts.n, required=needs_noise)
-    est = rule(counts, noise, _load_prior(args, counts.n) if takes_prior else None)
+    prior = _load_prior(args, counts.n) if takes_prior else None
+    est = rule(counts, lambda: tally(counts), noise, prior)
     if isinstance(est, AntipodalPair):
         _emit(args, {"method": args.method, "estimate": [est.x, est.x_complement]})
         return 0

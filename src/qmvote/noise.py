@@ -93,7 +93,8 @@ def _check_seed(seed: int) -> int:
 
 def derive_seed(seed: int, *tags) -> int:
     """Deterministically derive an independent 64-bit seed from a master
-    seed and a tag path (used for per-phase and per-circuit streams)."""
+    seed and a tag path: each experiment cell's shots, and each AMS phase's
+    counts ("phase1", "subset" and "top-up"), draw from their own stream."""
     seed = _check_seed(seed)
     digest = hashlib.sha256(repr((seed,) + tags).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
@@ -111,12 +112,24 @@ def _words(bit_gen: np.random.BitGenerator, count: int) -> np.ndarray:
     return raw.view("<u4")[:count]
 
 
+def _read1_probabilities(truths: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Pr(read 1) for every qubit of each row of ``truths`` (uint8 bits):
+    p01 where the truth is 0 and 1 - p10 where it is 1."""
+    return np.where(truths == 0, noise.p01, 1.0 - noise.p10)
+
+
 def _read1_thresholds(truths: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """round(Pr(read 1) * 2^32) for every qubit of each row of ``truths``
-    (uint8 bits), as uint64 in [0, 2^32]: p01 where the truth is 0 and
-    1 - p10 where it is 1. A probability below 2^-33 rounds to 0."""
-    read1 = np.where(truths == 0, noise.p01, 1.0 - noise.p10)
-    return np.rint(read1 * _WORD_RANGE).astype(np.uint64)
+    """round(Pr(read 1) * 2^32) as uint64 in [0, 2^32]; a probability below
+    2^-33 rounds to 0."""
+    return np.rint(_read1_probabilities(truths, noise) * _WORD_RANGE).astype(np.uint64)
+
+
+def _binomial_ones(read1: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """One Binomial(shots, read1[i]) draw per entry, as int64, from a Philox
+    keyed by ``seed``: the ones count of each qubit's column of a shot record,
+    drawn without the record, since bit flips are independent."""
+    rng = np.random.Generator(np.random.Philox(key=_check_seed(seed)))
+    return rng.binomial(shots, read1).astype(np.int64, copy=False)
 
 
 def _shot_block(thresholds: np.ndarray, seed: int, block: int, take: int) -> np.ndarray:
@@ -156,6 +169,7 @@ def _shot_block(thresholds: np.ndarray, seed: int, block: int, take: int) -> np.
 
 def _simulate_rows(thresholds: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """The packed shot record, block by block."""
+    _check_record_memory(thresholds.shape[1], shots)
     seed = _check_seed(seed)
     pieces = [
         _shot_block(thresholds, seed, block, min(_BLOCK_SHOTS, shots - lo))
@@ -199,28 +213,8 @@ def simulate_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsT
     Deterministic: identical arguments always yield a bit-identical table.
     """
     x0_bits, shots = _prepare(x0, noise, shots)
-    _check_record_memory(noise.n, shots)
     rows = _simulate_rows(_read1_thresholds(x0_bits[None], noise), shots, seed)
     return CountsTable._from_shots(rows, x0_bits.size)
-
-
-def _subset_ones(
-    x0: str, noise: NoiseModel, qubits: list[int], shots: int, seeds: list[int]
-) -> np.ndarray:
-    """How many of ``shots`` read 1 when each qubit in ``qubits`` of ``x0``
-    is measured on its own under its flip probabilities in ``noise``, as
-    int64: for qubit ``qubits[i]``, the ones count of the one-qubit table
-    :func:`simulate_shots` would draw from ``seeds[i]``, without building
-    that table."""
-    x0_bits, shots = _prepare(x0, noise, shots)
-    _check_record_memory(1, shots)  # one circuit's record at a time, one byte per shot
-    thresholds = _read1_thresholds(x0_bits[None], noise)
-    # one qubit per row: each packed row is one byte, nonzero when it read 1
-    ones = [
-        np.count_nonzero(_simulate_rows(thresholds[:, q : q + 1], shots, seed))
-        for q, seed in zip(qubits, seeds)
-    ]
-    return np.array(ones, dtype=np.int64)
 
 
 def simulate_antipodal_shots(x0: str, noise: NoiseModel, shots: int, seed: int) -> CountsTable:
@@ -231,6 +225,5 @@ def simulate_antipodal_shots(x0: str, noise: NoiseModel, shots: int, seed: int) 
     (GHZ-style), with equal weight on the two branches.
     """
     x0_bits, shots = _prepare(x0, noise, shots)
-    _check_record_memory(noise.n, shots)
     thresholds = _read1_thresholds(np.stack([x0_bits, x0_bits ^ 1]), noise)
     return CountsTable._from_shots(_simulate_rows(thresholds, shots, seed), x0_bits.size)

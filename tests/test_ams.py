@@ -1,13 +1,15 @@
 """Tests for adaptive measurement subsetting: planning, execution, merging."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-import qmvote.noise as noise_mod
+import qmvote.ams as ams_mod
 from qmvote import (
     AmsPlan,
+    CountsTable,
     DimensionError,
     InfeasibleError,
     NoiseModel,
@@ -219,31 +221,32 @@ class TestMergeVotes:
             assert got == weighted_vote(pooled, noise).value
 
 
+def binomial_ones(truth, noise, qubits, shots, stream):
+    """The reference draw: for each listed qubit in order, how many of
+    ``shots`` reads give 1, one Binomial(shots, Pr(read 1)) draw each from a
+    Philox keyed by ``stream``."""
+    read1 = [noise.p01[q] if truth[q] == "0" else 1.0 - noise.p10[q] for q in qubits]
+    return np.random.Generator(np.random.Philox(key=stream)).binomial(shots, read1)
+
+
 def reference_execute(x0, noise, plan, factor, seed):
-    """The two-phase execution with every stream drawn through the public
-    simulator: phase 1 as a full table, each subset circuit as a one-qubit
-    table."""
+    """The second half of the budget drawn qubit by qubit: the subset
+    circuits from the "subset" stream, or with no close qubit every qubit
+    again from the "top-up" stream, added to the plan's phase-1 tally."""
     scaled = NoiseModel(p01=noise.p01 * factor, p10=noise.p10 * factor)
+    k = plan.phase1_shots
+    zeros, ones = plan.phase1.zeros.copy(), plan.phase1.ones.copy()
     if plan.subset_count == 0:
-        pooled = tally(simulate_shots(x0, noise, plan.total_shots, derive_seed(seed, "phase1")))
+        extra = binomial_ones(x0, noise, range(plan.n), k, derive_seed(seed, "top-up"))
+        pooled = VoteTally(zeros=zeros + k - extra, ones=ones + extra)
         return merge_votes(pooled, noise, [], None, scaled), pooled.margins
-    phase1 = tally(simulate_shots(x0, noise, plan.phase1_shots, derive_seed(seed, "phase1")))
-    sub_zeros, sub_ones = [], []
-    zeros, ones = phase1.zeros.copy(), phase1.ones.copy()
-    shots = np.full(plan.n, phase1.shots)
-    for q in plan.close_qubits:
-        circuit = NoiseModel(p01=scaled.p01[q : q + 1], p10=scaled.p10[q : q + 1])
-        stream = derive_seed(seed, "subset", q)
-        counts = simulate_shots(x0[q], circuit, plan.per_subset_shots, stream)
-        one = counts.counts.get("1", 0)
-        sub_zeros.append(counts.shots - one)
-        sub_ones.append(one)
-        zeros[q] += counts.shots - one
-        ones[q] += one
-        shots[q] += counts.shots
-    subsets = VoteTally(zeros=sub_zeros, ones=sub_ones)
-    value = merge_votes(phase1, noise, plan.close_qubits, subsets, scaled)
-    return value, np.abs(zeros - ones) / shots
+    close, s = list(plan.close_qubits), plan.per_subset_shots
+    sub_ones = binomial_ones(x0, scaled, close, s, derive_seed(seed, "subset"))
+    subsets = VoteTally(zeros=s - sub_ones, ones=sub_ones)
+    value = merge_votes(plan.phase1, noise, close, subsets, scaled)
+    zeros[close] += s - sub_ones
+    ones[close] += sub_ones
+    return value, np.abs(zeros - ones) / (zeros + ones)
 
 
 class TestAmsExecute:
@@ -260,8 +263,9 @@ class TestAmsExecute:
         noise = NoiseModel.uniform(len(truth), p01, p10)
         for seed in range(4):
             plan, est = adaptive_vote(truth, noise, tau, total, factor, seed=seed)
-            phase1 = simulate_shots(truth, noise, total // 2, derive_seed(seed, "phase1"))
-            ref_plan = ams_plan(tally(phase1), tau)
+            k = total // 2
+            ones = binomial_ones(truth, noise, range(len(truth)), k, derive_seed(seed, "phase1"))
+            ref_plan = ams_plan(VoteTally(zeros=k - ones, ones=ones), tau)
             ref = ams_execute(truth, noise, ref_plan, factor, seed)
             assert plan == ref_plan
             assert est.value == ref.value
@@ -276,15 +280,19 @@ class TestAmsExecute:
         with pytest.raises(ValidationError):
             ams_execute("10101", NoiseModel.uniform(5, 0.2), plan)
 
-    def test_degenerate_plan_equals_vote_on_single_full_run(self):
+    def test_degenerate_plan_tops_up_its_own_tally(self):
         truth = "10110"
         noise = NoiseModel.uniform(5, 0.2)
         t = tally_with_margins([0.5] * 5, 100)
         plan = ams_plan(t, 0.01)
         assert plan.close_qubits == ()
         est = ams_execute(truth, noise, plan, subset_noise_factor=1.0, seed=9)
-        single = qmv(tally(simulate_shots(truth, noise, 200, derive_seed(9, "phase1"))))
-        assert est.value == single.value
+        # the other 100 shots of the budget measure every qubit again
+        extra = binomial_ones(truth, noise, range(5), 100, derive_seed(9, "top-up"))
+        pooled = VoteTally(zeros=t.zeros + 100 - extra, ones=t.ones + extra)
+        assert pooled.shots == plan.total_shots
+        assert est.value == weighted_vote(pooled, noise).value
+        assert np.array_equal(est.margins, pooled.margins)
 
     def test_phase1_evidence_is_the_plans_tally(self):
         # qubit 0 read 1 on all 100 phase-1 shots; no fresh draw of the truth 00 overturns it
@@ -294,17 +302,6 @@ class TestAmsExecute:
             est = ams_execute("00", NoiseModel.uniform(2, 0.1), plan, seed=seed)
             assert est.value[0] == "1"
             assert est.margins[0] == 1.0
-
-    def test_subset_records_checked_at_one_byte_per_shot(self, monkeypatch):
-        # 16 qubits pack to 2 bytes a shot; a one-qubit subset record takes 1
-        plan = ams_plan(VoteTally(zeros=[300] + [0] * 15, ones=[300] + [600] * 15), 0.05)
-        assert plan.close_qubits == (0,) and plan.per_subset_shots == 600
-        noise = NoiseModel.uniform(16, 0.1)
-        monkeypatch.setattr(noise_mod, "MAX_RECORD_BYTES", 600)
-        assert ams_execute("0" * 16, noise, plan, seed=2).value == "0" + "1" * 15
-        monkeypatch.setattr(noise_mod, "MAX_RECORD_BYTES", 599)
-        with pytest.raises(InfeasibleError, match="600 shots of 1 qubits"):
-            ams_execute("0" * 16, noise, plan, seed=2)
 
     def test_deterministic(self):
         truth = "1010101"
@@ -353,3 +350,178 @@ class TestAmsExecute:
         assert est.value == truth
         counts = simulate_shots(truth, noise, 6144, derive_seed(3, "plain"))
         assert qmv(tally(counts)).value == truth
+
+
+class TestAmsDraws:
+    """Each AMS phase is one binomial draw of ones per measured qubit."""
+
+    # (truth, noise, tau, budget, factor, seed) -> (phase-1 ones, close qubits,
+    # estimate, |N0 - N1| and shots behind each margin)
+    PINNED = [
+        (
+            ("1010101", NoiseModel.uniform(7, 0.4), 0.2, 400, 0.5, 21),
+            (
+                [113, 75, 116, 80, 115, 97, 109],
+                (0, 2, 4, 5, 6),
+                "1010101",
+                [52, 50, 64, 40, 50, 34, 44],
+                [240, 200, 240, 200, 240, 240, 240],
+            ),
+        ),
+        (
+            (
+                "110010",
+                NoiseModel(
+                    p01=[0.3, 0.1, 0.45, 0.2, 0.05, 0.4], p10=[0.15, 0.2, 0.4, 0.1, 0.3, 0.35]
+                ),
+                0.25,
+                1000,
+                0.3,
+                5,
+            ),
+            (
+                [417, 390, 226, 84, 356, 210],
+                (2, 5),
+                "110010",
+                [334, 280, 242, 332, 212, 260],
+                [500, 500, 750, 500, 500, 750],
+            ),
+        ),
+        (  # no close qubit: the top-up measures every qubit 100 more times
+            ("10110", NoiseModel.uniform(5, 0.05), 0.01, 200, 0.5, 2),
+            ([94, 7, 95, 95, 9], (), "10110", [180, 168, 182, 184, 168], [200] * 5),
+        ),
+    ]
+
+    @pytest.mark.parametrize("args,want", PINNED)
+    def test_pinned_draws(self, args, want):
+        # numpy does not promise Generator.binomial's stream across releases;
+        # a release that changes it fails here rather than moving results silently
+        ones, close, value, diffs, shots = want
+        plan, est = adaptive_vote(*args[:5], seed=args[5])
+        assert plan.phase1.ones.tolist() == ones
+        assert plan.close_qubits == close
+        assert est.value == value
+        assert est.margins.tolist() == [d / s for d, s in zip(diffs, shots)]
+
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.4, 1.0])
+    def test_counts_follow_the_binomial(self, monkeypatch, p):
+        """Over many seeds each qubit's ones count in each phase has the mean
+        and variance of Binomial(shots, Pr(read 1)), within 5 sigma."""
+        truth, factor, k, runs = "011010", 0.5, 120, 1500
+        n = len(truth)
+        noise = NoiseModel.uniform(n, p)
+        bits = np.array([int(b) for b in truth])
+        # every qubit close: each subset circuit gets k // n shots
+        close_plan = ams_plan(VoteTally(zeros=[k // 2] * n, ones=[k // 2] * n), 0.5)
+        far_plan = ams_plan(VoteTally(zeros=[k] * n, ones=[0] * n), 0.5)
+        assert close_plan.subset_count == n and far_plan.subset_count == 0
+        draws = {"phase1": [], "subset": [], "top-up": []}
+        real = ams_mod._binomial_ones
+        recorded = {}  # the stream whose draws the current call records
+
+        def record(read1, shots, seed):
+            ones = real(read1, shots, seed)
+            if seed in recorded:
+                draws[recorded[seed]].append(ones)
+            return ones
+
+        monkeypatch.setattr(ams_mod, "_binomial_ones", record)
+        for seed in range(runs):
+            recorded = {derive_seed(seed, "phase1"): "phase1"}
+            adaptive_vote(truth, noise, 0.01, 2 * k, factor, seed=seed)
+            recorded = {derive_seed(seed, "subset"): "subset"}
+            ams_execute(truth, noise, close_plan, factor, seed)
+            recorded = {derive_seed(seed, "top-up"): "top-up"}
+            ams_execute(truth, noise, far_plan, factor, seed)
+
+        def read1(p):
+            return np.where(bits == 0, p, 1.0 - p)
+
+        expected = {
+            "phase1": (k, read1(p)),
+            "subset": (k // n, read1(p * factor)),
+            "top-up": (k, read1(p)),
+        }
+        for phase, (shots, q) in expected.items():
+            ones = np.array(draws[phase], dtype=float)
+            assert ones.shape == (runs, n), phase
+            var = shots * q * (1 - q)
+            mean_sd = np.sqrt(var / runs)
+            # the sample variance's spread, from the binomial's fourth central moment
+            mu4 = var * (1 + 3 * (shots - 2) * q * (1 - q))
+            var_sd = np.sqrt(np.maximum(mu4 - var**2 * (runs - 3) / (runs - 1), 0) / runs)
+            assert np.all(np.abs(ones.mean(axis=0) - shots * q) <= 5 * mean_sd + 1e-9), phase
+            assert np.all(np.abs(ones.var(axis=0, ddof=1) - var) <= 5 * var_sd + 1e-9), phase
+
+    @pytest.mark.parametrize("close", [0, 20])
+    def test_memory_does_not_grow_with_the_budget(self, close):
+        # a shot record of 2**40 shots of 200 qubits would take 25 TiB; margins
+        # come out near 0.1 at p = 0.45, below tau, and near 0.2 at p = 0.4
+        p = np.where(np.arange(200) < close, 0.45, 0.4)
+        noise = NoiseModel(p01=p, p10=p)
+        tracemalloc.start()
+        try:
+            plan, est = adaptive_vote("10" * 100, noise, 0.16, 2**40, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert plan.phase1_shots == 2**39 and plan.subset_count == close
+        assert est.value == "10" * 100
+
+    def test_budget_past_int64_refused_before_a_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew counts for a refused budget")
+
+        monkeypatch.setattr(ams_mod, "_binomial_ones", no_draw)
+        noise = NoiseModel.uniform(2, 0.1)
+        for total in (2**63, 2**64, 10**30):
+            with pytest.raises(ValidationError, match="2\\*\\*63 - 1"):
+                adaptive_vote("01", noise, 0.3, total)
+        # a tally of 2**62 shots plans a budget of 2**63, whose pooled counts would wrap
+        for zeros in ([2**62, 0], [2**61, 2**62]):
+            plan = ams_plan(VoteTally(zeros=zeros, ones=[2**62 - z for z in zeros]), 0.3)
+            assert plan.total_shots == 2**63
+            with pytest.raises(InfeasibleError, match="2\\*\\*63 - 1"):
+                ams_execute("01", noise, plan)
+
+    def test_largest_budget_answers(self):
+        noise = NoiseModel.uniform(3, 0.1)
+        plan, est = adaptive_vote("011", noise, 0.3, 2**63 - 2, seed=1)
+        assert plan.total_shots == 2**63 - 2 and est.value == "011"
+        # pooled phase 1 and top-up reach the int64 limit without wrapping
+        assert np.all(est.margins > 0.7)
+        plan = ams_plan(VoteTally(zeros=[2**62 - 1, 0], ones=[0, 2**62 - 1]), 0.3)
+        assert ams_execute("01", NoiseModel.uniform(2, 0.1), plan).value == "01"
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 200])
+    def test_permuting_qubits_permutes_plan_and_merge(self, n):
+        rng = np.random.default_rng(n)
+        table = simulate_shots(
+            "".join(rng.choice(["0", "1"], size=n)), NoiseModel.uniform(n, 0.42), 300, seed=n
+        )
+        t = tally(table)
+        perm = rng.permutation(n)
+        inverse = np.argsort(perm)
+        permuted = tally(
+            CountsTable({"".join(k[i] for i in perm): c for k, c in table.items()}, n=n)
+        )
+        plan, plan_p = ams_plan(t, 0.1), ams_plan(permuted, 0.1)
+        assert plan.subset_count > 0 or n < 8
+        assert set(plan_p.close_qubits) == {int(inverse[q]) for q in plan.close_qubits}
+
+        noise = NoiseModel(p01=rng.uniform(0.05, 0.45, n), p10=rng.uniform(0.05, 0.45, n))
+        sub_noise = NoiseModel(p01=noise.p01 / 2, p10=noise.p10 / 2)
+        close = list(plan.close_qubits)
+        sub_ones = rng.integers(0, 31, len(close))
+        subsets = VoteTally(zeros=30 - sub_ones, ones=sub_ones) if close else None
+        value = merge_votes(t, noise, close, subsets, sub_noise)
+        value_p = merge_votes(
+            permuted,
+            NoiseModel(p01=noise.p01[perm], p10=noise.p10[perm]),
+            [int(inverse[q]) for q in close],
+            subsets,
+            NoiseModel(p01=sub_noise.p01[perm], p10=sub_noise.p10[perm]),
+        )
+        assert value_p == "".join(value[i] for i in perm)

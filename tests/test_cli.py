@@ -371,7 +371,7 @@ class TestMitigate:
         "exc", [MemoryError(), MemoryError("Unable to allocate 890. MiB for an array")]
     )
     def test_out_of_memory_exit_two(self, capsys, tmp_path, monkeypatch, exc):
-        def rule(counts, noise, prior):
+        def rule(counts, votes, noise, prior):
             raise exc
 
         monkeypatch.setitem(cli_mod.ESTIMATORS, "ml", (True, False, rule))
@@ -606,6 +606,20 @@ class TestAms:
         assert payload["plan"]["close_qubits"] == [1]
         assert payload["estimate"][0] == "1"
         assert payload["margins"][0] == 1.0
+
+    def test_truth_run_without_close_qubits_keeps_the_files_counts(self, capsys, tmp_path):
+        # no close qubit: the other half of the budget is added to the file's
+        # 100 shots, which read 1 on qubit 0 every time
+        path = write_counts_file(tmp_path, {"10": 100}, 2)
+        argv = ("--seed", "3", "ams", path, "--tau", "0.5", "--truth", "00", "--p", "0.1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["plan"]["close_qubits"] == [] and payload["plan"]["total_shots"] == 200
+        assert payload["estimate"] == "10"
+        # 100 ones from the file and at most 100 from the top-up, out of 200
+        assert 0.0 <= payload["margins"][0] < 1.0 and payload["margins"][1] > 0.5
+        assert run(capsys, *argv)[1] == out
 
     def test_plan_keys(self, capsys, tmp_path):
         path = write_counts_file(tmp_path, {"10": 50, "11": 50}, 2)

@@ -1064,6 +1064,35 @@ class TestSharedInvariances:
             assert other == table
             assert tally(other) == t
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 200])
+    def test_split_and_scaled_tables_at_packed_widths(self, n):
+        """At the same widths: the tallies of two tables that split a shot
+        multiset add up to the whole table's tally, and scaling every count
+        by an integer leaves mode, qmv and the window pair unchanged."""
+        rng = np.random.default_rng(1000 + n)
+        truth = "".join(rng.choice(["0", "1"], size=n))
+        noise = NoiseModel(p01=rng.uniform(0.05, 0.45, n), p10=rng.uniform(0.05, 0.45, n))
+        table = simulate_shots(truth, noise, 300, seed=n)
+        t = tally(table)
+
+        first, second = {}, {}
+        for key, count in table.items():
+            part = int(rng.integers(0, count + 1))
+            for side, c in ((first, part), (second, count - part)):
+                if c:
+                    side[key] = c
+        t1, t2 = tally(CountsTable(first, n=n)), tally(CountsTable(second, n=n))
+        assert t1.shots + t2.shots == 300 and min(t1.shots, t2.shots) > 0
+        assert VoteTally(zeros=t1.zeros + t2.zeros, ones=t1.ones + t2.ones) == t
+
+        for factor in (3, 2**40):
+            scaled = CountsTable({k: factor * c for k, c in table.items()}, n=n)
+            assert tally(scaled) == VoteTally(zeros=factor * t.zeros, ones=factor * t.ones)
+            assert mode_estimate(scaled).value == mode_estimate(table).value
+            assert qmv(tally(scaled)).value == qmv(t).value
+            if n >= 2:
+                assert sliding_window_antipodal(scaled) == sliding_window_antipodal(table)
+
     def test_count_scaling_invariance(self):
         rng = np.random.default_rng(10)
         for _ in range(30):

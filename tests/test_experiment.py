@@ -523,6 +523,25 @@ class TestCellSchedule:
         monkeypatch.setattr(experiment_mod.os, "cpu_count", lambda: 3)
         assert experiment_mod._usable_cpus() == 3
 
+    @pytest.mark.parametrize(
+        "estimators,calls",
+        [(["mode", "qmv", "weighted"], 6), (["weighted", "ams", "qmv"], 6), (["mode", "ams"], 0)],
+    )
+    def test_each_cell_tallies_its_table_at_most_once(self, monkeypatch, estimators, calls):
+        tallied = []
+        real = experiment_mod.tally
+
+        def spy(counts):
+            tallied.append(counts)
+            return real(counts)
+
+        monkeypatch.setattr(experiment_mod, "tally", spy)
+        cfg = make_config(estimators=estimators, ams={"tau": 0.1, "factor": 0.5})
+        report = run_experiment(cfg)
+        assert len(tallied) == calls == len(set(map(id, tallied)))
+        monkeypatch.undo()
+        assert report.to_json() == run_experiment(cfg).to_json()
+
     def patch_cells(self, monkeypatch, cfg, behaviour):
         """Make every cell call ``behaviour((shots, seed))`` before it
         simulates; return the list of cells started."""
