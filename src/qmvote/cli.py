@@ -156,6 +156,9 @@ def _cmd_mitigate(args) -> int:
     needs_noise, takes_prior, rule = ESTIMATORS[args.method]
     if args.prior_file and not takes_prior:
         raise ValidationError(f"--prior-file is not used by --method {args.method}")
+    flag = next((name for name in ("p", "p01", "p10") if getattr(args, name) is not None), None)
+    if flag and not needs_noise:
+        raise ValidationError(f"--{flag} is not used by --method {args.method}")
     counts = load_counts(args.counts, bit_order=args.bit_order)
     noise = _noise_from_args(args, counts.n, required=needs_noise)
     prior = _load_prior(args, counts.n) if takes_prior else None

@@ -14,9 +14,9 @@ strict: unknown fields are rejected so golden files stay stable. Documents
 produced by stacks that order bits right-to-left can be ingested with
 ``bit_order="right"``, which reverses every key on the way in.
 
-A document in the layout ``serialize_counts`` writes, with its entries in
-any order, is read straight from its bytes; any other layout, or a key that
-repeats, goes through ``json``, which gives every error.
+A ``bytes`` document in the layout ``serialize_counts`` writes, with its
+entries in any order, is read straight from its bytes; a ``str``, any other
+layout, or a key that repeats goes through ``json``, which gives every error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import core
 from .core import MAX_QUBITS, MAX_SHOTS, CountsTable, _exact_sum, _is_int, _pack_entries, _Rows
 from .errors import CountsFormatError, ValidationError
 
@@ -48,7 +47,6 @@ _TAIL = (
     b',\n  "schema_version": "%s",\n  "shots": ' % SCHEMA_VERSION.encode(),
     b"\n}\n",
 )
-_HEAD_TEXT, _TAIL_TEXT = _HEAD.decode(), _TAIL[2].decode()
 _TAIL_RE = re.compile(b"%s([1-9][0-9]{0,15})%s([1-9][0-9]{0,15})%s" % tuple(map(re.escape, _TAIL)))
 # A count has at most 16 digits (2**53 has 16). Digit j of a right-aligned
 # 16-digit window has place value _PLACES[j]; a count below _WIDTHS[k]
@@ -69,8 +67,8 @@ _LEAD_WORD, _SEP_WORD = (np.uint64(int.from_bytes(text, "little")) for text in (
 _LEAD_MASK, _SEP_MASK = (np.uint64(2 ** (8 * len(text)) - 1) for text in (_LEAD, _SEP))
 _LINE_END = int.from_bytes(b",\n", "little")
 _FIXED_BYTES = np.frombuffer(_LEAD + _SEP, np.uint8)
-# Lines are read a block of about this many bytes at a time.
-_READ_BLOCK_BYTES = 1 << 20
+# Lines are read and written a block of about this many bytes at a time.
+_BLOCK_BYTES = 1 << 20
 
 _REQUIRED_FIELDS = ("schema_version", "n", "shots", "counts")
 
@@ -103,16 +101,10 @@ def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
     """
     if bit_order not in BIT_ORDERS:
         raise _schema_error(f"bit_order must be one of {BIT_ORDERS}, got {bit_order!r}")
-    raw = data
-    if isinstance(data, str):
-        # Text is copied to bytes only if its ends are those of the canonical
-        # layout. A non-ASCII character becomes "?", which that layout never holds.
-        canonical = data.startswith(_HEAD_TEXT) and data.endswith(_TAIL_TEXT)
-        raw = data.encode("ascii", "replace") if canonical else None
-    table = _read_canonical(raw, reverse=bit_order == "right") if isinstance(raw, bytes) else None
-    if table is not None:
-        return table
     if isinstance(data, bytes):
+        table = _read_canonical(data, reverse=bit_order == "right")
+        if table is not None:
+            return table
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -179,7 +171,7 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
     reads to the same table, so that path, run for every other input, is the
     one source of errors.
 
-    Lines are read a block of about ``_READ_BLOCK_BYTES`` bytes at a time,
+    Lines are read a block of about ``_BLOCK_BYTES`` bytes at a time,
     so no temporary grows with the file. The first newline of a block gives
     the length of its first line. When every line of the block before the
     last entry line has that length (its ",\n" sits at every length-th
@@ -204,7 +196,7 @@ def _read_canonical(data: bytes, reverse: bool) -> CountsTable | None:
     key_mask = np.full(words, 2**64 - 1, dtype=np.uint64)
     key_mask[-1] >>= np.uint64(8 * (-n % 8))
     final = data.rfind(b"\n", 0, end) + 1  # where the last entry line starts
-    step = max(_READ_BLOCK_BYTES, n + _LINE_EXTRA)
+    step = max(_BLOCK_BYTES, n + _LINE_EXTRA)
     rows, counts, total = [], [], 0
     lo = len(_HEAD)
     while lo <= end:
@@ -306,16 +298,16 @@ def _scan_fields(buf: np.ndarray, lo: int, hi: int, end: int, n: int):
     return text, digits, int(stops[-1]) + 1
 
 
-def serialize_counts(table: CountsTable) -> str:
-    """Render a counts table as the canonical document: what
-    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` gives, built as
-    bytes from the table's key-ordered packed rows a block of lines at a
-    time (bitstring keys need no escaping)."""
+def _render(table: CountsTable):
+    """Yield the canonical document of a counts table as bytes-like blocks:
+    what ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` gives, built
+    from the table's key-ordered packed rows about ``_BLOCK_BYTES`` bytes
+    at a time (bitstring keys need no escaping)."""
     n, packed, weights = table.n, table._packed, table._weights
     key_end = len(_LEAD) + n  # offsets in a line
     digits_start = key_end + len(_SEP)
-    parts = [_HEAD]
-    step = max(1, core._PACK_BLOCK_CHARS // (n + _LINE_EXTRA))
+    yield _HEAD
+    step = max(1, _BLOCK_BYTES // (n + _LINE_EXTRA))
     for lo in range(0, len(weights), step):
         block, values = packed[lo : lo + step], weights[lo : lo + step]
         width = 1 + np.searchsorted(_WIDTHS, values, side="right")
@@ -334,9 +326,13 @@ def serialize_counts(table: CountsTable) -> str:
             keep = np.ones(lines.shape, dtype=bool)
             keep[:, digits_start:-2] = np.arange(wide) >= wide - width[:, None]
             out = lines[keep]
-        parts.append(out[:-2] if lo + step >= len(weights) else out)
-    parts.append(b"%s%d%s%d%s" % (_TAIL[0], n, _TAIL[1], table.shots, _TAIL[2]))
-    return b"".join(parts).decode("ascii")
+        yield out[:-2] if lo + step >= len(weights) else out
+    yield b"%s%d%s%d%s" % (_TAIL[0], n, _TAIL[1], table.shots, _TAIL[2])
+
+
+def serialize_counts(table: CountsTable) -> str:
+    """Render a counts table as the canonical document."""
+    return b"".join(_render(table)).decode("ascii")
 
 
 def load_counts(path: str | Path, bit_order: str = "left") -> CountsTable:
@@ -344,4 +340,6 @@ def load_counts(path: str | Path, bit_order: str = "left") -> CountsTable:
 
 
 def write_counts(path: str | Path, table: CountsTable) -> None:
-    Path(path).write_bytes(serialize_counts(table).encode("ascii"))
+    """Write the canonical document to ``path`` a block at a time."""
+    with open(path, "wb") as file:
+        file.writelines(_render(table))

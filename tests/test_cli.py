@@ -15,6 +15,7 @@ import qmvote
 from qmvote import NoiseModel, complement, simulate_shots
 from qmvote import cli as cli_mod
 from qmvote.cli import main
+from qmvote.experiment import ESTIMATORS
 
 
 def run(capsys, *argv):
@@ -202,6 +203,9 @@ CLI_CASES = [
     (1, "mitigate {dir}/bad-key.json --method qmv"),
     (1, "mitigate {dir}/good.json --method weighted"),
     (1, "mitigate {dir}/good.json --method qmv --prior-file {dir}/good.json"),
+    (1, "mitigate {dir}/good.json --method qmv --p 0.1"),
+    (1, "mitigate {dir}/good.json --method mode --p01 0.1 --p10 0.2"),
+    (1, "mitigate {dir}/good.json --method window --p 0.1"),
     (1, "mitigate {dir}/missing.json --method qmv"),
     (0, "bound --n 100 --p 0.1"),
     (0, "--format csv bound --n 10 --epsilon 0.2 --shots 50"),
@@ -285,6 +289,15 @@ class TestMitigate:
         code, _, err = run(capsys, "mitigate", path, "--method", "weighted")
         assert code == 1
         assert "noise" in err
+
+    @pytest.mark.parametrize("method", ["mode", "qmv", "window"])
+    @pytest.mark.parametrize("flags", [["--p", "0.1"], ["--p01", "0.4", "--p10", "0.05"], ["--p10", "0.05"]])
+    def test_noise_flags_refused_where_unread(self, capsys, tmp_path, method, flags):
+        """A noise model the method would drop is refused, not ignored."""
+        path = write_counts_file(tmp_path, {"0": 7, "1": 3}, 1)
+        code, out, err = run(capsys, "mitigate", path, "--method", method, *flags)
+        assert (code, out) == (1, "")
+        assert err == f"error: {flags[0]} is not used by --method {method}\n"
 
     def test_ml_and_map(self, capsys, tmp_path):
         path = write_counts_file(tmp_path, {"01": 8, "11": 2}, 2)
@@ -458,8 +471,9 @@ class TestMitigate:
         assert out == "method,estimate,gap\nml,01,\n"
 
 
-# stdout of `mitigate` on FROZEN_COUNTS with --p01 0.2 --p10 0.1, frozen from
-# the release before the estimators moved into one table.
+# stdout of `mitigate` on FROZEN_COUNTS, with --p01 0.2 --p10 0.1 for the
+# methods that read a noise model, frozen from the release before the
+# estimators moved into one table.
 FROZEN_COUNTS = {"0011": 5, "1100": 3, "0111": 2, "0001": 1}
 FROZEN_TABLE_PRIOR = {"table": {"0011": 0.25, "0111": 0.5, "1100": 0.25}}
 _MARGINS_JSON = (
@@ -488,11 +502,14 @@ FROZEN_MITIGATE = {
 @pytest.mark.parametrize("method,fmt", list(FROZEN_MITIGATE))
 def test_mitigate_output_is_frozen(capsys, tmp_path, method, fmt):
     path = write_counts_file(tmp_path, FROZEN_COUNTS, 4)
-    argv = ["--format", fmt, "mitigate", path, "--p01", "0.2", "--p10", "0.1", "--method", method]
+    name = "map" if method == "map-table" else method
+    argv = ["--format", fmt, "mitigate", path, "--method", name]
+    if ESTIMATORS[name][0]:  # the methods that read a noise model
+        argv += ["--p01", "0.2", "--p10", "0.1"]
     if method == "map-table":
         prior = tmp_path / "prior.json"
         prior.write_text(json.dumps(FROZEN_TABLE_PRIOR))
-        argv[-1:] = ["map", "--prior-file", str(prior)]
+        argv += ["--prior-file", str(prior)]
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out == FROZEN_MITIGATE[method, fmt]

@@ -290,10 +290,11 @@ def items_doc(items, n, shots):
 
 
 # Entries are checked in blocks of about this many key characters, and
-# canonical files read in blocks of about this many bytes; None keeps the
-# defaults. 600 puts a few lines in each block, so the lines of a block
-# before the last entry line are read by stride where they share one length.
-# 20 puts every few entries in a block of their own.
+# canonical files read and written in blocks of about this many bytes; None
+# keeps the defaults. 600 puts a few lines in each block, so the lines of a
+# block before the last entry line are read by stride where they share one
+# length. 20 puts every few entries in a block of their own, and writes
+# every entry line as a block of its own.
 BLOCK_CHARS = [None, 600, 20]
 
 
@@ -301,7 +302,7 @@ BLOCK_CHARS = [None, 600, 20]
 def block_chars(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(core, "_PACK_BLOCK_CHARS", request.param)
-        monkeypatch.setattr(countsfile, "_READ_BLOCK_BYTES", request.param)
+        monkeypatch.setattr(countsfile, "_BLOCK_BYTES", request.param)
     return request.param
 
 
@@ -678,7 +679,7 @@ class TestCanonicalReader:
             shots, countsfile._TAIL[2],
         )
         block = draw.draw(st.sampled_from([20, 64, 600]), label="block bytes")
-        with mock.patch.object(countsfile, "_READ_BLOCK_BYTES", block):
+        with mock.patch.object(countsfile, "_BLOCK_BYTES", block):
             for bit_order in ["left", "right"]:
                 got = outcome(parse_counts, document, bit_order=bit_order)
                 assert got == outcome(json_path, document, bit_order)
@@ -739,6 +740,76 @@ class TestCanonicalReader:
             assert serialize_counts(table).encode() == expected
 
 
+PACKED_WIDTHS = [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 200]
+
+
+def mixed_widths_table(rng, n):
+    """Up to 300 keys whose counts have from 1 to 13 digits, mixed at random
+    inside and across blocks."""
+    keys = random_keys(rng, n, 300)
+    counts = 10 ** rng.uniform(0, 12, size=len(keys))
+    return CountsTable({k: int(c) for k, c in zip(keys, counts)}, n=n)
+
+
+class TestWriteCounts:
+    """write_counts writes the blocks that serialize_counts joins, one at a
+    time."""
+
+    @pytest.mark.parametrize("n", PACKED_WIDTHS)
+    def test_written_bytes_are_the_canonical_document(self, block_chars, tmp_path, n):
+        rng = np.random.default_rng(3000 + n)
+        path = tmp_path / "counts.json"
+        for table in [*width_tables(rng, n), mixed_widths_table(rng, n)]:
+            write_counts(path, table)
+            written = path.read_bytes()
+            assert written == reference_serialize(dict(table.counts), table.n, table.shots)
+            assert written == serialize_counts(table).encode("ascii")
+
+    def test_write_holds_no_copy_of_the_document(self, tmp_path):
+        n = 127
+        table = simulate_shots(("10" * n)[:n], NoiseModel.uniform(n, 0.3), 100_000, 4)
+        path = tmp_path / "counts.json"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_counts(path, table)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the document is 13.8 MB; one block of lines is about 1 MB
+        assert path.stat().st_size > 13e6
+        assert peak < 8e6, peak
+        assert path.read_bytes() == serialize_counts(table).encode("ascii")
+
+    def test_a_partial_file_is_refused(self):
+        """A write that fails partway leaves a prefix of the document; every
+        prefix short of the final newline is refused."""
+        keys = random_keys(np.random.default_rng(5), 9, 12)
+        data = serialize_counts(CountsTable({k: 10**i for i, k in enumerate(keys)})).encode()
+        for end in range(len(data) - 1):
+            assert outcome(parse_counts, data[:end])[:2] == (CountsFormatError, "SCHEMA"), end
+
+    @pytest.mark.parametrize("bit_order", ["left", "right"])
+    @pytest.mark.parametrize("n", PACKED_WIDTHS)
+    def test_canonical_and_compact_files_read_to_one_table(self, tmp_path, n, bit_order):
+        """A file in the canonical layout and one in a compact layout, with
+        the entries shuffled, read as bytes or as text, give one table; only
+        canonical bytes take the byte reader."""
+        rng = np.random.default_rng(4000 + n)
+        table = mixed_widths_table(rng, n)
+        canonical, compact = tmp_path / "canonical.json", tmp_path / "compact.json"
+        write_counts(canonical, table)
+        doc = json.loads(canonical.read_bytes())
+        doc["counts"] = dict(sorted(doc["counts"].items(), key=lambda _: rng.random()))
+        compact.write_text(json.dumps(doc, separators=(",", ":")))
+        flip = (lambda k: k[::-1]) if bit_order == "right" else (lambda k: k)
+        expected = CountsTable({flip(k): c for k, c in table.items()}, n=n)
+        for path in (canonical, compact):
+            assert reads_canonical(path.read_bytes(), bit_order) == (path == canonical)
+            assert load_counts(path, bit_order=bit_order) == expected
+            assert parse_counts(path.read_text(), bit_order=bit_order) == expected
+
+
 def spy(monkeypatch, name):
     """Wrap countsfile.<name>, recording each call's arguments and whether it
     returned None."""
@@ -765,7 +836,7 @@ class TestStrideLines:
 
     def test_every_one_byte_edit(self, monkeypatch):
         n, block = 4, 64
-        monkeypatch.setattr(countsfile, "_READ_BLOCK_BYTES", block)
+        monkeypatch.setattr(countsfile, "_BLOCK_BYTES", block)
         entries = {format(k, "04b"): 1 + k % 9 for k in range(1, 10)}
         data = serialize_counts(CountsTable(entries)).encode()
         per_block = block // line_length(n, 1)
@@ -798,7 +869,7 @@ class TestStrideLines:
     @pytest.mark.parametrize("bit_order", ["left", "right"])
     def test_count_widths_change_mid_block_and_at_a_block_boundary(self, monkeypatch, bit_order):
         n, block = 9, 600
-        monkeypatch.setattr(countsfile, "_READ_BLOCK_BYTES", block)
+        monkeypatch.setattr(countsfile, "_BLOCK_BYTES", block)
         per_block = block // line_length(n, 1)
         # one-digit counts fill the first block exactly, so the widths change
         # at its end; later they change inside blocks

@@ -1093,6 +1093,55 @@ class TestSharedInvariances:
             if n >= 2:
                 assert sliding_window_antipodal(scaled) == sliding_window_antipodal(table)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 200])
+    def test_complement_and_permutation_at_packed_widths(self, n):
+        """At the same widths: complementing every key and swapping p01 with
+        p10 complements qmv and weighted_vote on every untied qubit, and a
+        tied qubit stays 1; permuting every key's qubits, with the noise
+        model and a per-qubit prior, permutes weighted_vote and
+        map_estimate."""
+        rng = np.random.default_rng(2000 + n)
+        truth = "".join(rng.choice(["0", "1"], size=n))
+        p01, p10 = rng.uniform(0.05, 0.45, n), rng.uniform(0.05, 0.45, n)
+        p10[0] = p01[0]
+        noise = NoiseModel(p01=p01, p10=p10)
+        # every shot again with qubit 0 flipped, so qubit 0 ties under both votes
+        entries = {}
+        for key, count in simulate_shots(truth, noise, 300, seed=n).items():
+            for k in (key, complement(key[0]) + key[1:]):
+                entries[k] = entries.get(k, 0) + count
+        table = CountsTable(entries, n=n)
+        t = tally(table)
+
+        flipped = tally(CountsTable({complement(k): c for k, c in table.items()}, n=n))
+        swapped = NoiseModel(p01=p10, p10=p01)
+        ll0 = t.ones * np.log(p01) + t.zeros * np.log(1.0 - p01)
+        ll1 = t.zeros * np.log(p10) + t.ones * np.log(1.0 - p10)
+        for got, base, untied in (
+            (qmv(flipped), qmv(t), t.zeros != t.ones),
+            (weighted_vote(flipped, swapped), weighted_vote(t, noise), ll0 != ll1),
+        ):
+            assert not untied[0] and untied.sum() >= 0.9 * (n - 1)
+            assert got.value == "".join(
+                complement(bit) if u else "1" for bit, u in zip(base.value, untied)
+            )
+            assert got.margins.tolist() == base.margins.tolist()
+
+        perm = rng.permutation(n)
+        permuted = CountsTable({"".join(k[i] for i in perm): c for k, c in table.items()}, n=n)
+        noise_perm = NoiseModel(p01=p01[perm], p10=p10[perm])
+        pi = rng.uniform(0.05, 0.95, n)
+        pi[rng.permutation(n)[: n // 4]] = rng.integers(0, 2, n // 4)  # some hard priors
+        for got, base in (
+            (weighted_vote(tally(permuted), noise_perm), weighted_vote(t, noise)),
+            (
+                map_estimate(permuted, noise_perm, Prior(per_qubit=pi[perm])),
+                map_estimate(table, noise, Prior(per_qubit=pi)),
+            ),
+        ):
+            assert got.value == "".join(base.value[i] for i in perm)
+            assert got.margins.tolist() == base.margins[perm].tolist()
+
     def test_count_scaling_invariance(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
