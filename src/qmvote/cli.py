@@ -16,14 +16,13 @@ from pathlib import Path
 from . import __version__
 from .ams import ams_execute, ams_plan
 from .budget import _figures, _finite_or_none, required_shots
-from .core import hamming_distance, tally
+from .core import _json_fields, _json_load, hamming_distance, tally
 from .countsfile import BIT_ORDERS, load_counts, serialize_counts, write_counts
 from .errors import InfeasibleError, MitigationError, ValidationError
 from .estimators import AntipodalPair, Prior, qmv, weighted_vote
 from .experiment import (
     ESTIMATORS,
     GROUND_TRUTH_PATTERNS,
-    _refuse_unknown,
     ground_truth_pattern,
     load_config,
     run_experiment,
@@ -179,13 +178,10 @@ def _cmd_mitigate(args) -> int:
 def _load_prior(args, n: int) -> Prior:
     if not args.prior_file:
         return Prior.uniform(n)
-    try:
-        doc = json.loads(Path(args.prior_file).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"prior file {args.prior_file} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or ("per_qubit" in doc) == ("table" in doc):
+    doc = _json_load(Path(args.prior_file).read_bytes(), "prior file", ValidationError)
+    _json_fields(doc, "prior file", ("per_qubit", "table"), (), ValidationError)
+    if ("per_qubit" in doc) == ("table" in doc):
         raise ValidationError("prior file must carry exactly one of 'per_qubit' or 'table'")
-    _refuse_unknown(doc, {"per_qubit", "table"}, "prior file")
     return Prior(**doc)
 
 

@@ -9,6 +9,7 @@ is built only when it is asked for.
 
 from __future__ import annotations
 
+import json
 import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -49,6 +50,31 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
+def _json_load(data: bytes | str, what: str, error):
+    """The JSON value of a document given as UTF-8 bytes with no byte-order
+    mark, or as text; any other document raises ``error(message)``."""
+    try:
+        return json.loads(data if isinstance(data, str) else data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not valid UTF-8: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:  # a byte-order mark is a JSONDecodeError
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _json_fields(doc, what: str, known, required, error) -> dict:
+    """``doc``, a JSON object whose fields are all ``known`` and include every
+    ``required`` one; anything else raises ``error(message)``."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object")
+    unknown = doc.keys() - known
+    if unknown:
+        raise error(f"unknown {what} fields {sorted(unknown, key=str)}")  # keys of any type
+    missing = [name for name in required if name not in doc]
+    if missing:
+        raise error(f"missing {what} fields {missing}")
+    return doc
+
+
 def _probabilities(values, what: str) -> np.ndarray:
     """``values`` as a float64 copy of the same shape, for the caller to check: real
     numbers in [0, 1], never strings or booleans (a numeric ndarray is not walked)."""
@@ -82,7 +108,7 @@ def _counts(values, what: str) -> np.ndarray:
 
 def complement(bits: str) -> str:
     """Bitwise complement of a bitstring."""
-    return bits.translate(_COMPLEMENT_TABLE)
+    return validate_bitstring(bits).translate(_COMPLEMENT_TABLE)
 
 
 def hamming_distance(a: str, b: str) -> int:

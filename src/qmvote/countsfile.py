@@ -17,11 +17,11 @@ produced by stacks that order bits right-to-left can be ingested with
 A ``bytes`` document in the layout ``serialize_counts`` writes, with its
 entries in any order, is read straight from its bytes; a ``str``, any other
 layout, or a key that repeats goes through ``json``, which gives every error.
+Bytes are UTF-8 with no byte-order mark, as in every JSON document qmvote reads.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
@@ -29,6 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import MAX_QUBITS, MAX_SHOTS, CountsTable, _exact_sum, _is_int, _pack_entries, _Rows
+from .core import _json_fields, _json_load
 from .errors import CountsFormatError, ValidationError
 
 SCHEMA_VERSION = "1"
@@ -105,22 +106,9 @@ def parse_counts(data: bytes | str, bit_order: str = "left") -> CountsTable:
         table = _read_canonical(data, reverse=bit_order == "right")
         if table is not None:
             return table
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _schema_error(f"counts document is not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise _schema_error(f"counts document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise _schema_error("counts document must be a JSON object")
-    unknown = set(doc) - set(_REQUIRED_FIELDS)
-    if unknown:
-        raise _schema_error(f"unknown fields {sorted(unknown)} are not allowed")
-    missing = [f for f in _REQUIRED_FIELDS if f not in doc]
-    if missing:
-        raise _schema_error(f"missing required fields {missing}")
+    what = "counts document"
+    doc = _json_load(data, what, _schema_error)
+    _json_fields(doc, what, _REQUIRED_FIELDS, _REQUIRED_FIELDS, _schema_error)
     if doc["schema_version"] != SCHEMA_VERSION:
         raise _schema_error(
             f"field 'schema_version' must be {SCHEMA_VERSION!r}, got {doc['schema_version']!r}"

@@ -105,8 +105,7 @@ class AntipodalPair:
     x_complement: str
 
     def __post_init__(self):
-        validate_bitstring(self.x)
-        if self.x_complement != complement(self.x):
+        if self.x_complement != complement(self.x):  # complement refuses what is not a bitstring
             raise ValidationError("second member must be the bitwise complement of the first")
 
     @property

@@ -2,11 +2,14 @@
 and report Hamming distances to the ground truth.
 
 A configuration names a ground truth (explicit bitstring or a generator
-pattern), a noise model, shot counts, estimators, and seeds. Every
-(shots, seed) cell simulates one shot record and feeds it to each
-estimator; rows record the Hamming distance of the estimate from the
-truth. Reports come in two forms: canonical JSON (byte-stable across
-reruns, so wall times are kept out of it) and CSV (which carries a
+pattern), a noise model, shot counts, estimators, and seeds. A config file
+is a JSON object in UTF-8 with no byte-order mark. Every (shots, seed)
+cell simulates one shot record and feeds it to each estimator; ams draws
+its own per-qubit counts, so a cell whose only estimator is ams simulates
+no record, and only configs naming another estimator are held to the
+record's memory limit. Rows record the Hamming distance of the estimate
+from the truth. Reports come in two forms: canonical JSON (byte-stable
+across reruns, so wall times are kept out of it) and CSV (which carries a
 runtime_ms column). The numeric content shared by the two forms is
 identical.
 """
@@ -24,7 +27,8 @@ from typing import Any
 
 from .ams import adaptive_vote
 from .budget import _figures, qmv_error_bound
-from .core import MAX_QUBITS, CountsTable, _is_int, _is_real, hamming_distance, tally
+from .core import _INT64_MAX, MAX_QUBITS, CountsTable, _is_int, _is_real, hamming_distance, tally
+from .core import _json_fields, _json_load
 from .errors import InfeasibleError, ValidationError
 from .estimators import (
     AntipodalPair,
@@ -112,7 +116,8 @@ class ExperimentConfig:
                 )
         if not self.shots or any(s < 1 for s in self.shots):
             raise ValidationError("field 'shots' must list positive shot counts")
-        _check_record_memory(n, max(self.shots))
+        if self._simulates:
+            _check_record_memory(n, max(self.shots))
         if not self.seeds:
             raise ValidationError("field 'seeds' must list at least one seed")
         for seed in self.seeds:  # refused here, not when its cell runs after the others
@@ -138,6 +143,8 @@ class ExperimentConfig:
                 )
             if any(s % 2 for s in self.shots):
                 raise InfeasibleError("estimator 'ams' splits the budget in half; shots must be even")
+            if max(self.shots) > _INT64_MAX:  # no shot record bounds an ams-only budget
+                raise ValidationError("estimator 'ams' takes at most 2**63 - 1 shots")
             if self.antipodal:
                 # an equal mixture of x0 and its complement reads 0 and 1 equally on every qubit
                 raise InfeasibleError(
@@ -149,30 +156,26 @@ class ExperimentConfig:
     def n(self) -> int:
         return len(self.ground_truth)
 
+    @property
+    def _simulates(self) -> bool:
+        """Whether cells simulate a shot record: ams draws its own counts, and
+        every other estimator reads the record."""
+        return any(est != "ams" for est in self.estimators)
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ValidationError("experiment config must be a JSON object")
         required = ("ground_truth", "noise", "shots", "estimators", "seeds")
-        _refuse_unknown(doc, {*required, "ams"}, "config")
-        missing = [f for f in required if f not in doc]
-        if missing:
-            raise ValidationError(f"missing config fields {missing}")
+        _json_fields(doc, "experiment config", {*required, "ams"}, required, ValidationError)
 
         truth_spec = doc["ground_truth"]
         antipodal = False
         if isinstance(truth_spec, str):
             truth = truth_spec
         elif isinstance(truth_spec, dict):
-            _refuse_unknown(truth_spec, {"pattern", "n"}, "'ground_truth'")
-            pattern = truth_spec.get("pattern")
-            n = truth_spec.get("n")
-            if pattern is None or not _is_int(n):
-                raise ValidationError(
-                    "field 'ground_truth' object form needs 'pattern' and integer 'n'"
-                )
-            truth = ground_truth_pattern(pattern, n)
-            antipodal = pattern == "ghz-antipodal"
+            fields = ("pattern", "n")
+            _json_fields(truth_spec, "'ground_truth'", fields, fields, ValidationError)
+            truth = ground_truth_pattern(truth_spec["pattern"], truth_spec["n"])
+            antipodal = truth_spec["pattern"] == "ghz-antipodal"
         else:
             raise ValidationError("field 'ground_truth' must be a bitstring or a pattern object")
 
@@ -187,10 +190,8 @@ class ExperimentConfig:
 
         ams_tau = ams_factor = None
         if "ams" in doc:
-            ams = doc["ams"]
-            if not isinstance(ams, dict) or "tau" not in ams or "factor" not in ams:
-                raise ValidationError("field 'ams' must be an object with 'tau' and 'factor'")
-            _refuse_unknown(ams, {"tau", "factor"}, "'ams'")
+            fields = ("tau", "factor")
+            ams = _json_fields(doc["ams"], "'ams'", fields, fields, ValidationError)
             ams_tau, ams_factor = ams["tau"], ams["factor"]
 
         return cls(
@@ -206,17 +207,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "ExperimentConfig":
-        try:
-            doc = json.loads(data)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValidationError(f"experiment config is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
-
-
-def _refuse_unknown(doc: dict, known: set, where: str) -> None:
-    unknown = set(doc) - known
-    if unknown:
-        raise ValidationError(f"unknown {where} fields {sorted(unknown)}")
+        return cls.from_dict(_json_load(data, "experiment config", ValidationError))
 
 
 def _number(value: Any, name: str) -> float:
@@ -298,10 +289,12 @@ def _estimate_distance(result, truth: str, antipodal: bool) -> tuple[Any, int]:
     return result.value, hamming_distance(result.value, truth)
 
 
-def _run_estimator(name: str, config: ExperimentConfig, counts: CountsTable, votes, seed: int):
+def _run_estimator(
+    name: str, config: ExperimentConfig, counts: CountsTable | None, votes, shots: int, seed: int
+):
     if name == "ams":
         _, estimate = adaptive_vote(
-            config.ground_truth, config.noise, config.ams_tau, counts.shots, config.ams_factor, seed
+            config.ground_truth, config.noise, config.ams_tau, shots, config.ams_factor, seed
         )
         return estimate
     _, takes_prior, rule = ESTIMATORS[name]
@@ -334,18 +327,19 @@ def _usable_cpus() -> int:
 
 
 def _run_cell(config: ExperimentConfig, shots: int, seed: int) -> list[dict]:
-    """Rows of one (shots, seed) cell: one simulated table, every estimator."""
+    """Rows of one (shots, seed) cell: one simulated table, unless ams is the
+    only estimator, and every estimator."""
     truth = config.ground_truth
     cell_seed = derive_seed(seed, "cell", shots)
-    if config.antipodal:
-        counts = simulate_antipodal_shots(truth, config.noise, shots, cell_seed)
-    else:
-        counts = simulate_shots(truth, config.noise, shots, cell_seed)
+    counts = None
+    if config._simulates:
+        simulate = simulate_antipodal_shots if config.antipodal else simulate_shots
+        counts = simulate(truth, config.noise, shots, cell_seed)
     votes = functools.cache(lambda: tally(counts))  # timed with the first rule to vote
     rows = []
     for name in config.estimators:
         start = time.perf_counter()
-        result = _run_estimator(name, config, counts, votes, cell_seed)
+        result = _run_estimator(name, config, counts, votes, shots, cell_seed)
         elapsed_ms = (time.perf_counter() - start) * 1e3
         estimate, distance = _estimate_distance(result, truth, config.antipodal)
         rows.append(

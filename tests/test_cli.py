@@ -229,6 +229,14 @@ CLI_CASES = [
     (1, "experiment {dir}/bad-seeds.json"),
     (1, "experiment {dir}/thin-ams.json"),
     (2, "experiment {dir}/ghz-ams.json"),
+    # every document is UTF-8 with no byte-order mark
+    (1, "experiment {dir}/stray-ff.json"),
+    (1, "experiment {dir}/utf16.json"),
+    (1, "experiment {dir}/bom.json"),
+    (1, "mitigate {dir}/good.json --method map --p 0.1 --prior-file {dir}/stray-ff-prior.json"),
+    (1, "mitigate {dir}/stray-ff-counts.json --method qmv"),
+    # ams draws its own counts, so no shot record of 2**40 rows is built
+    (0, "experiment {dir}/huge-ams.json"),
 ]
 
 
@@ -257,8 +265,14 @@ def fuzz_files(tmp_path_factory):
         "thin-ams": {**small, "ground_truth": {"pattern": "alternating", "n": 50}, "shots": [4]},
         "ghz-ams": {**small, "ground_truth": {"pattern": "ghz-antipodal", "n": 20}},
     }
+    configs["huge-ams"] = {**small, "estimators": ["ams"], "shots": [2**40]}
     for name, doc in configs.items():
         (folder / f"{name}.json").write_text(json.dumps(doc))
+    (folder / "stray-ff.json").write_bytes(b"\xff" + json.dumps(small).encode())
+    (folder / "utf16.json").write_bytes(json.dumps(small).encode("utf-16"))
+    (folder / "bom.json").write_bytes(b"\xef\xbb\xbf" + json.dumps(small).encode())
+    (folder / "stray-ff-prior.json").write_bytes(b"\xff" + json.dumps({"per_qubit": [0.5, 0.5]}).encode())
+    (folder / "stray-ff-counts.json").write_bytes(b"\xff" + (folder / "good.json").read_bytes())
     return folder
 
 

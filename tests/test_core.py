@@ -264,3 +264,9 @@ class TestVoteTally:
 def test_complement_roundtrip():
     assert complement("0110") == "1001"
     assert complement(complement("0110")) == "0110"
+
+
+@pytest.mark.parametrize("bits", ["012", "", "01 ", 5, None, b"01"])
+def test_complement_refuses_what_is_not_a_bitstring(bits):
+    with pytest.raises(ValidationError):
+        complement(bits)

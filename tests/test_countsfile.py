@@ -638,6 +638,10 @@ class TestCanonicalReader:
             ),
             "CRLF line ends": (data.replace(b"\n", b"\r\n"), table),
             "BOM": (b"\xef\xbb\xbf" + data, "SCHEMA"),
+            "BOM in text": ("\ufeff" + data.decode(), "SCHEMA"),
+            "stray 0xff": (b"\xff" + data, "SCHEMA"),
+            "UTF-16": (data.decode().encode("utf-16"), "SCHEMA"),
+            "UTF-16 without BOM": (data.decode().encode("utf-16-le"), "SCHEMA"),
             "no final newline": (data[:-1], table),
             "non-ASCII text": (data.decode().replace("{", "{\u00a0", 1), "SCHEMA"),
         }
@@ -717,7 +721,7 @@ class TestCanonicalReader:
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
             return json_loads(data)
 
-        with mock.patch.object(countsfile.json, "loads", loads):
+        with mock.patch.object(core.json, "loads", loads):  # where the shared reader calls it
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]

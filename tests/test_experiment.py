@@ -56,6 +56,19 @@ class TestConfig:
         with pytest.raises(ValidationError, match="not valid JSON"):
             ExperimentConfig.from_json("[" * 200_000)
 
+    def test_config_is_utf8_without_a_byte_order_mark(self):
+        text = '{"ground_truth": "01", "noise": {"p": 0.1}, "shots": [4], "estimators": ["qmv"], "seeds": [0]}'
+        assert ExperimentConfig.from_json(text.encode()).ground_truth == "01"
+        for data, message in [
+            (b"\xff" + text.encode(), "not valid UTF-8"),
+            (text.encode("utf-16"), "not valid UTF-8"),
+            (text.encode("utf-16-le"), "not valid JSON"),
+            (text.encode("utf-8-sig"), "not valid JSON"),
+            ("\ufeff" + text, "not valid JSON"),
+        ]:
+            with pytest.raises(ValidationError, match=f"experiment config is {message}"):
+                ExperimentConfig.from_json(data)
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValidationError):
             make_config(estimators=["qmv", "oracle"])
@@ -91,6 +104,26 @@ class TestConfig:
         with pytest.raises(InfeasibleError, match="packed shot record.*4 GiB allowed"):
             make_config(ground_truth=alternating, shots=[64, 2**31 + 2])
         assert make_config(ground_truth=alternating, shots=[2**31]).shots == (2**31,)
+
+    def test_ams_only_config_builds_no_shot_record(self, monkeypatch):
+        """ams draws its own per-qubit counts, so the record rule and the
+        simulator apply only when another estimator is named."""
+        truth, ams = {"pattern": "alternating", "n": 200}, {"tau": 0.16, "factor": 0.5}
+        with pytest.raises(InfeasibleError, match="packed shot record"):
+            make_config(ground_truth=truth, shots=[2**40], estimators=["qmv", "ams"], ams=ams)
+        cfg = make_config(
+            ground_truth=truth, noise={"p": 0.4}, shots=[2**40], estimators=["ams"], seeds=[1], ams=ams
+        )
+
+        def refuse(*args):
+            raise AssertionError("an ams-only cell simulated a shot record")
+
+        monkeypatch.setattr(experiment_mod, "simulate_shots", refuse)
+        (row,) = run_experiment(cfg).rows
+        assert (row["estimator"], row["shots"], row["distance"]) == ("ams", 2**40, 0)
+        # the largest budget a count holds is the limit, and it is checked at config time
+        with pytest.raises(ValidationError, match="at most 2\\*\\*63 - 1 shots"):
+            make_config(ground_truth=truth, shots=[2**40, 2**64], estimators=["ams"], ams=ams)
 
     def test_ams_needs_settings_and_even_shots(self):
         with pytest.raises(ValidationError):
@@ -190,6 +223,9 @@ class TestConfig:
                     "extra": 1,
                 }
             )
+        # keys that do not sort together, which only a Python caller can pass
+        with pytest.raises(ValidationError, match=r"unknown experiment config fields \[1, 'x'\]"):
+            ExperimentConfig.from_dict({1: 0, "x": 0})
 
     @pytest.mark.parametrize(
         "overrides,where,field",
