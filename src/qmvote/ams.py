@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _INT64_MAX, VoteTally, _is_int, _is_real
+from .core import _INT64_MAX, VoteTally, _expect, _is_int, _is_real
 from .core import tally  # noqa: F401  perfbench's tracer wraps every module's binding of tally
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .estimators import Estimate, _bitstring, _loglikelihoods
@@ -53,8 +53,7 @@ class AmsPlan:
     insufficient: bool = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.phase1, VoteTally):
-            raise ValidationError(f"expected a VoteTally, got {type(self.phase1).__name__}")
+        _expect(self.phase1, VoteTally)
         if not _is_real(self.tau) or not 0.0 < self.tau < 1.0:
             raise ValidationError(f"tau must lie strictly inside (0, 1), got {self.tau}")
         k = self.phase1.shots
@@ -101,12 +100,13 @@ def merge_votes(
         raise ValidationError(f"subsets must be a VoteTally, got {type(subsets).__name__}")
     if not all(map(_is_int, qubits)):
         raise ValidationError("subset qubits must be integers")
-    q = np.array(qubits, dtype=np.int64)
+    qubits = [int(i) for i in qubits]  # Python integers: no qubit is too large to compare
     circuits = 0 if subsets is None else subsets.n
-    if q.size != circuits:
-        raise DimensionError(f"{q.size} subset qubits for {circuits} subset circuits")
-    if np.any((q < 0) | (q >= n)) or len(set(q.tolist())) != q.size:
+    if len(qubits) != circuits:
+        raise DimensionError(f"{len(qubits)} subset qubits for {circuits} subset circuits")
+    if not all(0 <= i < n for i in qubits) or len(set(qubits)) != len(qubits):
         raise DimensionError(f"subset qubits must be distinct and lie in 0..{n - 1}")
+    q = np.array(qubits, dtype=np.intp)
     ll0, ll1 = _loglikelihoods(phase1_tally.zeros, phase1_tally.ones, noise.p01, noise.p10)
     if subsets is not None:
         p01, p10 = subset_noise.p01[q], subset_noise.p10[q]

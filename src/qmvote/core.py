@@ -40,6 +40,15 @@ def validate_bitstring(bits: str, n: int | None = None) -> str:
     return bits
 
 
+def _expect(value, cls):
+    """Return ``value`` if it is a ``cls``; anything else, such as a plain
+    mapping of counts where a ``CountsTable`` is expected, raises
+    ``ValidationError``."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"expected a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _is_int(value) -> bool:
     """A Python or numpy integer that is not a boolean, which would pass as 0 or 1."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -394,6 +403,6 @@ def tally(counts: CountsTable) -> VoteTally:
 
     Cost is linear in (distinct entries) x (qubits).
     """
-    bits, weights = counts.as_arrays()
+    bits, weights = _expect(counts, CountsTable).as_arrays()
     ones = _column_sums(weights, bits)
     return VoteTally(zeros=counts.shots - ones, ones=ones)

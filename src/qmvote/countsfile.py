@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import MAX_QUBITS, MAX_SHOTS, CountsTable, _exact_sum, _is_int, _pack_entries, _Rows
-from .core import _json_fields, _json_load
+from .core import _expect, _json_fields, _json_load
 from .errors import CountsFormatError, ValidationError
 
 SCHEMA_VERSION = "1"
@@ -320,7 +320,7 @@ def _render(table: CountsTable):
 
 def serialize_counts(table: CountsTable) -> str:
     """Render a counts table as the canonical document."""
-    return b"".join(_render(table)).decode("ascii")
+    return b"".join(_render(_expect(table, CountsTable))).decode("ascii")
 
 
 def load_counts(path: str | Path, bit_order: str = "left") -> CountsTable:
@@ -328,6 +328,8 @@ def load_counts(path: str | Path, bit_order: str = "left") -> CountsTable:
 
 
 def write_counts(path: str | Path, table: CountsTable) -> None:
-    """Write the canonical document to ``path`` a block at a time."""
+    """Write the canonical document to ``path`` a block at a time. Anything
+    but a ``CountsTable`` is refused before ``path`` is opened."""
+    _expect(table, CountsTable)
     with open(path, "wb") as file:
         file.writelines(_render(table))

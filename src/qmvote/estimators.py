@@ -33,15 +33,10 @@ from typing import Mapping
 import numpy as np
 
 from .core import CountsTable, VoteTally, _column_sums, _is_real, _probabilities, complement
-from .core import tally, validate_bitstring
+from .core import _expect, tally, validate_bitstring
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .noise import NoiseModel
 
-# 2^n candidates are scanned in blocks of this size. A block's scores are
-# defined as one matrix-vector product over its rows, whose summation order
-# can depend on the row count, so the block size is part of the output
-# definition and must not be tuned per run.
-_ENUM_BLOCK = 1 << 16
 # A scan over K distinct keys does about 2^n x (K + _ENUM_CANDIDATE_PAIRS)
 # candidate-key pairs of work: about 2-3 ns per pair, plus 18-28 ns per
 # candidate at one key, the cost of some 8-12 pairs (2-vCPU Xeon VM, numpy
@@ -49,12 +44,13 @@ _ENUM_BLOCK = 1 << 16
 # 6 minutes there, is refused before it starts.
 _ENUM_CANDIDATE_PAIRS = 16
 _ENUM_MAX_PAIRS = 1 << 37
-# A block's candidate x entry matrix is built a tile of rows at a time, a
-# tile holding about this many bytes so that it and the stack of fixed-qubit
+# The candidate x entry matrix is built a tile of rows at a time, a tile
+# holding about this many bytes so that it and the stack of fixed-qubit
 # partial sums stay in cache. Tiles are powers of two of at least
-# _ENUM_TILE_MIN_ROWS rows, capped at the block. A tile's matrix-vector
-# product gives the same bits as the same rows inside one block-sized
-# product only on BLAS's path for four or more rows (OpenBLAS 0.3.31 takes
+# _ENUM_TILE_MIN_ROWS rows, capped at the 2^n candidates. A tile's
+# matrix-vector product gives each row the bits of the same row in the
+# tests' gather reference, which weights blocks of 2^16 rows in one
+# product, only on BLAS's path for four or more rows (OpenBLAS 0.3.31 takes
 # another path for one or two rows), so the minimum must stay >= 4.
 _ENUM_TILE_BYTES = 1 << 20
 _ENUM_TILE_MIN_ROWS = 64
@@ -185,16 +181,10 @@ class Prior:
         return len(self.table) == 1 << self.n and len(set(self.table.values())) == 1
 
 
-def _check_tally(t: VoteTally) -> VoteTally:
-    if not isinstance(t, VoteTally):
-        raise ValidationError(f"expected a VoteTally, got {type(t).__name__}")
-    return t
-
-
 def mode_estimate(counts: CountsTable) -> Estimate:
     """Most frequently measured bitstring; ties pick the lexicographically
     smallest."""
-    packed, weights = counts._packed, counts._weights
+    packed, weights = _expect(counts, CountsTable)._packed, counts._weights
     # rows are in key order, so the first maximum is the smallest tied key
     best = int(np.argmax(weights))
     second_count = int(np.partition(weights, -2)[-2]) if weights.size > 1 else 0
@@ -237,7 +227,7 @@ def _bitstring(bits: np.ndarray) -> str:
 def qmv(vote_tally: VoteTally) -> Estimate:
     """Qubit-wise majority vote: bit i is 0 iff strictly more shots read 0
     than 1 there; ties resolve to 1."""
-    t = _check_tally(vote_tally)
+    t = _expect(vote_tally, VoteTally)
     return Estimate(value=_bitstring(t.zeros <= t.ones), method="qmv", margins=t.margins)
 
 
@@ -249,7 +239,7 @@ def weighted_vote(vote_tally: VoteTally, noise: NoiseModel) -> Estimate:
     p10^zeros (1-p10)^ones > p01^ones (1-p01)^zeros; ties resolve to 1.
     With p01 = p10 = p < 0.5 this reduces bit-for-bit to the majority vote.
     """
-    t = _check_tally(vote_tally)
+    t = _expect(vote_tally, VoteTally)
     ll0, ll1 = _loglikelihoods(t.zeros, t.ones, noise.p01, noise.p10)
     return Estimate(value=_bitstring(ll0 <= ll1), method="weighted", margins=t.margins)
 
@@ -267,12 +257,13 @@ def _check_scan_work(n: int, keys: int) -> None:
         )
 
 
-def _scan_tile_rows(keys: int, block: int) -> int:
-    """Rows per tile of a scan over ``keys`` distinct keys: the largest
-    power of two whose float64 rows fit in ``_ENUM_TILE_BYTES``, at least
-    ``_ENUM_TILE_MIN_ROWS`` and at most ``block``."""
+def _scan_tile_rows(keys: int, total: int) -> int:
+    """Rows per tile of a scan of ``total`` candidates over ``keys`` distinct
+    keys: the largest power of two whose float64 rows fit in
+    ``_ENUM_TILE_BYTES``, at least ``_ENUM_TILE_MIN_ROWS`` and at most
+    ``total``."""
     rows = 1 << max(0, (_ENUM_TILE_BYTES // (8 * keys)).bit_length() - 1)
-    return min(block, max(_ENUM_TILE_MIN_ROWS, rows))
+    return min(total, max(_ENUM_TILE_MIN_ROWS, rows))
 
 
 _CONTRADICTION = "every candidate has zero posterior weight; observations contradict hard evidence"
@@ -291,30 +282,28 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
 
     Each candidate's per-entry log-likelihood is the qubit-ordered sum
     ``((0 + t_0) + t_1) + ... + t_{n-1}``, where ``t_i`` is the entry's term
-    at qubit i under the candidate's bit there. Candidates are scored in
-    blocks of ``_ENUM_BLOCK``, and each block is built a tile of rows at a
-    time (see ``_scan_tile_rows``). Within a tile the high qubits are fixed,
-    so their partial sum is one row, taken from a stack of prefix sums that
-    is recomputed only from the first fixed qubit whose bit differs from
-    the previous tile's. The low qubits are then added in qubit order by
+    at qubit i under the candidate's bit there. Candidates are scored a
+    tile of rows at a time, in candidate order (see ``_scan_tile_rows``).
+    Within a tile the high qubits are fixed, so their partial sum is one
+    row, taken from a stack of prefix sums that is recomputed only from the
+    first fixed qubit whose bit differs from the previous tile's. The low qubits are then added in qubit order by
     append-doubling in one buffer: with r rows built, rows r..2r-1 become
     the first r rows plus the bit-1 term, and the first r rows then add the
     bit-0 term in place. Row j then holds the candidate whose tile offset
     is j with its low bits reversed, and every row holds exactly the
     qubit-ordered sum, so the scores do not depend on how the rows were
-    built. The tile's rows are weighted by the entry counts, put back in
-    candidate order in the block's score vector, and the argmax and
-    runner-up are taken once per block.
+    built. The tile's rows are weighted by the entry counts, and its
+    maximum and runner-up are merged into the scan's in candidate order:
+    the best score is the first maximum in candidate order and the runner-up
+    the second-largest score overall, whatever the tile size.
 
     The working set is a tile of about 1 MiB, the (fixed qubits + 1) x
-    entries prefix stack, one block of scores and the n x 2 x entries term
-    table.
+    entries prefix stack and the n x 2 x entries term table.
     """
-    n = counts.n
+    n = _expect(counts, CountsTable).n
     if noise.n != n:
         raise DimensionError(f"noise model covers {noise.n} qubits, counts have {n}")
     _check_scan_work(n, len(counts))
-    block = min(_ENUM_BLOCK, 1 << n)
     ybits, weights = counts.as_arrays()
     wts = weights.astype(np.float64)
     with np.errstate(divide="ignore"):
@@ -329,7 +318,7 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     terms = np.ascontiguousarray(log_table[:, ybits, np.arange(n)].transpose(2, 0, 1))
     total = 1 << n
     entries = ybits.shape[0]
-    tile = _scan_tile_rows(entries, block)
+    tile = _scan_tile_rows(entries, total)
     low = tile.bit_length() - 1
     # qubits 0..fixed-1 are fixed within a tile, qubits fixed..n-1 are its low qubits
     fixed = n - low
@@ -343,37 +332,30 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
         order = np.concatenate([2 * order, 2 * order + 1])
     full = np.empty((tile, entries))
     row_scores = np.empty(tile)
-    scores = np.empty(block)
     best_k = 0
     best_score = NEG_INF
     second_score = NEG_INF
     # differs from candidate 0 at every fixed qubit, so the first tile builds the whole stack
     previous = total - 1
-    for lo in range(0, total, block):
-        for at in range(0, block, tile):
-            k = lo + at
-            for i in range(fixed - ((k ^ previous) >> low).bit_length(), fixed):
-                np.add(prefix[i], terms[i, (k >> (n - 1 - i)) & 1], out=prefix[i + 1])
-            previous = k
-            full[0] = prefix[fixed]
-            for b in range(low):
-                r = 1 << b
-                np.add(full[:r], terms[fixed + b, 1], out=full[r : 2 * r])
-                full[:r] += terms[fixed + b, 0]
-            np.matmul(full, wts, out=row_scores)
-            scores[at + order] = row_scores
-        top_score = float(scores.max())
-        if top_score == NEG_INF:
-            continue
-        # earliest index among equal maxima keeps the lexicographic rule
-        first_top = int(np.flatnonzero(scores == top_score)[0])
-        runner = float(np.partition(scores, -2)[-2]) if scores.size > 1 else NEG_INF
-        if top_score > best_score:
-            second_score = max(best_score, runner)
-            best_score = top_score
-            best_k = lo + first_top
+    for k in range(0, total, tile):
+        for i in range(fixed - ((k ^ previous) >> low).bit_length(), fixed):
+            np.add(prefix[i], terms[i, (k >> (n - 1 - i)) & 1], out=prefix[i + 1])
+        previous = k
+        full[0] = prefix[fixed]
+        for b in range(low):
+            r = 1 << b
+            np.add(full[:r], terms[fixed + b, 1], out=full[r : 2 * r])
+            full[:r] += terms[fixed + b, 0]
+        np.matmul(full, wts, out=row_scores)
+        top = float(row_scores.max())
+        if top > best_score:
+            # a tile has at least two rows, as n >= 1
+            second_score = max(best_score, float(np.partition(row_scores, -2)[-2]))
+            best_score = top
+            # the smallest tied offset keeps the lexicographic rule
+            best_k = k + int(order[row_scores == top].min())
         else:
-            second_score = max(second_score, top_score)
+            second_score = max(second_score, top)
     if best_score == NEG_INF:
         raise ValidationError(_CONTRADICTION)
     return best_k, best_score, second_score
@@ -408,9 +390,8 @@ def map_estimate(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estima
     per-qubit form answers: on a qubit whose observations are impossible
     under both bits the prior decides, and a uniform one picks 0.
     """
-    if not isinstance(prior, Prior):
-        raise ValidationError(f"expected a Prior, got {type(prior).__name__}")
-    if prior.n != counts.n:
+    _expect(counts, CountsTable)
+    if _expect(prior, Prior).n != counts.n:
         raise DimensionError(f"prior covers {prior.n} qubits, counts have {counts.n}")
     if prior.table is not None:
         return _map_table(counts, noise, prior)
@@ -463,7 +444,7 @@ def sliding_window_antipodal(counts: CountsTable) -> AntipodalPair:
     neither correct string was ever measured, since only pairwise
     agreement statistics enter.
     """
-    n = counts.n
+    n = _expect(counts, CountsTable).n
     if n < 2:
         raise ValidationError(f"antipodal windows need at least 2 qubits, got {n}")
     bits, weights = counts.as_arrays()

@@ -2,8 +2,9 @@
 and report Hamming distances to the ground truth.
 
 A configuration names a ground truth (explicit bitstring or a generator
-pattern), a noise model, shot counts, estimators, and seeds. A config file
-is a JSON object in UTF-8 with no byte-order mark. Every (shots, seed)
+pattern), a noise model, shot counts, estimators, and seeds, all checked
+when the config is built. A config file is a JSON object in UTF-8 with no
+byte-order mark. Every (shots, seed)
 cell simulates one shot record and feeds it to each estimator; ams draws
 its own per-qubit counts, so a cell whose only estimator is ams simulates
 no record, and only configs naming another estimator are held to the
@@ -28,7 +29,7 @@ from typing import Any
 from .ams import adaptive_vote
 from .budget import _figures, qmv_error_bound
 from .core import _INT64_MAX, MAX_QUBITS, CountsTable, _is_int, _is_real, hamming_distance, tally
-from .core import _json_fields, _json_load
+from .core import _expect, _json_fields, _json_load, validate_bitstring
 from .errors import InfeasibleError, ValidationError
 from .estimators import (
     AntipodalPair,
@@ -94,6 +95,13 @@ class ExperimentConfig:
     ams_factor: float | None = None
 
     def __post_init__(self):
+        validate_bitstring(self.ground_truth)
+        _expect(self.noise, NoiseModel)
+        for name in ("shots", "seeds", "estimators"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValidationError(f"field {name!r} must be a list, got {type(values).__name__}")
+            object.__setattr__(self, name, tuple(values))
         for name in ("ams_tau", "ams_factor"):  # kept as Python floats: they go in reports
             value = getattr(self, name)
             if value is not None:
@@ -181,13 +189,6 @@ class ExperimentConfig:
 
         noise = _noise_from_dict(doc["noise"], len(truth))
 
-        for name in ("shots", "seeds"):
-            if not isinstance(doc[name], list):
-                raise ValidationError(f"field {name!r} must be a list of integers")
-        estimators = doc["estimators"]
-        if not isinstance(estimators, list):
-            raise ValidationError("field 'estimators' must be a list")
-
         ams_tau = ams_factor = None
         if "ams" in doc:
             fields = ("tau", "factor")
@@ -197,9 +198,9 @@ class ExperimentConfig:
         return cls(
             ground_truth=truth,
             noise=noise,
-            shots=tuple(doc["shots"]),
-            estimators=tuple(estimators),
-            seeds=tuple(doc["seeds"]),
+            shots=doc["shots"],
+            estimators=doc["estimators"],
+            seeds=doc["seeds"],
             antipodal=antipodal,
             ams_tau=ams_tau,
             ams_factor=ams_factor,

@@ -164,7 +164,7 @@ class TestMergeVotes:
         strong_one = VoteTally(zeros=[50], ones=[150])
         assert merge_votes(t, noise, [0], strong_one, sub_noise) == "1"
 
-    @pytest.mark.parametrize("qubit", [-1, 2])
+    @pytest.mark.parametrize("qubit", [-1, 2, 2**63, 2**70, np.uint64(2**63), -(2**70)])
     def test_subset_qubit_out_of_range_rejected(self, qubit):
         noise = NoiseModel.uniform(2, 0.2)
         t = VoteTally(zeros=np.array([70, 30]), ones=np.array([30, 70]))

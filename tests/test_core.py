@@ -11,10 +11,17 @@ from qmvote import (
     NoiseModel,
     ValidationError,
     VoteTally,
+    Prior,
     complement,
     hamming_distance,
+    map_estimate,
+    ml_bruteforce,
+    mode_estimate,
+    serialize_counts,
     simulate_shots,
+    sliding_window_antipodal,
     tally,
+    write_counts,
 )
 from qmvote import core
 
@@ -270,3 +277,27 @@ def test_complement_roundtrip():
 def test_complement_refuses_what_is_not_a_bitstring(bits):
     with pytest.raises(ValidationError):
         complement(bits)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        tally,
+        mode_estimate,
+        lambda counts: ml_bruteforce(counts, NoiseModel.uniform(2, 0.1)),
+        lambda counts: map_estimate(counts, NoiseModel.uniform(2, 0.1), Prior.uniform(2)),
+        sliding_window_antipodal,
+        serialize_counts,
+    ],
+)
+def test_a_mapping_is_refused_where_a_counts_table_is_expected(use):
+    with pytest.raises(ValidationError, match="expected a CountsTable, got dict"):
+        use({"01": 3})
+
+
+def test_write_counts_refuses_a_mapping_before_opening_the_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"kept")
+    with pytest.raises(ValidationError, match="expected a CountsTable, got dict"):
+        write_counts(path, {"01": 3})
+    assert path.read_bytes() == b"kept"

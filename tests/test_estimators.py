@@ -33,7 +33,6 @@ from qmvote import (
 )
 from qmvote import estimators as estimators_mod
 from qmvote.estimators import (
-    _ENUM_BLOCK,
     _ENUM_CANDIDATE_PAIRS,
     _ENUM_MAX_PAIRS,
     _check_scan_work,
@@ -163,7 +162,7 @@ class TestMlBruteforce:
         4 GiB size cap on 1.5 x min(2^16, 2^n) x keys float64 values
         admitted, and its own boundary at n = 24 lies where it is set."""
         for n in range(1, 25):
-            block = min(_ENUM_BLOCK, 1 << n)
+            block = min(1 << 16, 1 << n)
             _check_scan_work(n, min(1 << n, (4 << 30) // (12 * block)))
         keys = (_ENUM_MAX_PAIRS >> 24) - _ENUM_CANDIDATE_PAIRS
         _check_scan_work(24, keys)
@@ -187,7 +186,7 @@ class TestMlBruteforce:
         assert peak < 64 << 20
 
     def test_scan_works_in_tiles(self):
-        """A whole-block build of this scan takes about 1.3 GB."""
+        """Building all 2^16 rows of this scan at once takes about 1.3 GB."""
         nm = NoiseModel.uniform(16, 0.3)
         counts = simulate_shots("01" * 8, nm, 2000, 1)
         assert len(counts) > 1700
@@ -229,10 +228,15 @@ class TestMlBruteforce:
                 assert got == top
 
 
+# candidates per block of the gather reference
+_REFERENCE_BLOCK = 1 << 16
+
+
 def reference_enumerate_scores(counts, noise, prior_logs):
     """Frozen copy of the original gather scan: for every qubit, gather each
     candidate's per-entry term from the log table and add it to the
-    candidate-by-entry matrix, one block of candidates at a time."""
+    candidate-by-entry matrix, one block of ``_REFERENCE_BLOCK`` candidates
+    at a time, weighted in one matrix-vector product per block."""
     n = counts.n
     ybits, weights = counts.as_arrays()
     wts = weights.astype(np.float64)
@@ -247,8 +251,8 @@ def reference_enumerate_scores(counts, noise, prior_logs):
     best_score = -math.inf
     second_score = -math.inf
     total = 1 << n
-    for lo in range(0, total, _ENUM_BLOCK):
-        hi = min(lo + _ENUM_BLOCK, total)
+    for lo in range(0, total, _REFERENCE_BLOCK):
+        hi = min(lo + _REFERENCE_BLOCK, total)
         ks = np.arange(lo, hi, dtype=np.int64)
         shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
         xbits = ((ks[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
@@ -324,6 +328,18 @@ def random_table_prior(rng, n):
     return prior, prior_logs
 
 
+def ruled_out(counts, noise):
+    """Whether each of the 2^n candidates, in candidate order, reads some
+    entry's bit with probability zero, so that its score is -inf."""
+    n = counts.n
+    x = (np.arange(1 << n)[:, None, None] >> np.arange(n - 1, -1, -1)) & 1
+    y = counts.as_arrays()[0][None]
+    read0 = np.where(y == 1, noise.p01, 1 - noise.p01)
+    read1 = np.where(y == 0, noise.p10, 1 - noise.p10)
+    p_read = np.where(x == 0, read0, read1)
+    return (p_read == 0.0).any(axis=(1, 2))
+
+
 class TestScanMatchesGatherReference:
     """The exhaustive scan must return exactly the tuple of the original
     gather scan: same argmax, and bit-identical best and runner-up scores.
@@ -363,9 +379,10 @@ class TestScanMatchesGatherReference:
             assert best - second == 0.0
 
     def test_several_blocks(self):
-        """n = 17 spans two blocks, so each block's high-qubit prefix is used."""
+        """n = 17 crosses what was a block boundary at 2^16 candidates, and
+        still is one of the reference's, where qubit 0's prefix changes."""
         n = 17
-        assert (1 << n) > _ENUM_BLOCK
+        assert (1 << n) > 1 << 16
         rng = np.random.default_rng(15)
         truth = "".join(rng.choice(["0", "1"], size=n))
         nm = NoiseModel(p01=rng.uniform(0.01, 0.05, n), p10=rng.uniform(0.01, 0.05, n))
@@ -374,8 +391,8 @@ class TestScanMatchesGatherReference:
         assert k == int(truth, 2)
 
     def test_tiles_smaller_than_the_block(self):
-        """Tables wide enough that a block is built in several tiles, at
-        every tile size from the smallest up to the whole block: K values
+        """Tables wide enough that a scan is built in several tiles, at
+        every tile size from the smallest up to all 2^n rows: K values
         on both sides of each step of the tile size, and K of 1-2k."""
         rng = np.random.default_rng(16)
         sizes = set()
@@ -403,19 +420,44 @@ class TestScanMatchesGatherReference:
             assert _scan_tile_rows(len(counts), 1 << n) < 1 << n
             assert isinstance(self.assert_identical(counts, nm), tuple)
 
+    def test_answer_does_not_depend_on_tile_size(self, monkeypatch):
+        """The same tables scanned in 64-row tiles and in one tile of 2^n
+        rows: p = 0.5 ties everywhere, hard evidence that leaves some tiles
+        all -inf, and random asymmetric noise."""
+        rng = np.random.default_rng(21)
+        cases = list(uninformative_instances()) + list(hard_evidence_instances())
+        for _ in range(20):
+            n = int(rng.integers(7, 13))
+            counts = random_counts(rng, n, int(rng.integers(1, 200)), skew=bool(rng.integers(2)))
+            nm = NoiseModel(p01=rng.uniform(0.01, 0.49, n), p10=rng.uniform(0.01, 0.49, n))
+            cases.append((counts, nm))
+        all_inf_tiles = 0
+        for counts, nm in cases:
+            n = counts.n
+            results = []
+            for tile_bytes, rows in ((8, min(64, 1 << n)), (8 << 30, 1 << n)):
+                monkeypatch.setattr(estimators_mod, "_ENUM_TILE_BYTES", tile_bytes)
+                assert _scan_tile_rows(len(counts), 1 << n) == rows
+                results.append(self.assert_identical(counts, nm))
+            assert results[0] == results[1]
+            if nm.p01.max() == 0.5:
+                assert results[0][0] == 0 and math.copysign(1.0, results[0][1] - results[0][2]) == 1.0
+            if n > 6 and isinstance(results[0], tuple):
+                all_inf_tiles += int(ruled_out(counts, nm).reshape(-1, 64).all(axis=1).any())
+        assert all_inf_tiles > 0
+
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        """Blocks of 2^10 candidates, in the scan and in the reference, so
-        that n = 12 spans four blocks; with more than 1024 distinct keys a
-        block is sixteen 64-row tiles, and the fixed qubits' prefix sums
-        change at every tile and every block boundary."""
-        monkeypatch.setattr(estimators_mod, "_ENUM_BLOCK", 1 << 10)
-        monkeypatch.setitem(globals(), "_ENUM_BLOCK", 1 << 10)
+        """Blocks of 2^10 candidates in the reference, so that n = 12 spans
+        four of its blocks; with more than 1024 distinct keys the scan is
+        sixty-four 64-row tiles, and the fixed qubits' prefix sums change at
+        every tile."""
+        monkeypatch.setitem(globals(), "_REFERENCE_BLOCK", 1 << 10)
         return 12
 
     def assert_identical_in_small_tiles(self, counts, noise):
         assert len(counts) > 1 << 10
-        assert _scan_tile_rows(len(counts), 1 << 10) == 64
+        assert _scan_tile_rows(len(counts), 1 << 12) == 64
         return self.assert_identical(counts, noise)
 
     def test_small_blocks_hard_evidence_on_fixed_qubits(self, small_blocks):

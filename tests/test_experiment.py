@@ -13,6 +13,7 @@ import qmvote.experiment as experiment_mod
 from qmvote import (
     ExperimentConfig,
     InfeasibleError,
+    NoiseModel,
     ValidationError,
     derive_seed,
     ground_truth_pattern,
@@ -68,6 +69,27 @@ class TestConfig:
         ]:
             with pytest.raises(ValidationError, match=f"experiment config is {message}"):
                 ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize(
+        "truth,message",
+        [(5, "must be a str"), ("0a1", "over 0/1"), ("", "over 0/1"), (None, "must be a str")],
+    )
+    def test_ground_truth_checked_when_built(self, truth, message):
+        noise = NoiseModel.uniform(3, 0.1)
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig(ground_truth=truth, noise=noise, shots=(4,), estimators=("qmv",), seeds=(0,))
+        if truth == "0a1":  # the other values are refused by the file reader's own checks
+            with pytest.raises(ValidationError, match=message):
+                make_config(ground_truth=truth, noise={"p": 0.1})
+
+    @pytest.mark.parametrize("field", ["shots", "seeds", "estimators"])
+    @pytest.mark.parametrize("value", [5, "qmv", None, {"qmv": 1}])
+    def test_sequence_fields_must_be_lists(self, field, value):
+        fields = {"shots": (4,), "estimators": ("qmv",), "seeds": (0,), field: value}
+        with pytest.raises(ValidationError, match=f"field '{field}' must be a list"):
+            ExperimentConfig(ground_truth="01", noise=NoiseModel.uniform(2, 0.1), **fields)
+        with pytest.raises(ValidationError, match=f"field '{field}' must be a list"):
+            make_config(**{field: value})
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValidationError):
