@@ -166,9 +166,7 @@ class CountsTable:
                 _check_entry(first, mapping[first], n)  # raises: no key can have this length
             packed, weights = _pack_entries(mapping, n, _check_entry)
         if weights is None:  # one row per shot: deduplicate, which sorts by key
-            uniq, weights = np.unique(_row_keys(packed), return_counts=True)
-            packed = uniq.view(np.uint8).reshape(-1, packed.shape[1])
-            weights = weights.astype(np.int64, copy=False)
+            packed, weights = _dedup_rows(packed)
         else:  # rows in the caller's order; stable is fast on sorted input
             keys = _row_keys(packed)
             order = np.argsort(keys, kind="stable")
@@ -327,6 +325,92 @@ def _row_keys(packed: np.ndarray) -> np.ndarray:
     they order like the bitstrings the rows encode."""
     packed = np.ascontiguousarray(packed)
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _as_order(keys: np.ndarray, dtype: str) -> np.ndarray:
+    """``keys`` viewed as ``dtype``, the same unsigned type in another byte
+    order, with the bytes of each value swapped in place when the two
+    orders differ, so every value is kept."""
+    if keys.dtype.isnative != np.dtype(dtype).isnative:
+        keys.byteswap(inplace=True)
+    return keys.view(dtype)
+
+
+def _word_keys(packed: np.ndarray, size: int) -> np.ndarray:
+    """Each row of ``packed`` (at most ``size`` bytes, ``size`` in 1, 2, 4,
+    8), zero-padded on the right, as a native unsigned integer read
+    big-endian: a new array whose values order like the rows' bitstrings."""
+    rows, width = packed.shape
+    padded = np.zeros((rows, size), dtype=np.uint8)
+    padded[:, :width] = packed
+    return _as_order(padded.view(f">u{size}").ravel(), f"=u{size}")
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """One flag per entry of sorted ``keys``: set where a run of equal keys
+    begins, so on the first entry and wherever a key differs from the one
+    before."""
+    starts = np.empty(keys.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
+
+
+def _run_lengths(starts: np.ndarray, total: int) -> np.ndarray:
+    """The length of each run, from where the runs begin, as int64; written
+    into one new array, where ``np.diff(starts, append=total)`` would first
+    copy ``starts``."""
+    lengths = np.empty(starts.size, dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = total - starts[-1]
+    return lengths
+
+
+def _dedup_rows(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``packed`` in key order, and how often each
+    occurs (int64); ``packed`` is left as it is.
+
+    A row of at most 8 bytes is its own big-endian key, padded to 1, 2, 4
+    or 8 bytes; the keys are sorted in place and split where they change.
+    A wider row is ordered by its first 8-byte word, and only the rows still
+    tied with a neighbour are re-sorted on the next word, and so on. Either
+    way the working memory is a few integers per row.
+    """
+    rows, width = packed.shape
+    if width <= 8:
+        size = 1 << (width - 1).bit_length()
+        keys = _word_keys(packed, size)
+        keys.sort(kind="stable" if size == 1 else None)  # numpy radix-sorts one-byte keys
+        starts = np.flatnonzero(_run_starts(keys))
+        uniq = keys[starts]
+        del keys
+        weights = _run_lengths(starts, rows)
+        del starts
+        uniq = _as_order(uniq, f">u{size}").view(np.uint8).reshape(-1, size)
+        return np.ascontiguousarray(uniq[:, :width]), weights
+    first = _word_keys(packed[:, :8], 8)
+    order = np.argsort(first)
+    first = first[order]
+    starts = _run_starts(first)
+    del first
+    for lo in range(8, width, 8):
+        # the sorted rows in a run of two or more equal keys so far
+        tied = ~starts
+        tied[:-1] |= tied[1:]
+        at = np.flatnonzero(tied)
+        del tied
+        if not at.size:
+            break
+        run = np.cumsum(starts[at], dtype=np.intp)  # runs numbered in order
+        word = _word_keys(packed[order[at], lo : lo + 8], 8)
+        sub = np.lexsort((word, run))
+        del run
+        word = word[sub]
+        starts[at[1:]] |= word[1:] != word[:-1]
+        del word
+        order[at] = order[at][sub]
+    starts = np.flatnonzero(starts)
+    return packed[order[starts]], _run_lengths(starts, rows)
 
 
 @dataclass(frozen=True, eq=False)

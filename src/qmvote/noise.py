@@ -5,9 +5,12 @@ probability p01 and a true 1 reads as 0 with probability p10, independently
 per qubit and per shot. Simulation is driven by a counter-based generator
 (Philox) keyed from a 64-bit seed plus the shot-block index, so a run is a
 pure function of its arguments and blocks may be produced in any order or
-in parallel without changing the result. Each shot-qubit draws one 32-bit
-word and reads 1 when the word is below round(Pr(read 1) * 2^32), so every
-simulated probability is exact to within 2^-33.
+in parallel without changing the result. Every probability is first
+rounded to a threshold T = round(Pr(read 1) * 2^32), and each shot-qubit
+then reads 1 with probability exactly T / 2^32: it draws one random byte h
+and reads 1 when h is below T's top byte, or when h equals it and a 24-bit
+tie word is below the rest of T. So every simulated probability is exact to
+within 2^-33, and a tie word is drawn for one shot-qubit in 256.
 """
 
 from __future__ import annotations
@@ -27,12 +30,16 @@ MAX_SEED = 2**64
 # workers and still assemble into the sequential result. The block size is
 # part of the output definition and must not be tuned per run.
 _BLOCK_SHOTS = 1 << 15
-# A block is drawn in row chunks of about this many words, so its draws
+# A block is drawn in row chunks of about this many draws, so its draws
 # never exist at once. Consecutive draws from one generator continue its
 # stream, so unlike the block size this is not part of the output.
 _CHUNK_DRAWS = 1 << 17
-# One draw is a 32-bit word; a threshold of 2^32 means "always reads 1".
-_WORD_RANGE = 1 << 32
+# Pr(read 1) is T / 2^32 for an integer threshold T in [0, 2^32]. A draw is
+# one byte, compared with T >> 24 (255 at most); a byte equal to it reads 1
+# when a tie word, the low 24 bits of one 64-bit output, is below the rest
+# of T, which lies in [0, 2^24].
+_THRESHOLD_RANGE = 1 << 32
+_TIE_BITS = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,16 +107,24 @@ def derive_seed(seed: int, *tags) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    # 128-bit Philox key: seed in the high word, block index in the low one.
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | block))
+def _block_bit_gens(seed: int, block: int) -> tuple[np.random.Philox, np.random.Philox]:
+    """A block's stream and its ``jumped()`` copy: the same 128-bit Philox
+    key (seed in the high word, block index in the low one), the copy's
+    counter 2^128 ahead."""
+    key = (seed << 64) | block
+    return np.random.Philox(key=key), np.random.Philox(key=key, counter=1 << 128)
 
 
-def _words(bit_gen: np.random.BitGenerator, count: int) -> np.ndarray:
-    """The next ``count`` 32-bit words of ``bit_gen``: each 64-bit output
-    split in two, low half first. An odd count drops the last high half."""
-    raw = bit_gen.random_raw((count + 1) // 2).astype("<u8", copy=False)
-    return raw.view("<u4")[:count]
+def _bytes(bit_gen: np.random.BitGenerator, count: int) -> np.ndarray:
+    """The next ``count`` bytes of ``bit_gen``: each 64-bit output split in
+    eight, low byte first. The rest of a last, partly used output is dropped."""
+    raw = bit_gen.random_raw((count + 7) // 8).astype("<u8", copy=False)
+    return raw.view(np.uint8)[:count]
+
+
+def _tie_words(bit_gen: np.random.BitGenerator, count: int) -> np.ndarray:
+    """The low 24 bits of each of the next ``count`` 64-bit outputs."""
+    return bit_gen.random_raw(count) & np.uint64((1 << _TIE_BITS) - 1)
 
 
 def _read1_probabilities(truths: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -121,7 +136,7 @@ def _read1_probabilities(truths: np.ndarray, noise: NoiseModel) -> np.ndarray:
 def _read1_thresholds(truths: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """round(Pr(read 1) * 2^32) as uint64 in [0, 2^32]; a probability below
     2^-33 rounds to 0."""
-    return np.rint(_read1_probabilities(truths, noise) * _WORD_RANGE).astype(np.uint64)
+    return np.rint(_read1_probabilities(truths, noise) * _THRESHOLD_RANGE).astype(np.uint64)
 
 
 def _binomial_ones(read1: np.ndarray, shots: int, seed: int) -> np.ndarray:
@@ -132,50 +147,60 @@ def _binomial_ones(read1: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return rng.binomial(shots, read1).astype(np.int64, copy=False)
 
 
-def _shot_block(thresholds: np.ndarray, seed: int, block: int, take: int) -> np.ndarray:
-    """Measured rows for one shot block, packed big-endian eight qubits per
-    byte; depends only on its arguments.
+def _shot_block(thresholds: np.ndarray, seed: int, block: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the measured rows of one shot block, packed
+    big-endian eight qubits per byte; they depend only on the arguments and
+    the number of rows of ``out``.
 
     ``thresholds`` has one row from :func:`_read1_thresholds`, or two: those
-    of x0 and of its complement. Each shot-qubit draws one 32-bit word and
-    reads 1 when the word is below its threshold. With two rows each shot's
-    truth is x0 or its complement with equal chance: one word per shot,
-    drawn first, picks the complement when it is below 2^31; then the flip
-    words follow, row after row as without them.
+    of x0 and of its complement. With threshold T, split as hi = min(T >> 24,
+    255) and lo = T - (hi << 24), a shot-qubit reads 1 when its byte h < hi,
+    or when h == hi and its tie word is below lo, so with probability exactly
+    T / 2^32. The bytes come from the block's stream, row after row; the tie
+    words, one per byte equal to its hi in the same order, come from that
+    stream's ``jumped()`` copy. With two rows each shot's truth is x0 or its
+    complement with equal chance: one byte per shot, drawn first, picks the
+    complement when it is below 128; then the flip bytes follow as without
+    them.
     """
-    bit_gen = _block_rng(seed, block).bit_generator
+    bit_gen, tie_gen = _block_bit_gens(seed, block)
+    take, width = out.shape
     n = thresholds.shape[1]
-    # 2^32 does not fit a uint32 word: those qubits read 1 whatever the word,
-    # so they are set after the comparison.
-    below = np.minimum(thresholds, _WORD_RANGE - 1).astype(np.uint32)
-    always = thresholds == _WORD_RANGE
-    any_always = bool(always.any())
+    hi = np.minimum(thresholds >> _TIE_BITS, 255)
+    lo = thresholds - (hi << _TIE_BITS)
+    hi = hi.astype(np.uint8)
+    # where every lo is 0 a tie reads 0 whatever its word, so none is drawn
+    any_tie = bool(np.any(lo))
     branch = None
     if len(thresholds) == 2:
-        branch = (_words(bit_gen, take) < _WORD_RANGE // 2).view(np.uint8)
-    out = np.empty((take, (n + 7) // 8), dtype=np.uint8)
-    # An even row step keeps every chunk but the last on whole 64-bit
-    # outputs, so the chunking does not show in the output.
-    step = 2 * max(1, _CHUNK_DRAWS // (2 * n))
-    for lo in range(0, take, step):
-        rows = min(step, take - lo)
-        pick = 0 if branch is None else branch[lo : lo + rows]
-        bits = _words(bit_gen, rows * n).reshape(rows, n) < below[pick]
-        if any_always:
-            bits |= always[pick]
-        out[lo : lo + rows] = np.packbits(bits, axis=1)
-    return out
+        branch = (_bytes(bit_gen, take) < 128).view(np.uint8)
+    # A row step that is a multiple of eight keeps every chunk but the last
+    # on whole 64-bit outputs, so the chunking does not show in the output.
+    step = 8 * max(1, _CHUNK_DRAWS // (8 * n))
+    # whole bytes per row; the pad columns stay 0, so a chunk packs flat
+    bits = np.zeros((min(step, take), 8 * width), dtype=bool)
+    for start in range(0, take, step):
+        rows = min(step, take - start)
+        pick = 0 if branch is None else branch[start : start + rows]
+        draws = _bytes(bit_gen, rows * n).reshape(rows, n)
+        row_hi = hi[pick]
+        np.less(draws, row_hi, out=bits[:rows, :n])
+        if any_tie:
+            r, q = np.divmod(np.flatnonzero(draws == row_hi), n)
+            sel = 0 if branch is None else branch[start + r]
+            bits[r, q] = _tie_words(tie_gen, r.size) < lo[sel, q]
+        out[start : start + rows] = np.packbits(bits[:rows]).reshape(rows, width)
 
 
 def _simulate_rows(thresholds: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """The packed shot record, block by block."""
-    _check_record_memory(thresholds.shape[1], shots)
+    """The packed shot record, allocated once and filled block by block."""
+    n = thresholds.shape[1]
+    _check_record_memory(n, shots)
     seed = _check_seed(seed)
-    pieces = [
-        _shot_block(thresholds, seed, block, min(_BLOCK_SHOTS, shots - lo))
-        for block, lo in enumerate(range(0, shots, _BLOCK_SHOTS))
-    ]
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    rows = np.empty((shots, (n + 7) // 8), dtype=np.uint8)
+    for block, lo in enumerate(range(0, shots, _BLOCK_SHOTS)):
+        _shot_block(thresholds, seed, block, rows[lo : lo + _BLOCK_SHOTS])
+    return rows
 
 
 # Largest simulated shot record, packed eight qubits to a byte; a larger one

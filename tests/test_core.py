@@ -1,5 +1,7 @@
 """Tests for bitstrings, counts tables, tallies, and Hamming distance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,75 @@ class TestCountsTable:
             CountsTable(core._Rows(rows, weights), n=n)
         # one row per shot: a repeat is counted, not refused
         assert CountsTable._from_shots(rows, n)[keys[1]] == 2
+
+
+def reference_dedup(packed):
+    """Frozen reference: np.unique over each row as one numpy void scalar,
+    the dedup that simulated tables used before word keys."""
+    keys = np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1]))).ravel()
+    uniq, counts = np.unique(keys, return_counts=True)
+    return uniq.view(np.uint8).reshape(-1, packed.shape[1]), counts
+
+
+def dedup_records(n, rng, shots=600):
+    """Bit matrices of four kinds: all rows distinct, one row repeated,
+    rows drawn from a small pool, and rows that share their first 64 bits
+    (all but the last bit when n <= 64) and differ after them."""
+    if 2**n <= shots:
+        distinct = np.unpackbits(
+            np.arange(2**n, dtype=">u2").view(np.uint8).reshape(-1, 2), axis=1
+        )[:, 16 - n :]
+        distinct = distinct[rng.permutation(2**n)]
+    else:  # random rows whose last 10 bits number them
+        distinct = rng.integers(0, 2, (shots, n), dtype=np.uint8)
+        index = rng.permutation(shots).astype(">u2").view(np.uint8).reshape(-1, 2)
+        distinct[:, n - 10 :] = np.unpackbits(index, axis=1)[:, 6:]
+    repeated = np.repeat(rng.integers(0, 2, (1, n), dtype=np.uint8), shots, axis=0)
+    pool = rng.integers(0, 2, (7, n), dtype=np.uint8)
+    pooled = pool[rng.integers(0, len(pool), shots)]
+    shared = min(64, n - 1)
+    tails = rng.integers(0, 2, (9, n), dtype=np.uint8)
+    tails[:, :shared] = tails[0, :shared]
+    late = tails[rng.integers(0, len(tails), shots)]
+    return {"distinct": distinct, "repeated": repeated, "pooled": pooled, "late": late}
+
+
+class TestDedup:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 200])
+    def test_matches_void_reference(self, n):
+        rng = np.random.default_rng(n)
+        for kind, bits in dedup_records(n, rng).items():
+            packed = np.packbits(bits, axis=1)
+            before = packed.copy()
+            table = CountsTable._from_shots(packed, n)
+            rows, counts = reference_dedup(before)
+            assert np.array_equal(packed, before), kind  # the record is not changed
+            assert table._packed.dtype == np.uint8 and table._packed.flags.c_contiguous, kind
+            assert np.array_equal(table._packed, rows), kind
+            assert table._weights.dtype == np.int64, kind
+            assert np.array_equal(table._weights, counts), kind
+            if kind == "distinct":
+                assert len(table) == len(bits), kind
+            if kind == "repeated":
+                assert table._weights.tolist() == [len(bits)], kind
+
+    def test_low_entropy_record_peak(self):
+        """Deduplicating 8 MiB of rows drawn from a pool of 16, so every row
+        ties on its first word and is re-sorted on the next one, peaks at no
+        more than 7 times the record, the record included."""
+        n = 65
+        rng = np.random.default_rng(1)
+        pool = np.packbits(rng.integers(0, 2, (16, n), dtype=np.uint8), axis=1)
+        record = pool[rng.integers(0, len(pool), -(-(8 << 20) // pool.shape[1]))]
+        CountsTable._from_shots(record[:10], n)
+        tracemalloc.start()
+        try:
+            table = CountsTable._from_shots(record, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 16
+        assert record.nbytes + peak <= 7 * record.nbytes
 
 
 class TestTally:

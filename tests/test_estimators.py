@@ -170,12 +170,12 @@ class TestMlBruteforce:
             _check_scan_work(24, keys + 1)
 
     def test_scan_past_the_old_size_cap(self):
-        """7723 distinct keys at n = 16: past the old 4 GiB size cap (5461
-        keys there), and about 2^16 x 7723 pairs, a second or so. The vote
+        """7691 distinct keys at n = 16: past the old 4 GiB size cap (5461
+        keys there), and about 2^16 x 7691 pairs, a second or so. The vote
         is the maximum-likelihood output under symmetric noise."""
         nm = NoiseModel.uniform(16, 0.3)
         counts = simulate_shots("10" * 8, nm, 12_000, 1)
-        assert len(counts) == 7723
+        assert len(counts) == 7691
         tracemalloc.start()
         try:
             est = ml_bruteforce(counts, nm)

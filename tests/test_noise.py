@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,9 +86,10 @@ class TestSimulateShots:
         shots = 1000
         sequential = noise_mod._simulate_rows(thresholds, shots, 11)
         plan = [(b, min(128, shots - lo)) for b, lo in enumerate(range(0, shots, 128))]
-        scrambled = {
-            b: noise_mod._shot_block(thresholds, 11, b, take) for b, take in reversed(plan)
-        }
+        scrambled = {}
+        for b, take in reversed(plan):
+            scrambled[b] = np.empty((take, 1), dtype=np.uint8)
+            noise_mod._shot_block(thresholds, 11, b, scrambled[b])
         assembled = np.concatenate([scrambled[b] for b, _ in plan])
         assert np.array_equal(assembled, sequential)
         # and the aggregated table is reproducible end to end
@@ -117,17 +119,59 @@ class TestSimulateShots:
                 sigma = math.sqrt((p * (1 - p)) ** 2 / shots)
                 assert abs(cov) < 5 * sigma
 
-    @pytest.mark.parametrize("word", [0, 2**31 - 1, 2**31, 2**32 - 1])
-    def test_extreme_words(self, monkeypatch, word):
-        """A threshold of 2^32 reads 1 and a threshold of 0 reads 0 whatever
-        the word, including the words a random draw almost never gives."""
-        monkeypatch.setattr(noise_mod, "_words", lambda bit_gen, count: np.full(count, word, np.uint32))
+    @pytest.mark.parametrize(
+        "byte, word, reads",
+        [
+            (0, 0, [0, 1, 1, 1, 1, 1, 1, 1]),
+            (0, 2**24 - 1, [0, 0, 0, 1, 1, 1, 1, 1]),
+            (255, 0, [0, 0, 0, 0, 0, 0, 1, 1]),
+            (255, 2**24 - 1, [0, 0, 0, 0, 0, 0, 0, 1]),
+        ],
+    )
+    def test_extreme_draws(self, monkeypatch, byte, word, reads):
+        """Thresholds 0, 1, 2^24 - 1, 2^24, 2^30, 2^31, 2^32 - 1 and 2^32
+        under the bytes and tie words at the ends of their ranges: a byte
+        below T >> 24 (255 at most) reads 1, and a byte equal to it reads 1
+        when the tie word is below the rest of T. So T = 0 never reads 1
+        and T = 2^32 always does."""
+        monkeypatch.setattr(noise_mod, "_bytes", lambda bit_gen, count: np.full(count, byte, np.uint8))
+        monkeypatch.setattr(
+            noise_mod, "_tie_words", lambda bit_gen, count: np.full(count, word, np.uint64)
+        )
+        levels = [0, 1, 2**24 - 1, 2**24, 2**30, 2**31, 2**32 - 1, 2**32]
+        out = np.empty((7, 1), dtype=np.uint8)
+        noise_mod._shot_block(np.array([levels], dtype=np.uint64), 0, 0, out)
+        assert np.unpackbits(out, axis=1).tolist() == [reads] * 7
+        # bytes below 128 pick the complement branch, the second row
+        both = np.array([levels, levels[::-1]], dtype=np.uint64)
+        noise_mod._shot_block(both, 0, 0, out)
+        assert np.unpackbits(out, axis=1).tolist() == [reads[::-1] if byte < 128 else reads] * 7
         certain = NoiseModel(p01=[0.0, 1.0, 0.0, 1.0], p10=[0.0, 0.0, 1.0, 1.0])
         assert dict(simulate_shots("0011", certain, 7, 0).counts) == {"0100": 7}
         assert dict(simulate_shots("1100", certain, 7, 0).counts) == {"1101": 7}
-        # words below 2^31 pick the complement branch
         both = simulate_antipodal_shots("0011", certain, 7, 0)
-        assert dict(both.counts) == {"1101" if word < 2**31 else "0100": 7}
+        assert dict(both.counts) == {"1101" if byte < 128 else "0100": 7}
+
+    @pytest.mark.parametrize("antipodal", [False, True])
+    def test_read1_frequencies_within_five_sigma(self, antipodal):
+        """Each shot-qubit reads 1 with probability T / 2^32 for its rounded
+        threshold T: exactly never at T = 0 (p = 0, and p = 2^-33, which
+        rounds to 0) and always at T = 2^32."""
+        ps = [0.0, 2.0**-33, 0.02, 0.4, 1.0]
+        noise = NoiseModel(p01=ps + ps, p10=ps + ps)
+        x0 = "0" * 5 + "1" * 5
+        shots = 200_000
+        x0_bits = noise_mod._prepare(x0, noise, 1)[0]
+        if antipodal:
+            t = tally(simulate_antipodal_shots(x0, noise, shots, 4))
+            thresholds = noise_mod._read1_thresholds(np.stack([x0_bits, 1 - x0_bits]), noise)
+            expected = thresholds.astype(np.float64).mean(axis=0) / 2**32
+        else:
+            t = tally(simulate_shots(x0, noise, shots, 4))
+            expected = noise_mod._read1_thresholds(x0_bits[None], noise)[0] / 2**32
+            assert expected[1] == 0.0 and expected[6] == 1.0
+        sigma = np.sqrt(expected * (1 - expected) / shots)
+        assert np.all(np.abs(t.ones / shots - expected) <= 5 * sigma)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -164,9 +208,12 @@ class TestSimulateShots:
 # and the unpacked shot blocks it was fed. The packed path must reproduce
 # every table, key order and estimate it gave.
 #
-# The shot blocks are an unchunked copy of the draw: all 32-bit words of a
-# block at once (each 64-bit Philox output split low half first), one word
-# per shot-qubit, which reads 1 when below round(Pr(read 1) * 2^32).
+# The shot blocks are an unchunked copy of the draw: all bytes of a block at
+# once (each 64-bit Philox output split in eight, low byte first), one byte h
+# per shot-qubit. With threshold T = round(Pr(read 1) * 2^32), hi = min(T >>
+# 24, 255) and lo = T - (hi << 24), a shot-qubit reads 1 when h < hi, or when
+# h == hi and its tie word is below lo. Tie words are the low 24 bits of the
+# outputs of the block stream's jumped() copy, one per tie in row-major order.
 
 
 def reference_rows_to_counts(rows):
@@ -178,14 +225,25 @@ def reference_rows_to_counts(rows):
     return CountsTable(table, n=n)
 
 
-def reference_words(rng, count):
-    raw = rng.bit_generator.random_raw((count + 1) // 2)
-    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(-1)[:count]
+def reference_bytes(bit_gen, count):
+    raw = bit_gen.random_raw((count + 7) // 8)
+    return np.stack([(raw >> (8 * i)) & 0xFF for i in range(8)], axis=1).reshape(-1)[:count]
 
 
 def reference_thresholds(truth_bits, noise):
     read1 = [p01 if t == 0 else 1 - p10 for t, p01, p10 in zip(truth_bits, noise.p01, noise.p10)]
     return np.array([round(p * 2**32) for p in read1], dtype=np.uint64)
+
+
+def reference_read(draws, tie_gen, thresholds):
+    """Bits of a block's (shots, n) bytes, each against its own threshold."""
+    hi = np.minimum(thresholds >> 24, 255)
+    lo = thresholds - (hi << 24)
+    bits = draws < hi
+    tie = np.flatnonzero(draws == hi)
+    words = tie_gen.random_raw(tie.size) & (2**24 - 1)
+    bits.flat[tie] = words < lo.flat[tie]
+    return bits.astype(np.uint8)
 
 
 def reference_rows(x0, noise, shots, seed, block_shots):
@@ -194,9 +252,10 @@ def reference_rows(x0, noise, shots, seed, block_shots):
     pieces = []
     for block, lo in enumerate(range(0, shots, block_shots)):
         take = min(block_shots, shots - lo)
-        rng = noise_mod._block_rng(seed, block)
-        words = reference_words(rng, take * x0_bits.size).reshape(take, x0_bits.size)
-        pieces.append((words < thresholds).astype(np.uint8))
+        bit_gen = noise_mod._block_bit_gens(seed, block)[0]
+        tie_gen = bit_gen.jumped()
+        draws = reference_bytes(bit_gen, take * x0_bits.size).reshape(take, x0_bits.size)
+        pieces.append(reference_read(draws, tie_gen, np.broadcast_to(thresholds, draws.shape)))
     return np.concatenate(pieces)
 
 
@@ -207,11 +266,11 @@ def reference_antipodal_rows(x0, noise, shots, seed, block_shots):
     pieces = []
     for block, lo in enumerate(range(0, shots, block_shots)):
         take = min(block_shots, shots - lo)
-        rng = noise_mod._block_rng(seed, block)
-        other = reference_words(rng, take) < 2**31
-        words = reference_words(rng, take * x0_bits.size).reshape(take, x0_bits.size)
-        rows = np.where(other[:, None], words < comp, words < plain)
-        pieces.append(rows.astype(np.uint8))
+        bit_gen = noise_mod._block_bit_gens(seed, block)[0]
+        tie_gen = bit_gen.jumped()
+        other = reference_bytes(bit_gen, take) < 128
+        draws = reference_bytes(bit_gen, take * x0_bits.size).reshape(take, x0_bits.size)
+        pieces.append(reference_read(draws, tie_gen, np.where(other[:, None], comp, plain)))
     return np.concatenate(pieces)
 
 
@@ -341,6 +400,46 @@ class TestPackedTablesMatchReference:
             rows = reference_antipodal_rows(x0, noise, shots, 9, noise_mod._BLOCK_SHOTS)
             new = simulate_antipodal_shots(x0, noise, shots, 9)
             assert_tables_identical(new, reference_rows_to_counts(rows), rows)
+
+
+def traced_peak(call):
+    """Peak bytes traced by tracemalloc while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRecordMemory:
+    @pytest.mark.parametrize("shots", [200_000, 1_000_000])
+    @pytest.mark.parametrize("antipodal", [False, True])
+    def test_record_is_allocated_once(self, shots, antipodal):
+        """The packed record is allocated once and filled block by block, so
+        the peak is the record plus one chunk's working set (its bytes, their
+        Philox outputs, the compare and tie masks and the branch's threshold
+        rows, each about _CHUNK_DRAWS bytes), not the record twice over."""
+        n = 127
+        x0_bits = (np.arange(n) % 2).astype(np.uint8)
+        truths = np.stack([x0_bits, 1 - x0_bits]) if antipodal else x0_bits[None]
+        thresholds = noise_mod._read1_thresholds(truths, NoiseModel.uniform(n, 0.3))
+        noise_mod._simulate_rows(thresholds, 10, 1)  # first-call allocations stay out of the peak
+        record = shots * ((n + 7) // 8)
+        peak = traced_peak(lambda: noise_mod._simulate_rows(thresholds, shots, 1))
+        assert peak < 1.2 * record + 6 * noise_mod._CHUNK_DRAWS
+
+    @pytest.mark.parametrize("p", [0.001, 0.3])
+    @pytest.mark.parametrize("n", [8, 40, 65, 127, 200])
+    def test_simulated_table_peak(self, n, p):
+        """Simulating an 8 MiB record and deduplicating it peaks at no more
+        than 7 times the record, with many distinct rows (p = 0.3) or few."""
+        width = (n + 7) // 8
+        shots = -(-(8 << 20) // width)
+        x0 = ("10" * n)[:n]
+        noise = NoiseModel.uniform(n, p)
+        simulate_shots(x0, noise, 10, 0)
+        assert traced_peak(lambda: simulate_shots(x0, noise, shots, 1)) <= 7 * shots * width
 
 
 class TestSimulateAntipodalShots:
