@@ -264,7 +264,7 @@ class _Rows(NamedTuple):
 
 
 # Largest shot total a table may hold: float64 is exact for integers up to
-# 2**53, which the column sums below rely on.
+# 2**53, which ``_bit_counts`` relies on.
 MAX_SHOTS = 2**53
 # Entries are checked and packed in blocks of about this many key characters.
 _PACK_BLOCK_CHARS = 1 << 18
@@ -462,31 +462,22 @@ class VoteTally:
         return np.abs(self.zeros - self.ones) / self.shots
 
 
-# Column sums run over blocks of roughly this many matrix elements so the
-# float64 products stay cache-resident.
-_SUM_BLOCK_ELEMS = 1 << 18
+# Row b is the bits of byte value b, most significant first, as float64.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.float64)
 
 
-def _column_sums(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``weights @ matrix`` for int64 weights and a 0/1 matrix, as int64.
-
-    Partial sums use float64 matrix products, which are exact here because
-    every partial sum is an integer bounded by the shot total (at most
-    2**53), and accumulate into 64-bit counters.
-    """
-    rows = max(256, _SUM_BLOCK_ELEMS // matrix.shape[1])
-    sums = np.zeros(matrix.shape[1], dtype=np.int64)
+def _bit_counts(packed: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """``weights @ bits`` as int64 for the first ``n`` bits of packed rows:
+    each byte column's 256-bin weight histogram times ``_BYTE_BITS``, in
+    float64, which is exact, as every partial sum is an integer no larger
+    than the shot total of at most 2**53."""
     wf = weights.astype(np.float64)
-    for lo in range(0, matrix.shape[0], rows):
-        sums += (wf[lo : lo + rows] @ matrix[lo : lo + rows].astype(np.float64)).astype(np.int64)
-    return sums
+    hist = np.stack([np.bincount(column, weights=wf, minlength=256) for column in packed.T])
+    return (hist @ _BYTE_BITS).ravel()[:n].astype(np.int64)
 
 
 def tally(counts: CountsTable) -> VoteTally:
-    """Collapse a counts table into per-qubit zero/one vote counts.
-
-    Cost is linear in (distinct entries) x (qubits).
-    """
-    bits, weights = _expect(counts, CountsTable).as_arrays()
-    ones = _column_sums(weights, bits)
+    """Per-qubit zero/one vote counts of a counts table, counted from its
+    packed rows (no bit matrix is unpacked) in entries x row bytes work."""
+    ones = _bit_counts(_expect(counts, CountsTable)._packed, counts._weights, counts.n)
     return VoteTally(zeros=counts.shots - ones, ones=ones)

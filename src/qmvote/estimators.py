@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import CountsTable, VoteTally, _column_sums, _is_real, _probabilities, complement
+from .core import CountsTable, VoteTally, _bit_counts, _is_real, _probabilities, complement
 from .core import _expect, tally, validate_bitstring
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .noise import NoiseModel
@@ -390,21 +390,26 @@ def map_estimate(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estima
     per-qubit form answers: on a qubit whose observations are impossible
     under both bits the prior decides, and a uniform one picks 0.
     """
+    return _map_estimate(counts, lambda: tally(counts), noise, prior)
+
+
+def _map_estimate(counts: CountsTable, votes, noise: NoiseModel, prior: Prior) -> Estimate:
+    """``map_estimate`` taking the table's tally from ``votes()``, if it needs one."""
     _expect(counts, CountsTable)
     if _expect(prior, Prior).n != counts.n:
         raise DimensionError(f"prior covers {prior.n} qubits, counts have {counts.n}")
     if prior.table is not None:
-        return _map_table(counts, noise, prior)
-    return _map_per_qubit(counts, noise, prior)
+        return _map_table(counts, votes, noise, prior)
+    return _map_per_qubit(votes(), noise, prior)
 
 
-def _map_table(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estimate:
+def _map_table(counts: CountsTable, votes, noise: NoiseModel, prior: Prior) -> Estimate:
     if prior.is_uniform:
         # A constant prior cannot move the argmax; reuse the plain scan so
         # the result, ties included, is bit-identical to ml_bruteforce.
         best_k, best, second = _enumerate_scores(counts, noise)
         return Estimate(value=format(best_k, f"0{counts.n}b"), method="map", gap=best - second)
-    t = tally(counts)
+    t = votes()
     lls = np.stack(_loglikelihoods(t.zeros, t.ones, noise.p01, noise.p10))
     bits = prior._support_bits
     scores = prior._support_logs.copy()
@@ -419,8 +424,7 @@ def _map_table(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estimate
     return Estimate(value=_bitstring(bits[best_k]), method="map", gap=best - second)
 
 
-def _map_per_qubit(counts: CountsTable, noise: NoiseModel, prior: Prior) -> Estimate:
-    t = tally(counts)
+def _map_per_qubit(t: VoteTally, noise: NoiseModel, prior: Prior) -> Estimate:
     ll0, ll1 = _loglikelihoods(t.zeros, t.ones, noise.p01, noise.p10)
     pi = prior.per_qubit
     # a hard prior pi in {0, 1} makes the posterior of the bit it rules out -inf
@@ -447,8 +451,13 @@ def sliding_window_antipodal(counts: CountsTable) -> AntipodalPair:
     n = _expect(counts, CountsTable).n
     if n < 2:
         raise ValidationError(f"antipodal windows need at least 2 qubits, got {n}")
-    bits, weights = counts.as_arrays()
-    differ = _column_sums(weights, bits[:, :-1] ^ bits[:, 1:])
+    # rows XORed with themselves shifted one bit left, as one run of bytes: bit i
+    # is b_i XOR b_(i+1); the next row's first bit lands past qubit n - 2, uncounted
+    flat = counts._packed.reshape(-1)
+    windows = flat << 1
+    windows[:-1] |= flat[1:] >> 7
+    windows ^= flat
+    differ = _bit_counts(windows.reshape(counts._packed.shape), counts._weights, n - 1)
     equal = 2 * differ <= counts.shots
     out = np.zeros(n, dtype=np.uint8)
     out[1:] = ~equal

@@ -21,7 +21,6 @@ import functools
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -35,7 +34,7 @@ from .estimators import (
     AntipodalPair,
     Prior,
     _check_scan_work,
-    map_estimate,
+    _map_estimate,
     ml_bruteforce,
     mode_estimate,
     qmv,
@@ -58,7 +57,7 @@ from .noise import (
 ESTIMATORS = {
     "mode": (False, False, lambda counts, votes, noise, prior: mode_estimate(counts)),
     "ml": (True, False, lambda counts, votes, noise, prior: ml_bruteforce(counts, noise)),
-    "map": (True, True, lambda counts, votes, noise, prior: map_estimate(counts, noise, prior)),
+    "map": (True, True, lambda counts, votes, noise, prior: _map_estimate(counts, votes, noise, prior)),
     "qmv": (False, False, lambda counts, votes, noise, prior: qmv(votes())),
     "weighted": (True, False, lambda counts, votes, noise, prior: weighted_vote(votes(), noise)),
     "window": (False, False, lambda counts, votes, noise, prior: sliding_window_antipodal(counts)),
@@ -369,6 +368,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     so the report does not depend on the schedule. If cells fail, the
     first failing cell's exception is raised.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, as it slows every import of qmvote
     truth = config.ground_truth
     cells = [(shots, seed) for shots in config.shots for seed in config.seeds]
     workers = min(len(cells), _usable_cpus())

@@ -295,7 +295,7 @@ class TestTally:
         """Tallies equal the int64 product of the counts with the bit
         matrix, up to a 2**53 shot total."""
         rng = np.random.default_rng(6)
-        for n in (1, 7, 8, 9, 64, 65, 200):
+        for n in (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 200):
             keys = {"".join(rng.choice(["0", "1"], size=n)) for _ in range(300)}
             tables = [
                 CountsTable({k: int(rng.integers(1, 50)) for k in keys}, n=n),

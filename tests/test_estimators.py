@@ -1021,6 +1021,12 @@ class TestSlidingWindowAntipodal:
             noise = NoiseModel.uniform(127, 0.45)
             tables.append(simulate_antipodal_shots(truth, noise, shots, shots))
         tables.append(CountsTable({"0110": 2**52, "1001": 2**52 - 1, "0101": 1}))
+        # widths on either side of a byte boundary, each also with a shot total of exactly 2**53
+        for n in (2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 200):
+            keys = sorted({"".join(rng.choice(["0", "1"], size=n)) for _ in range(300)})
+            tables.append(CountsTable({k: int(rng.integers(1, 50)) for k in keys}, n=n))
+            tables.append(CountsTable(dict(zip(keys, [2**53 - len(keys) + 1] + [1] * len(keys))), n=n))
+        assert tables[-1].shots == 2**53
         for counts in tables:
             bits, weights = counts.as_arrays()
             agree = weights @ (bits[:, :-1] == bits[:, 1:])
@@ -1048,6 +1054,27 @@ class TestAntipodalPair:
 
 
 class TestSharedInvariances:
+    def test_votes_unpack_no_bit_matrix(self, monkeypatch):
+        """The tally and every vote count bits from the packed rows; only
+        the exhaustive scan reads ``as_arrays``."""
+        truth = "1011001110" * 3
+        noise = NoiseModel.uniform(30, 0.2)
+        counts = simulate_shots(truth, noise, 400, 3)
+
+        def refuse(self):
+            raise AssertionError("as_arrays called")
+
+        monkeypatch.setattr(CountsTable, "as_arrays", refuse)
+        t = tally(counts)
+        assert qmv(t).value == weighted_vote(t, noise).value == truth
+        assert map_estimate(counts, noise, Prior.uniform(30)).value == truth
+        assert truth in sliding_window_antipodal(counts).members
+        narrow = CountsTable({"011": 5, "010": 2, "111": 1})
+        prior = Prior(table={"011": 0.5, "001": 0.5})
+        assert map_estimate(narrow, NoiseModel.uniform(3, 0.1), prior).value == "011"
+        with pytest.raises(AssertionError, match="as_arrays called"):
+            ml_bruteforce(narrow, NoiseModel.uniform(3, 0.1))
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
         for _ in range(30):

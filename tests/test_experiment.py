@@ -1,14 +1,18 @@
 """Tests for the experiment harness and its reports."""
 
+import concurrent.futures
 import csv
 import io
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmvote.estimators as estimators_mod
 import qmvote.experiment as experiment_mod
 from qmvote import (
     ExperimentConfig,
@@ -564,15 +568,29 @@ class TestCellSchedule:
     )
     def test_one_worker_per_cpu_and_one_for_a_scan(self, monkeypatch, cpus, doc, workers):
         pools = []
-        real = experiment_mod.ThreadPoolExecutor
+        real = concurrent.futures.ThreadPoolExecutor
 
         def spy(*args, **kwargs):
             pools.append(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(experiment_mod, "ThreadPoolExecutor", spy)
+        # run_experiment imports the pool class when it runs
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
         run_on_cpus(monkeypatch, make_config(**doc), cpus)
         assert pools == [{"max_workers": workers}]
+
+    def test_importing_the_package_loads_no_pool(self):
+        """Only run_experiment runs a pool, so a fresh interpreter that
+        imports the package and its CLI has not loaded concurrent.futures."""
+        src = str(Path(experiment_mod.__file__).parents[1])
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import qmvote, qmvote.cli; "
+            "print('concurrent.futures' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, src], capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
 
     def test_cpu_count_fallback(self, monkeypatch):
         monkeypatch.delattr(experiment_mod.os, "sched_getaffinity", raising=False)
@@ -583,7 +601,12 @@ class TestCellSchedule:
 
     @pytest.mark.parametrize(
         "estimators,calls",
-        [(["mode", "qmv", "weighted"], 6), (["weighted", "ams", "qmv"], 6), (["mode", "ams"], 0)],
+        [
+            (["mode", "qmv", "weighted"], 6),
+            (["weighted", "ams", "qmv"], 6),
+            (["mode", "ams"], 0),
+            (["map", "qmv"], 6),
+        ],
     )
     def test_each_cell_tallies_its_table_at_most_once(self, monkeypatch, estimators, calls):
         tallied = []
@@ -593,7 +616,9 @@ class TestCellSchedule:
             tallied.append(counts)
             return real(counts)
 
+        # the estimators' own binding too, which map_estimate tallies through
         monkeypatch.setattr(experiment_mod, "tally", spy)
+        monkeypatch.setattr(estimators_mod, "tally", spy)
         cfg = make_config(estimators=estimators, ams={"tau": 0.1, "factor": 0.5})
         report = run_experiment(cfg)
         assert len(tallied) == calls == len(set(map(id, tallied)))
