@@ -4,22 +4,21 @@ and report Hamming distances to the ground truth.
 A configuration names a ground truth (explicit bitstring or a generator
 pattern), a noise model, shot counts, estimators, and seeds, all checked
 when the config is built. A config file is a JSON object in UTF-8 with no
-byte-order mark. Every (shots, seed)
-cell simulates one shot record and feeds it to each estimator; ams draws
-its own per-qubit counts, so a cell whose only estimator is ams simulates
-no record, and only configs naming another estimator are held to the
-record's memory limit. Rows record the Hamming distance of the estimate
-from the truth. Reports come in two forms: canonical JSON (byte-stable
-across reruns, so wall times are kept out of it) and CSV (which carries a
-runtime_ms column). The numeric content shared by the two forms is
-identical.
+byte-order mark. The (shots, seed) cells run one after another in cell
+order, in the calling thread. Every cell simulates one shot record and
+feeds it to each estimator; ams draws its own per-qubit counts, so a cell
+whose only estimator is ams simulates no record, and only configs naming
+another estimator are held to the record's memory limit. Rows record the
+Hamming distance of the estimate from the truth. Reports come in two
+forms: canonical JSON (byte-stable across reruns, so wall times are kept
+out of it) and CSV (which carries a runtime_ms column, each estimator's
+own wall time). The numeric content shared by the two forms is identical.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -318,14 +317,6 @@ def _budget_section(config: ExperimentConfig) -> dict | None:
     }
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
 def _run_cell(config: ExperimentConfig, shots: int, seed: int) -> list[dict]:
     """Rows of one (shots, seed) cell: one simulated table, unless ams is the
     only estimator, and every estimator."""
@@ -363,20 +354,15 @@ def run_experiment(config: ExperimentConfig) -> Report:
     counts, and the ams estimator spends the same total budget on its own
     two-phase schedule.
 
-    Cells are independent, so they run on a thread pool with one worker per
-    usable CPU, at most one per cell; their rows are joined in cell order,
-    so the report does not depend on the schedule. If cells fail, the
-    first failing cell's exception is raised.
+    Cells run one after another in cell order (shots, then seed), in the
+    calling thread, and a failing cell's exception is raised before any
+    later cell starts.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here, as it slows every import of qmvote
     truth = config.ground_truth
-    cells = [(shots, seed) for shots in config.shots for seed in config.seeds]
-    workers = min(len(cells), _usable_cpus())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # map yields in cell order; the first failure re-raises there and
-        # cancels the cells still queued
-        per_cell = list(pool.map(lambda cell: _run_cell(config, *cell), cells))
-    rows = [row for cell_rows in per_cell for row in cell_rows]
+    rows = []
+    for shots in config.shots:
+        for seed in config.seeds:
+            rows += _run_cell(config, shots, seed)
     rows.sort(key=lambda r: (r["estimator"], r["shots"], r["seed"]))
 
     aggregates = []

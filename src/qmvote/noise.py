@@ -203,20 +203,34 @@ def _simulate_rows(thresholds: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return rows
 
 
-# Largest simulated shot record, packed eight qubits to a byte; a larger one
-# is refused before it is allocated.
+# Most memory that simulating and deduplicating one shot record may take; a
+# larger record is refused before it is allocated.
 MAX_RECORD_BYTES = 4 << 30
 
 
+def _record_work_bytes(n: int, shots: int) -> int:
+    """Bytes that simulating ``shots`` rows of ``n`` qubits and
+    deduplicating them may take at their peak. Each row costs its packed
+    width plus the dedup's working set: 24 bytes of keys and counts when it
+    packs to at most 8 bytes; above that, the larger of a second copy of
+    the row plus 24 bytes and the 56 bytes that re-sorting tied rows on
+    their next words may take. One chunk's draws and masks add a fixed
+    ``6 * _CHUNK_DRAWS``."""
+    width = (n + 7) // 8
+    per_row = width + 24 if width <= 8 else width + max(width + 24, 56)
+    return shots * per_row + 6 * _CHUNK_DRAWS
+
+
 def _check_record_memory(n: int, shots: int) -> None:
-    """Refuse a shot record of ``shots`` rows of ``n`` qubits, packed eight
-    to a byte, that would pass ``MAX_RECORD_BYTES``."""
-    need = shots * ((n + 7) // 8)
+    """Refuse a shot record of ``shots`` rows of ``n`` qubits whose
+    simulation and dedup would pass ``MAX_RECORD_BYTES``."""
+    need = _record_work_bytes(n, shots)
     if need > MAX_RECORD_BYTES:
         from decimal import Decimal  # exact at any size; a float overflows past 1.8e308
         raise InfeasibleError(
-            f"{shots} shots of {n} qubits need {Decimal(need) / 2**30:.1f} GiB as a packed shot "
-            f"record, more than the {MAX_RECORD_BYTES / 2**30:.0f} GiB allowed"
+            f"{shots} shots of {n} qubits need {Decimal(need) / 2**30:.1f} GiB to simulate and "
+            f"deduplicate as a packed shot record, more than the {MAX_RECORD_BYTES / 2**30:.0f} "
+            "GiB allowed"
         )
 
 

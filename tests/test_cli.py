@@ -560,8 +560,9 @@ class TestSimulate:
             raise AssertionError("a shot block was drawn")
 
         monkeypatch.setattr(noise_mod, "_shot_block", no_draw)
+        # 2**32 shots of two qubits pack to 4 GiB, but deduplicating them takes 100 GiB
         code, out, err = run(
-            capsys, "simulate", "--truth", "01", "--p", "0.1", "--shots", "10000000000000"
+            capsys, "simulate", "--truth", "01", "--p", "0.1", "--shots", str(2**32)
         )
         assert code == 2
         assert out == ""

@@ -1,11 +1,10 @@
 """Tests for the experiment harness and its reports."""
 
-import concurrent.futures
 import csv
 import io
 import subprocess
 import sys
-import time
+import threading
 from pathlib import Path
 
 import pytest
@@ -125,11 +124,12 @@ class TestConfig:
         make_config(ground_truth=n24, shots=[20_000], estimators=["map"])
 
     def test_oversized_shot_record_refused_at_config_time(self):
-        # 16 qubits pack to two bytes per shot, so 4 GiB holds 2**31 shots
+        # 16 qubits pack to two bytes per shot, and deduplicating takes 24
+        # more, so 4 GiB holds 165160802 shots
         alternating = {"pattern": "alternating", "n": 16}
         with pytest.raises(InfeasibleError, match="packed shot record.*4 GiB allowed"):
-            make_config(ground_truth=alternating, shots=[64, 2**31 + 2])
-        assert make_config(ground_truth=alternating, shots=[2**31]).shots == (2**31,)
+            make_config(ground_truth=alternating, shots=[64, 165160803])
+        assert make_config(ground_truth=alternating, shots=[165160802]).shots == (165160802,)
 
     def test_ams_only_config_builds_no_shot_record(self, monkeypatch):
         """ams draws its own per-qubit counts, so the record rule and the
@@ -497,7 +497,7 @@ class TestRunExperiment:
         assert report.rows[0]["distance"] == 0
 
 
-# Configs whose reports must not depend on how their cells are scheduled.
+# Configs whose reports must repeat byte for byte across runs.
 SCHEDULE_CONFIGS = {
     "ams": {
         "ground_truth": {"pattern": "alternating", "n": 24},
@@ -523,13 +523,8 @@ SCHEDULE_CONFIGS = {
     },
 }
 
-# An exhaustive-scan config, whose cells share the pool like any other.
+# An exhaustive-scan config.
 ML_CONFIG = {**SCHEDULE_CONFIGS["map"], "estimators": ["ml", "map", "qmv"]}
-
-
-def run_on_cpus(monkeypatch, cfg, cpus):
-    monkeypatch.setattr(experiment_mod, "_usable_cpus", lambda: cpus)
-    return run_experiment(cfg)
 
 
 def timeless(rows):
@@ -537,51 +532,18 @@ def timeless(rows):
 
 
 class TestCellSchedule:
-    def assert_same_reports(self, monkeypatch):
-        for name, doc in {**SCHEDULE_CONFIGS, "ml": ML_CONFIG}.items():
-            cfg = make_config(**doc)
-            inline = run_on_cpus(monkeypatch, cfg, 1)
-            pooled = run_on_cpus(monkeypatch, cfg, 8)
-            assert pooled.to_json() == inline.to_json(), name
-            assert timeless(pooled.rows) == timeless(inline.rows), name
-            assert all(row["runtime_ms"] >= 0 for row in pooled.rows)
-
-    def test_pool_matches_inline(self, monkeypatch):
-        self.assert_same_reports(monkeypatch)
-
-    def test_pool_matches_inline_with_frequent_thread_switches(self, monkeypatch):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            self.assert_same_reports(monkeypatch)
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize(
-        "cpus,doc,workers",
-        [
-            (1, SCHEDULE_CONFIGS["ams"], 1),
-            (8, ML_CONFIG, 6),  # 6 cells
-            (8, SCHEDULE_CONFIGS["ams"], 8),  # 10 cells
-            (8, SCHEDULE_CONFIGS["map"], 6),  # 6 cells
-        ],
-    )
-    def test_one_worker_per_cpu_and_one_for_a_scan(self, monkeypatch, cpus, doc, workers):
-        pools = []
-        real = concurrent.futures.ThreadPoolExecutor
-
-        def spy(*args, **kwargs):
-            pools.append(kwargs)
-            return real(*args, **kwargs)
-
-        # run_experiment imports the pool class when it runs
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
-        run_on_cpus(monkeypatch, make_config(**doc), cpus)
-        assert pools == [{"max_workers": workers}]
+    @pytest.mark.parametrize("name", [*SCHEDULE_CONFIGS, "ml"])
+    def test_reports_repeat_across_runs(self, name):
+        cfg = make_config(**{**SCHEDULE_CONFIGS, "ml": ML_CONFIG}[name])
+        first, second = run_experiment(cfg), run_experiment(cfg)
+        assert second.to_json() == first.to_json()
+        assert timeless(second.rows) == timeless(first.rows)
+        assert all(row["runtime_ms"] >= 0 for row in first.rows + second.rows)
 
     def test_importing_the_package_loads_no_pool(self):
-        """Only run_experiment runs a pool, so a fresh interpreter that
-        imports the package and its CLI has not loaded concurrent.futures."""
+        """No part of the package runs a thread pool, so a fresh interpreter
+        that imports the package and its CLI has not paid for loading
+        concurrent.futures and the logging it pulls in."""
         src = str(Path(experiment_mod.__file__).parents[1])
         script = (
             "import sys; sys.path.insert(0, sys.argv[1]); import qmvote, qmvote.cli; "
@@ -591,13 +553,6 @@ class TestCellSchedule:
             [sys.executable, "-c", script, src], capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "False"
-
-    def test_cpu_count_fallback(self, monkeypatch):
-        monkeypatch.delattr(experiment_mod.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(experiment_mod.os, "cpu_count", lambda: None)
-        assert experiment_mod._usable_cpus() == 1
-        monkeypatch.setattr(experiment_mod.os, "cpu_count", lambda: 3)
-        assert experiment_mod._usable_cpus() == 3
 
     @pytest.mark.parametrize(
         "estimators,calls",
@@ -640,29 +595,31 @@ class TestCellSchedule:
         monkeypatch.setattr(experiment_mod, "simulate_shots", simulate)
         return started
 
-    @pytest.mark.parametrize("cpus", [1, 8])
-    def test_first_failing_cell_raises(self, monkeypatch, cpus):
+    def test_cells_run_on_the_calling_thread_in_cell_order(self, monkeypatch):
+        cfg = make_config(shots=[128, 64], seeds=[2, 0, 1])
+        threads = []
+        started = self.patch_cells(monkeypatch, cfg, lambda cell: threads.append(threading.get_ident()))
+        run_experiment(cfg)
+        assert started == [(128, 2), (128, 0), (128, 1), (64, 2), (64, 0), (64, 1)]
+        assert threads == [threading.get_ident()] * len(started)
+
+    @pytest.mark.parametrize(
+        "failing,started_cells",
+        [
+            ({(64, 1), (64, 2), (128, 0)}, [(64, 0), (64, 1)]),
+            ({(64, 0), (128, 2)}, [(64, 0)]),
+            ({(128, 2)}, [(64, 0), (64, 1), (64, 2), (128, 0), (128, 1), (128, 2)]),
+        ],
+    )
+    def test_first_failing_cell_raises_and_no_later_cell_starts(self, monkeypatch, failing, started_cells):
         cfg = make_config(shots=[64, 128], seeds=[0, 1, 2])
 
         def behaviour(cell):
-            if cell == (64, 1):
-                time.sleep(0.1)  # later failing cells finish first
-            if cell in {(64, 1), (64, 2), (128, 0)}:
+            if cell in failing:
                 raise RuntimeError(f"cell {cell}")
 
-        self.patch_cells(monkeypatch, cfg, behaviour)
-        with pytest.raises(RuntimeError, match=r"^cell \(64, 1\)$"):
-            run_on_cpus(monkeypatch, cfg, cpus)
-
-    def test_queued_cells_are_cancelled(self, monkeypatch):
-        cfg = make_config(shots=[64, 128], seeds=[0, 1, 2])
-
-        def behaviour(cell):
-            if cell == (64, 0):
-                raise RuntimeError("first cell")
-            time.sleep(0.3)
-
         started = self.patch_cells(monkeypatch, cfg, behaviour)
-        with pytest.raises(RuntimeError, match="first cell"):
-            run_on_cpus(monkeypatch, cfg, 2)
-        assert len(started) < len(cfg.shots) * len(cfg.seeds)
+        first = started_cells[-1]
+        with pytest.raises(RuntimeError, match=rf"^cell \({first[0]}, {first[1]}\)$"):
+            run_experiment(cfg)
+        assert started == started_cells

@@ -186,15 +186,19 @@ class TestSimulateShots:
             raise AssertionError("a shot block was drawn")
 
         monkeypatch.setattr(noise_mod, "_shot_block", no_draw)
-        # a shot of two qubits packs to one byte and one of nine to two, so
-        # 4 GiB holds 2**32 and 2**31 shots
+        # a shot of two qubits packs to one byte and one of nine to two; each
+        # row also takes 24 bytes to deduplicate, and a chunk 768 KiB to
+        # draw, so 4 GiB holds 171767234 and 165160802 shots
         for simulate in (simulate_shots, simulate_antipodal_shots):
             with pytest.raises(InfeasibleError, match="packed shot record.*4 GiB allowed"):
-                simulate("01", NoiseModel.uniform(2, 0.1), 2**32 + 1, 0)
+                simulate("01", NoiseModel.uniform(2, 0.1), 171767235, 0)
             with pytest.raises(InfeasibleError, match="4.0 GiB"):
-                simulate("0" * 9, NoiseModel.uniform(9, 0.1), 2**31 + 1, 0)
-        noise_mod._check_record_memory(2, 2**32)
-        noise_mod._check_record_memory(9, 2**31)
+                simulate("0" * 9, NoiseModel.uniform(9, 0.1), 165160803, 0)
+            # 2**32 two-qubit shots pack to 4 GiB, but take 100 GiB to deduplicate
+            with pytest.raises(InfeasibleError, match="100.0 GiB"):
+                simulate("01", NoiseModel.uniform(2, 0.1), 2**32, 0)
+        noise_mod._check_record_memory(2, 171767234)
+        noise_mod._check_record_memory(9, 165160802)
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ValidationError):
@@ -430,16 +434,35 @@ class TestRecordMemory:
         assert peak < 1.2 * record + 6 * noise_mod._CHUNK_DRAWS
 
     @pytest.mark.parametrize("p", [0.001, 0.3])
-    @pytest.mark.parametrize("n", [8, 40, 65, 127, 200])
+    @pytest.mark.parametrize("n", [8, 40, 65, 127, 129, 200])
     def test_simulated_table_peak(self, n, p):
         """Simulating an 8 MiB record and deduplicating it peaks at no more
-        than 7 times the record, with many distinct rows (p = 0.3) or few."""
+        than 7 times the record, and within the figure the memory rule
+        charges it, with many distinct rows (p = 0.3) or with most rows tied
+        (p = 0.001), which wide rows re-sort on their next words."""
         width = (n + 7) // 8
         shots = -(-(8 << 20) // width)
         x0 = ("10" * n)[:n]
         noise = NoiseModel.uniform(n, p)
         simulate_shots(x0, noise, 10, 0)
-        assert traced_peak(lambda: simulate_shots(x0, noise, shots, 1)) <= 7 * shots * width
+        peak = traced_peak(lambda: simulate_shots(x0, noise, shots, 1))
+        assert peak <= 7 * shots * width
+        assert peak <= noise_mod._record_work_bytes(n, shots)
+
+    @pytest.mark.parametrize(
+        "n,per_row",
+        [
+            (1, 25),  # one byte packed, 24 of keys and counts
+            (64, 32),  # the widest row deduplicated on one word
+            (65, 65),  # 9 bytes, and 56 to re-sort tied rows
+            (129, 73),  # 17 bytes, and 56 to re-sort tied rows
+            (257, 90),  # 33 bytes, and a second copy plus 24
+        ],
+    )
+    def test_rule_charges_each_row_its_dedup(self, n, per_row):
+        fixed = 6 * noise_mod._CHUNK_DRAWS
+        assert noise_mod._record_work_bytes(n, 0) == fixed
+        assert noise_mod._record_work_bytes(n, 1000) == 1000 * per_row + fixed
 
 
 class TestSimulateAntipodalShots:
