@@ -21,7 +21,8 @@ among scores as computed in float: ML, and MAP under a uniform full table,
 compare the exhaustive scan's scores; other table priors compare per-qubit
 sums taken in qubit order (see ``Prior``).
 Zero or one flip probabilities are treated as hard evidence through an
-explicit -inf log-likelihood, never clamped.
+explicit -inf log-likelihood, never clamped. The exhaustive scan scores no
+candidate whose high qubits hold a bit that such evidence rules out.
 """
 
 from __future__ import annotations
@@ -297,6 +298,17 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     the best score is the first maximum in candidate order and the runner-up
     the second-largest score overall, whatever the tile size.
 
+    A (qubit, bit) pair is dead when some entry reads that qubit with
+    probability zero under that bit. Every term is <= 0 and every count
+    >= 1, so a candidate holding a dead bit scores exactly -inf. When the
+    stack reaches a fixed qubit whose bit is dead, no tile under that prefix
+    is built: the scan moves to the next prefix. A skipped tile could only
+    have merged -inf into the runner-up, so the result is bit-identical to
+    a scan of every tile. Dead bits on low qubits are scored as usual. A
+    qubit with both bits dead leaves every candidate at -inf, and raises
+    ``ValidationError`` before any tile is built; otherwise the candidates
+    holding no dead bit score finite.
+
     The working set is a tile of about 1 MiB, the (fixed qubits + 1) x
     entries prefix stack and the n x 2 x entries term table.
     """
@@ -316,6 +328,10 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
         )
     # terms[i, t, e] = log Pr(entry e's bit at qubit i | true bit t)
     terms = np.ascontiguousarray(log_table[:, ybits, np.arange(n)].transpose(2, 0, 1))
+    # dead[i][t]: some entry reads qubit i with probability zero under true bit t
+    dead = (terms == NEG_INF).any(axis=2).tolist()
+    if any(d0 and d1 for d0, d1 in dead):
+        raise ValidationError(_CONTRADICTION)
     total = 1 << n
     entries = ybits.shape[0]
     tile = _scan_tile_rows(entries, total)
@@ -337,10 +353,20 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
     second_score = NEG_INF
     # differs from candidate 0 at every fixed qubit, so the first tile builds the whole stack
     previous = total - 1
-    for k in range(0, total, tile):
+    k = 0
+    while k < total:
+        dead_at = fixed
         for i in range(fixed - ((k ^ previous) >> low).bit_length(), fixed):
-            np.add(prefix[i], terms[i, (k >> (n - 1 - i)) & 1], out=prefix[i + 1])
+            bit = (k >> (n - 1 - i)) & 1
+            if dead[i][bit]:
+                dead_at = i
+                break
+            np.add(prefix[i], terms[i, bit], out=prefix[i + 1])
         previous = k
+        if dead_at < fixed:
+            # every candidate under this prefix scores -inf: go to the next prefix
+            k = ((k >> (n - 1 - dead_at)) + 1) << (n - 1 - dead_at)
+            continue
         full[0] = prefix[fixed]
         for b in range(low):
             r = 1 << b
@@ -356,8 +382,7 @@ def _enumerate_scores(counts: CountsTable, noise: NoiseModel):
             best_k = k + int(order[row_scores == top].min())
         else:
             second_score = max(second_score, top)
-    if best_score == NEG_INF:
-        raise ValidationError(_CONTRADICTION)
+        k += tile
     return best_k, best_score, second_score
 
 
@@ -368,8 +393,12 @@ def ml_bruteforce(counts: CountsTable, noise: NoiseModel) -> Estimate:
     argmax, breaking ties toward the lexicographically smallest string.
     Exponential in n: a scan of more than ``_ENUM_MAX_PAIRS`` candidate-key
     pairs is refused (see ``_check_scan_work``); use the vote rules for
-    anything large. Kept enumerative on purpose: this is the oracle the
-    vote rules are checked against, so it must not share their shortcut.
+    anything large. The limit counts all 2^n candidates, although the scan
+    skips the tiles whose high qubits hold a bit ruled out by a zero or one
+    flip probability (their likelihood is exactly zero), which halves the
+    work for each such qubit. Kept enumerative on purpose: this is the
+    oracle the vote rules are checked against, so it must not share their
+    shortcut.
     """
     best_k, best, second = _enumerate_scores(counts, noise)
     return Estimate(value=format(best_k, f"0{counts.n}b"), method="ml", gap=best - second)

@@ -514,6 +514,68 @@ class TestScanMatchesGatherReference:
         k, best, second = self.assert_identical_in_small_tiles(counts, nm)
         assert math.copysign(1.0, best - second) == 1.0
 
+    def test_dead_bit_on_first_middle_and_last_fixed_qubit(self, monkeypatch):
+        """In 64-row tiles of n = 12, qubits 0-5 are fixed. A zero or one
+        flip probability there makes one bit impossible for the shots, which
+        read both bits at every qubit, so the scan skips every tile under
+        that bit; the tuple must still be the gather reference's."""
+        monkeypatch.setattr(estimators_mod, "_ENUM_TILE_BYTES", 8)
+        n = 12
+        rng = np.random.default_rng(22)
+        for qubit in (0, 3, 5):
+            for form, value, dead_bit in (("p01", 0.0, 0), ("p10", 0.0, 1), ("p01", 1.0, 0), ("p10", 1.0, 1)):
+                counts = random_counts(rng, n, 60, skew=False)
+                bits = counts.as_arrays()[0]
+                assert bits.min(axis=0).max() == 0 and bits.max(axis=0).min() == 1
+                rates = {"p01": rng.uniform(0.05, 0.45, n), "p10": rng.uniform(0.05, 0.45, n)}
+                rates[form][qubit] = value
+                nm = NoiseModel(**rates)
+                assert _scan_tile_rows(len(counts), 1 << n) == 64
+                # axis 1 is the candidate's bit at the hard qubit
+                out = ruled_out(counts, nm).reshape(1 << qubit, 2, -1)
+                assert out[:, dead_bit].all() and not out[:, 1 - dead_bit].any()
+                assert isinstance(self.assert_identical(counts, nm), tuple)
+
+    def test_tiles_under_a_dead_prefix_are_not_scored(self, monkeypatch):
+        """Counts the tiles weighted, one matrix-vector product each, in a
+        scan of sixteen 64-row tiles: half of them when qubit 0 rules out a
+        bit, all of them with no hard qubit or with a hard low qubit, and
+        none when a qubit rules out both bits."""
+        monkeypatch.setattr(estimators_mod, "_ENUM_TILE_BYTES", 8)
+        tiles = []
+        matmul = np.matmul
+
+        def counting_matmul(a, *args, **kwargs):
+            tiles.append(a.shape[0])
+            return matmul(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting_matmul)
+        n = 10
+        rng = np.random.default_rng(23)
+        counts = random_counts(rng, n, 60, skew=False)
+        bits = counts.as_arrays()[0]
+        assert bits.min(axis=0).max() == 0 and bits.max(axis=0).min() == 1
+
+        def scored(p01, p10):
+            tiles.clear()
+            nm = NoiseModel(p01=p01, p10=p10)
+            got = self.assert_identical(counts, nm)
+            assert all(rows == 64 for rows in tiles)
+            return got, len(tiles)
+
+        p = rng.uniform(0.05, 0.45, n)
+        got, count = scored(p, p)
+        assert isinstance(got, tuple) and count == 16
+        hard = p.copy()
+        hard[0] = 0.0
+        assert scored(hard, p)[1] == 8
+        assert scored(p, hard)[1] == 8
+        hard_low = p.copy()
+        hard_low[n - 1] = 0.0
+        assert scored(hard_low, p)[1] == 16
+        assert scored(hard_low, hard_low) == ("ValidationError", 0)
+        assert scored(hard, hard) == ("ValidationError", 0)
+
     def test_impossible_evidence_raises_in_both(self):
         cases = [
             (CountsTable({"0": 1, "1": 1}), NoiseModel.uniform(1, 0.0)),
